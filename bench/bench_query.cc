@@ -123,11 +123,11 @@ int Run(size_t content_chars) {
     index_build_us = MicrosSince(t0) / kBuildReps;
   }
 
-  // ---- cold axes: indexed (snapshot-resident) vs naive scans ----
-  // The indexed engine shares one prebuilt index, exactly like engines
-  // memoized on a service::DocumentSnapshot; the naive engine runs the
-  // paper-literal scans. Result-cache effects are out of scope here —
-  // every evaluation does the full axis work.
+  // ---- cold axes: indexed (shared snapshot index) vs naive scans ----
+  // The indexed engine adopts one prebuilt index, exactly like the
+  // service's per-request engines over a DocumentSnapshot's index; the
+  // naive engine runs the paper-literal scans. Result-cache effects are
+  // out of scope here — every evaluation does the full axis work.
   auto index = std::make_shared<const goddag::SnapshotIndex>(g);
   xpath::XPathEngine indexed(g);
   indexed.UseSnapshotIndex(index);

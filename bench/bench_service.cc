@@ -1,4 +1,4 @@
-// T-SERVICE: throughput of the concurrent document service — batched
+// T-SERVICE: throughput of the concurrent document service — stateless
 // Extended XPath/XQuery execution against DocumentStore snapshots with
 // the (document, version, query) LRU cache, plus the write path: the
 // structural clone cost behind BeginEdit and the writer pipeline's
@@ -86,8 +86,8 @@ using bench::Percentile;
 
 /// Replays a generated traffic mix: reads go through the service in
 /// submission order (async, gathered at the end of each write-delimited
-/// burst so batching has queues to coalesce); writes ride the writer
-/// pipeline (structural clone + group commit), measured end to end.
+/// burst); writes ride the writer pipeline (structural clone + group
+/// commit), measured end to end.
 MixResult RunMix(service::QueryService* service,
                  const std::vector<workload::TrafficOp>& ops) {
   MixResult result;
@@ -137,11 +137,11 @@ void PrintMixJson(std::FILE* f, const char* name, const MixResult& m) {
       "  \"%s\": {\"reads\": %zu, \"commits\": %zu, "
       "\"rejected_edits\": %zu, \"seconds\": %.6f, "
       "\"queries_per_sec\": %.1f, \"cache_hit_rate\": %.4f, "
-      "\"avg_batch_size\": %.2f, \"commit_p50_us\": %.1f, "
+      "\"commit_p50_us\": %.1f, "
       "\"commit_p99_us\": %.1f, \"write_batches\": %llu}",
       name, m.reads, m.commits, m.rejected_edits, m.seconds,
       m.reads / (m.seconds > 0 ? m.seconds : 1e-9), m.stats.cache.hit_rate(),
-      m.stats.avg_batch_size(), m.commit_p50_us, m.commit_p99_us,
+      m.commit_p50_us, m.commit_p99_us,
       static_cast<unsigned long long>(m.stats.writes.batches));
 }
 
@@ -189,10 +189,8 @@ int Run(size_t content_chars, size_t num_threads) {
   cold_samples.reserve(kLatencyReps);
   for (int i = 0; i < kLatencyReps; ++i) {
     // Clearing the result cache makes every first Execute re-evaluate;
-    // the snapshot's memoized engines + SnapshotIndex survive the
-    // clear, so this measures the indexed cold path a production
-    // repeat-miss pays (not an engine rebuild, which snapshots no
-    // longer pay per batch).
+    // the snapshot's SnapshotIndex survives the clear, so this measures
+    // the indexed cold path a production repeat-miss pays.
     service.cache().Clear();
     Clock::time_point t0 = Clock::now();
     BENCH_CHECK(service.Execute(hot).ok());
@@ -398,8 +396,6 @@ int Run(size_t content_chars, size_t num_threads) {
     auto write_ops = workload::GenerateTraffic(writes);
     BENCH_CHECK(write_ops.ok());
     std::vector<double> after_us;
-    uint64_t pools_shared_sum = 0;
-    size_t patched_samples = 0;
     for (const workload::TrafficOp& op : *write_ops) {
       if (op.kind != workload::TrafficOp::Kind::kEdit) continue;
       service::EditResponse committed = write_service.ExecuteEdit(
@@ -410,6 +406,7 @@ int Run(size_t content_chars, size_t num_threads) {
             return session.Apply(hierarchy, tag).status();
           });
       if (!committed.ok()) continue;
+      uint64_t patches_before = write_service.stats().index_patches;
       Clock::time_point t0 = Clock::now();
       service::QueryResponse first = write_service.Execute(hot);
       after_us.push_back(SecondsSince(t0) * 1e6);
@@ -421,13 +418,11 @@ int Run(size_t content_chars, size_t num_threads) {
 
       auto snap = write_store.GetSnapshot("ms");
       BENCH_CHECK(snap.ok());
-      if ((*snap)->index_patched()) {
-        pools_shared_sum += (*snap)->index_pools_shared();
-        ++patched_samples;
+      if (write_service.stats().index_patches > patches_before) {
         // Equivalence oracle: the patched index the service just
         // queried must answer exactly like the full constructor.
         xpath::XPathEngine via_patch(*(*snap)->goddag);
-        via_patch.UseSnapshotIndex((*snap)->IndexPtr());
+        via_patch.UseSnapshotIndex((*snap)->Index());
         xpath::XPathEngine via_fresh(*(*snap)->goddag);
         via_fresh.UseSnapshotIndex(
             std::make_shared<const goddag::SnapshotIndex>(*(*snap)->goddag));
@@ -447,9 +442,13 @@ int Run(size_t content_chars, size_t num_threads) {
     service_index_patches = write_stats.index_patches;
     service_index_rebuilds = write_stats.index_rebuilds;
     index_pools_shared_avg =
-        patched_samples == 0
+        service_index_patches == 0
             ? 0.0
-            : static_cast<double>(pools_shared_sum) / patched_samples;
+            : static_cast<double>(write_service.registry()
+                                      ->GetCounter(
+                                          "cxml_index_pool_reuse_total")
+                                      ->Value()) /
+                  service_index_patches;
     // The acceptance bar (standard corpus): the incremental path must
     // actually carry the write-heavy load — most post-commit cold
     // builds patch instead of rebuilding.
@@ -511,7 +510,9 @@ int Run(size_t content_chars, size_t num_threads) {
     for (int i = 0; i < kCollReps; ++i) {
       coll_service.cache().Clear();
       Clock::time_point t0 = Clock::now();
-      BENCH_CHECK(coll_service.Execute("coll/doc0", *handle).ok());
+      // Through the pool, like each document of the fan-out: Execute
+      // would skip the queue hop every fan-out leg pays.
+      BENCH_CHECK(coll_service.Submit("coll/doc0", *handle).get().ok());
       single_us.push_back(SecondsSince(t0) * 1e6);
       coll_service.cache().Clear();
       t0 = Clock::now();

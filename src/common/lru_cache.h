@@ -9,13 +9,10 @@
 
 namespace cxml {
 
-/// Bounded string-keyed LRU (front = most recent), shared by the XPath
-/// and XQuery engines' parse caches and the service's prepared-handle
-/// cache. Values live in stable list nodes; the index's string_view
-/// keys point at those nodes' own key strings, so lookups never copy
-/// the key. Not thread-safe — callers own any locking (the engines
-/// rely on the same external serialization as the rest of their
-/// state).
+/// Bounded string-keyed LRU (front = most recent) behind the service's
+/// prepared-handle cache. Values live in stable list nodes; the index's
+/// string_view keys point at those nodes' own key strings, so lookups
+/// never copy the key. Not thread-safe — callers own any locking.
 template <typename V>
 class StringLruCache {
  public:

@@ -1005,8 +1005,6 @@ Result<std::string> Server::DoStat() {
       StrFormat("documents %zu", store_->ListDocuments().size()));
   items.push_back(StrFormat("service_requests %llu",
                             static_cast<unsigned long long>(stats.requests)));
-  items.push_back(StrFormat("service_batches %llu",
-                            static_cast<unsigned long long>(stats.batches)));
   items.push_back(StrFormat("service_errors %llu",
                             static_cast<unsigned long long>(stats.errors)));
   items.push_back(StrFormat(

@@ -119,8 +119,8 @@ struct ServerStats {
 ///
 /// Per connection the receive side is a FrameDecoder state machine;
 /// decoded payloads queue per connection and at most one worker
-/// serves a connection at a time (claiming its whole backlog, like
-/// QueryService's per-document batching), so pipelined requests are
+/// serves a connection at a time (claiming its whole backlog), so
+/// pipelined requests are
 /// answered strictly in order while separate connections proceed in
 /// parallel. The connection also carries protocol state across
 /// frames: an EBEGIN'd EditTransaction lives on it until ECOMMIT /

@@ -62,10 +62,17 @@ CollectionResponse RunCollectionQuery(QueryService* service,
   }
 
   // Selection: the store's globally sorted LIST filtered by the glob,
-  // which fixes the merge order up front.
-  std::vector<std::string> selected;
-  for (std::string& name : service->store().ListDocuments()) {
-    if (GlobMatch(pattern, name)) selected.push_back(std::move(name));
+  // which fixes the merge order up front. Each match's snapshot is
+  // pinned here, so the collection is a point-in-time read of its
+  // selection: a document edited or removed mid-fan-out still answers
+  // from the version selected.
+  DocumentStore& store = service->store();
+  std::vector<SnapshotPtr> selected;
+  for (const std::string& name : store.ListDocuments()) {
+    if (!GlobMatch(pattern, name)) continue;
+    Result<SnapshotPtr> snap = store.GetSnapshot(name);
+    if (!snap.ok()) continue;  // removed since the LIST
+    selected.push_back(std::move(snap).value());
   }
   out.matched = selected.size();
   fanout->Observe(selected.size());
@@ -77,15 +84,14 @@ CollectionResponse RunCollectionQuery(QueryService* service,
     return out;
   }
 
-  // Fan out: one Submit per document. Documents hash to different
-  // store shards and batch independently, so the query pool runs them
-  // in parallel; gathering in selection order keeps the merge
-  // deterministic regardless of completion order.
+  // Fan out: one Submit per document. Cache hits answer at once and
+  // misses run in parallel on the query pool; gathering in selection
+  // order keeps the merge deterministic regardless of completion order.
   obs::TraceSpan fan_span(trace, "coll_fanout", trace_parent);
   std::vector<std::future<QueryResponse>> futures;
   futures.reserve(selected.size());
-  for (const std::string& document : selected) {
-    futures.push_back(service->Submit(document, handle));
+  for (const SnapshotPtr& snap : selected) {
+    futures.push_back(service->Submit(snap, handle));
   }
 
   for (size_t i = 0; i < selected.size(); ++i) {
@@ -93,14 +99,14 @@ CollectionResponse RunCollectionQuery(QueryService* service,
     if (!response.ok()) {
       out.docs.clear();
       out.status = response.status.WithContext(
-          StrCat("collection query on '", selected[i], "'"));
+          StrCat("collection query on '", selected[i]->name, "'"));
       errors->Add();
       observe_latency();
       return out;
     }
     if (out.truncated) continue;  // keep draining futures, drop items
     CollectionDocResult doc;
-    doc.document = selected[i];
+    doc.document = selected[i]->name;
     doc.version = response.version;
     if (response.items != nullptr) {
       for (const std::string& item : *response.items) {

@@ -46,11 +46,14 @@ struct CollectionResponse {
 };
 
 /// Runs one prepared handle over every document whose name matches
-/// `pattern`: the selection comes from the store's sorted LIST, the
-/// per-document executions fan out across store shards on the query
-/// thread pool (QueryService::Submit), and the gathered responses are
-/// merged deterministically. The first failing document fails the
-/// whole collection (with the document named in the status); metrics
+/// `pattern`: the selection comes from the store's sorted LIST and pins
+/// each match's current snapshot, the per-document executions fan out
+/// through QueryService::Submit over those snapshots (hits answer at
+/// once, misses run on the query pool), and the gathered responses are
+/// merged deterministically. The answer is a point-in-time read of the
+/// selection: an EDIT or REMOVE landing mid-fan-out does not change or
+/// fail it. A failing document fails the whole collection (with the
+/// document named in the status); zero matches is NotFound. Metrics
 /// land in the service registry (`cxml_coll_*`).
 CollectionResponse RunCollectionQuery(
     QueryService* service, const std::string& pattern, QueryHandle handle,

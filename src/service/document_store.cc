@@ -97,8 +97,6 @@ Status DocumentStore::Remove(const std::string& name) {
       return status::NotFound(
           StrCat("document '", name, "' not registered"));
     }
-    // Same accel bound as a publish: stale pins release it lazily.
-    it->second->MarkSuperseded();
     shard.docs.erase(it);
   }
   // Caches must drop every version: a later Register under the same
@@ -151,10 +149,8 @@ Result<uint64_t> DocumentStore::Publish(const std::string& name,
     new_version = snap->version;
     // Hand the predecessor's index to the successor as a patch base
     // (when the commit came with a delta — i.e. `doc` is a clone of
-    // the predecessor's GODDAG), then supersede it: its memoized
-    // index/engines are dropped once the last in-flight batch unpins.
+    // the predecessor's GODDAG).
     if (delta != nullptr) snap->AdoptPatchBase(*it->second, *delta);
-    it->second->MarkSuperseded();
     it->second = std::move(snap);
   }
   return new_version;

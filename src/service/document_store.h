@@ -146,11 +146,9 @@ class DocumentStore {
   ///
   /// `delta` (may be nullptr) is the committing session's structural
   /// edit summary: under the shard lock the new snapshot adopts the
-  /// predecessor's index as a patch base keyed by it, and the
-  /// predecessor is marked superseded so its memoized accel state is
-  /// released once the last in-flight batch unpins. No delta (Register,
-  /// recovery, opaque applies) ⇒ the successor takes a full rebuild on
-  /// its first cold query.
+  /// predecessor's index as a patch base keyed by it. No delta
+  /// (Register, recovery, opaque applies) ⇒ the successor takes a full
+  /// rebuild on its first cold query.
   Result<uint64_t> Publish(const std::string& name, uint64_t base_version,
                            uint64_t generation, storage::LoadedGoddag* doc,
                            const goddag::IndexDelta* delta = nullptr);

@@ -28,6 +28,17 @@ double Micros(TraceClock::time_point from, TraceClock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
+QueryKey KeyFor(const DocumentSnapshot& snap, const PreparedQuery& query) {
+  return {snap.name,       snap.version,         snap.generation,
+          query.canonical, query.canonical_hash, query.kind};
+}
+
+std::future<QueryResponse> Ready(QueryResponse response) {
+  std::promise<QueryResponse> promise;
+  promise.set_value(std::move(response));
+  return promise.get_future();
+}
+
 }  // namespace
 
 QueryService::QueryService(DocumentStore* store, QueryServiceOptions options)
@@ -49,7 +60,6 @@ QueryService::QueryService(DocumentStore* store, QueryServiceOptions options)
                       : options.num_write_threads),
       pipeline_(store, &write_pool_, registry_) {
   requests_ = registry_->GetCounter("cxml_service_requests_total");
-  batches_ = registry_->GetCounter("cxml_service_batches_total");
   errors_ = registry_->GetCounter("cxml_service_errors_total");
   prepares_ = registry_->GetCounter("cxml_service_prepares_total");
   query_us_ = registry_->GetHistogram("cxml_query_us");
@@ -72,9 +82,9 @@ QueryService::QueryService(DocumentStore* store, QueryServiceOptions options)
 }
 
 QueryService::~QueryService() {
-  // Drain in-flight batches (read and write alike) first so no worker
-  // touches the cache, the pending maps, or the pipeline
-  // mid-destruction, then detach from the store.
+  // Drain in-flight pool work (read misses and write batches) first so
+  // no worker touches the cache or the pipeline mid-destruction, then
+  // detach from the store.
   pool_.Shutdown();
   write_pool_.Shutdown();
   store_->RemoveVersionListener(listener_id_);
@@ -162,200 +172,159 @@ std::future<EditResponse> QueryService::SubmitCommit(
                                 std::move(wal_op_sets));
 }
 
-std::future<QueryResponse> QueryService::Submit(QueryRequest request) {
-  // The string path is a thin wrapper: resolve to a handle (one hash +
-  // lookup when hot, a compile on first sight), then share the
-  // prepared path. A parse failure answers immediately — it needs no
-  // snapshot and no worker.
-  Result<QueryHandle> handle = Prepare(request.query, request.kind);
-  if (!handle.ok()) {
-    requests_->Add();
-    errors_->Add();
-    std::promise<QueryResponse> promise;
-    QueryResponse response;
-    response.status = handle.status();
-    promise.set_value(std::move(response));
-    return promise.get_future();
-  }
-  return Submit(std::move(request.document), std::move(handle).value());
-}
-
-std::future<QueryResponse> QueryService::Submit(std::string document,
-                                                QueryHandle handle,
-                                                obs::TracePtr trace,
-                                                int trace_parent) {
-  Pending pending;
-  pending.handle = std::move(handle);
-  pending.trace = std::move(trace);
-  pending.trace_parent = trace_parent;
-  pending.enqueued = TraceClock::now();
-  std::future<QueryResponse> future = pending.promise.get_future();
+QueryResponse QueryService::Rejected(Status status) {
   requests_->Add();
-
-  bool schedule = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_[document].push_back(std::move(pending));
-    schedule = scheduled_.insert(document).second;
-  }
-  if (schedule &&
-      !pool_.Submit([this, document] { ServeDocument(document); })) {
-    // Pool already shut down: fail the request instead of hanging it.
-    std::lock_guard<std::mutex> lock(mu_);
-    scheduled_.erase(document);
-    auto it = pending_.find(document);
-    if (it != pending_.end()) {
-      errors_->Add(it->second.size());
-      for (Pending& p : it->second) {
-        QueryResponse response;
-        response.status =
-            status::FailedPrecondition("query service is shut down");
-        p.promise.set_value(std::move(response));
-      }
-      pending_.erase(it);
-    }
-  }
-  return future;
+  errors_->Add();
+  QueryResponse response;
+  response.status = std::move(status);
+  return response;
 }
 
 QueryResponse QueryService::Execute(QueryRequest request) {
-  return Submit(std::move(request)).get();
+  // The string path is a thin wrapper: resolve to a handle (one hash +
+  // lookup when hot, a compile on first sight), then share the
+  // prepared path.
+  Result<QueryHandle> handle = Prepare(request.query, request.kind);
+  if (!handle.ok()) return Rejected(handle.status());
+  return Execute(std::move(request.document), std::move(handle).value());
+}
+
+std::future<QueryResponse> QueryService::Submit(QueryRequest request) {
+  Result<QueryHandle> handle = Prepare(request.query, request.kind);
+  if (!handle.ok()) return Ready(Rejected(handle.status()));
+  return Submit(std::move(request.document), std::move(handle).value());
 }
 
 QueryResponse QueryService::Execute(std::string document,
                                     QueryHandle handle,
                                     obs::TracePtr trace,
                                     int trace_parent) {
-  return Submit(std::move(document), std::move(handle), std::move(trace),
-                trace_parent)
-      .get();
-}
-
-std::vector<QueryResponse> QueryService::ExecuteAll(
-    std::vector<QueryRequest> requests) {
-  std::vector<std::future<QueryResponse>> futures;
-  futures.reserve(requests.size());
-  for (QueryRequest& request : requests) {
-    futures.push_back(Submit(std::move(request)));
-  }
-  std::vector<QueryResponse> responses;
-  responses.reserve(futures.size());
-  for (auto& future : futures) responses.push_back(future.get());
-  return responses;
-}
-
-void QueryService::ServeDocument(const std::string& document) {
-  for (;;) {
-    // Claim the document's entire pending queue as one batch.
-    std::deque<Pending> batch;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = pending_.find(document);
-      if (it == pending_.end() || it->second.empty()) {
-        // Erase the drained entry too: long-lived services would
-        // otherwise keep one empty deque per document name ever seen.
-        if (it != pending_.end()) pending_.erase(it);
-        scheduled_.erase(document);
-        return;
-      }
-      batch.swap(it->second);
-    }
-    batches_->Add();
-    TraceClock::time_point claimed = TraceClock::now();
-
-    auto snap = store_->GetSnapshot(document);
-    if (!snap.ok()) {
-      errors_->Add(batch.size());
-      for (Pending& p : batch) {
-        QueryResponse response;
-        response.status = snap.status();
-        p.promise.set_value(std::move(response));
-      }
-      continue;
-    }
-
-    // One snapshot pin serves the whole batch; the engines live on the
-    // snapshot itself (lazily built once per published version), so
-    // every batch against this version shares one SnapshotIndex build
-    // and the engines' expression parse caches. Handing the stateful
-    // engines out is sound because ServeDocument runs at most once per
-    // document at a time (scheduled_ set). The AccelPin keeps a
-    // concurrent publish from releasing the superseded snapshot's
-    // index/engines while this batch still references them; the last
-    // unpin is what lets the store's supersede actually reclaim them.
-    SnapshotPtr snapshot = std::move(snap).value();
-    DocumentSnapshot::AccelPin accel_pin = snapshot->PinAccel();
-    for (Pending& p : batch) {
-      QueryResponse response = RunOne(*snapshot, p, claimed);
-      if (!response.ok()) errors_->Add();
-      p.promise.set_value(std::move(response));
-    }
-  }
-}
-
-QueryResponse QueryService::RunOne(const DocumentSnapshot& snap,
-                                   Pending& p,
-                                   TraceClock::time_point claimed) {
-  const PreparedQuery& query = *p.handle;
-  const obs::TracePtr& trace = p.trace;
-  const int parent = p.trace_parent;
   TraceClock::time_point start = TraceClock::now();
-
-  // The queue wait ended when the batch claimed this request.
-  queue_us_->Observe(Micros(p.enqueued, claimed));
-  if (trace != nullptr) {
-    trace->AddStageAbs("queue", p.enqueued, claimed, parent);
+  QueryResponse response;
+  Result<SnapshotPtr> snap = store_->GetSnapshot(document);
+  if (!snap.ok()) {
+    response.status = snap.status();
+  } else if (!CacheHit(**snap, *handle, trace, trace_parent, &response)) {
+    response = Evaluate(**snap, *handle, trace, trace_parent);
   }
+  Finish(response, Micros(start, TraceClock::now()));
+  return response;
+}
 
+std::future<QueryResponse> QueryService::Submit(std::string document,
+                                                QueryHandle handle,
+                                                obs::TracePtr trace,
+                                                int trace_parent) {
+  TraceClock::time_point start = TraceClock::now();
+  Result<SnapshotPtr> snap = store_->GetSnapshot(document);
+  if (!snap.ok()) {
+    QueryResponse response;
+    response.status = snap.status();
+    Finish(response, Micros(start, TraceClock::now()));
+    return Ready(std::move(response));
+  }
+  return Dispatch(start, std::move(snap).value(), std::move(handle),
+                  std::move(trace), trace_parent);
+}
+
+std::future<QueryResponse> QueryService::Submit(SnapshotPtr snap,
+                                                QueryHandle handle,
+                                                obs::TracePtr trace,
+                                                int trace_parent) {
+  return Dispatch(TraceClock::now(), std::move(snap), std::move(handle),
+                  std::move(trace), trace_parent);
+}
+
+std::future<QueryResponse> QueryService::Dispatch(
+    TraceClock::time_point start, SnapshotPtr snap, QueryHandle handle,
+    obs::TracePtr trace, int trace_parent) {
+  QueryResponse response;
+  if (CacheHit(*snap, *handle, trace, trace_parent, &response)) {
+    Finish(response, Micros(start, TraceClock::now()));
+    return Ready(std::move(response));
+  }
+  TraceClock::time_point enqueued = TraceClock::now();
+  // std::function needs a copyable task, so the promise rides shared.
+  auto promise = std::make_shared<std::promise<QueryResponse>>();
+  std::future<QueryResponse> future = promise->get_future();
+  bool posted = pool_.Submit([this, promise, snap, handle, trace,
+                              trace_parent, start, enqueued] {
+    TraceClock::time_point claimed = TraceClock::now();
+    queue_us_->Observe(Micros(enqueued, claimed));
+    if (trace != nullptr) {
+      trace->AddStageAbs("queue", enqueued, claimed, trace_parent);
+    }
+    QueryResponse answer = Evaluate(*snap, *handle, trace, trace_parent);
+    Finish(answer, Micros(start, enqueued) +
+                       Micros(claimed, TraceClock::now()));
+    promise->set_value(std::move(answer));
+  });
+  if (!posted) {
+    // Pool already shut down: fail the request instead of hanging it.
+    response.status = status::FailedPrecondition("query service is shut down");
+    Finish(response, Micros(start, enqueued));
+    promise->set_value(std::move(response));
+  }
+  return future;
+}
+
+bool QueryService::CacheHit(const DocumentSnapshot& snap,
+                            const PreparedQuery& query,
+                            const obs::TracePtr& trace, int trace_parent,
+                            QueryResponse* response) {
+  obs::TraceSpan cache_span(trace, "cache", trace_parent);
+  CachedResult cached = cache_.Get(KeyFor(snap, query));
+  if (cached == nullptr) {
+    cache_span.EndWithNote("miss");
+    return false;
+  }
+  cache_span.EndWithNote("hit");
+  response->items = std::move(cached);
+  response->version = snap.version;
+  response->cache_hit = true;
+  return true;
+}
+
+QueryResponse QueryService::Evaluate(const DocumentSnapshot& snap,
+                                     const PreparedQuery& query,
+                                     const obs::TracePtr& trace,
+                                     int trace_parent) {
   QueryResponse response;
   response.version = snap.version;
 
-  // Force the memoized index here (the engines would anyway) so the
-  // one-time build cost is measured and attributed to the request that
-  // actually paid it instead of vanishing into its eval time.
-  bool cold_index = !snap.IndexReady();
+  DocumentSnapshot::IndexBuild build;
+  std::shared_ptr<const goddag::SnapshotIndex> index;
   {
-    obs::TraceSpan index_span(trace, "index", parent);
-    snap.Index();
+    obs::TraceSpan index_span(trace, "index", trace_parent);
+    index = snap.Index(&build);
   }
-  if (cold_index) {
-    if (snap.index_patched()) {
+  if (build.built) {
+    if (build.patched) {
       index_patch_total_->Add();
-      index_pool_reuse_total_->Add(snap.index_pools_shared());
-      index_patch_us_->Observe(static_cast<double>(snap.index_build_us()));
+      index_pool_reuse_total_->Add(build.pools_shared);
+      index_patch_us_->Observe(static_cast<double>(build.us));
     } else {
       index_rebuild_total_->Add();
-      index_build_us_->Observe(
-          static_cast<double>(snap.index_build_us()));
+      index_build_us_->Observe(static_cast<double>(build.us));
     }
   }
 
-  obs::TraceSpan cache_span(trace, "cache", parent);
-  QueryKey key{snap.name,       snap.version,         snap.generation,
-               query.canonical, query.canonical_hash, query.kind};
-  if (CachedResult cached = cache_.Get(key)) {
-    cache_span.EndWithNote("hit");
-    response.items = std::move(cached);
-    response.cache_hit = true;
-    query_us_->Observe(Micros(start, TraceClock::now()));
-    return response;
-  }
-  cache_span.EndWithNote("miss");
-
-  obs::TraceSpan eval_span(trace, "eval", parent);
+  obs::TraceSpan eval_span(trace, "eval", trace_parent);
   TraceClock::time_point eval_start = TraceClock::now();
   xpath::AxisStats axes;
+  // A fresh engine per request over the shared immutable index: no
+  // request ever sees another's bindings or scratch state.
   auto run = [&]() -> Result<std::vector<std::string>> {
     if (query.kind == QueryKind::kXPath) {
-      xpath::XPathEngine& engine = snap.XPath();
-      engine.ResetAxisStats();
+      xpath::XPathEngine engine(*snap.goddag);
+      engine.UseSnapshotIndex(std::move(index));
       Result<std::vector<std::string>> r =
           engine.EvaluateToStrings(*query.xpath);
       axes = engine.axis_stats();
       return r;
     }
-    xquery::XQueryEngine& engine = snap.XQuery();
-    engine.ResetAxisStats();
+    xquery::XQueryEngine engine(*snap.goddag);
+    engine.UseSnapshotIndex(std::move(index));
     Result<std::vector<std::string>> r = engine.Run(*query.xquery);
     axes = engine.axis_stats();
     return r;
@@ -371,20 +340,23 @@ QueryResponse QueryService::RunOne(const DocumentSnapshot& snap,
   if (!items.ok()) {
     response.status = items.status().WithContext(
         StrCat(QueryKindToString(query.kind), " '", query.text, "'"));
-    query_us_->Observe(Micros(start, TraceClock::now()));
     return response;
   }
   response.items = std::make_shared<const std::vector<std::string>>(
       std::move(items).value());
-  cache_.Put(key, response.items);
-  query_us_->Observe(Micros(start, TraceClock::now()));
+  cache_.Put(KeyFor(snap, query), response.items);
   return response;
+}
+
+void QueryService::Finish(const QueryResponse& response, double service_us) {
+  requests_->Add();
+  if (!response.ok()) errors_->Add();
+  query_us_->Observe(service_us);
 }
 
 ServiceStats QueryService::stats() const {
   ServiceStats s;
   s.requests = requests_->Value();
-  s.batches = batches_->Value();
   s.errors = errors_->Value();
   s.prepares = prepares_->Value();
   s.index_patches = index_patch_total_->Value();

@@ -2,12 +2,10 @@
 #define CXML_SERVICE_QUERY_SERVICE_H_
 
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -63,7 +61,6 @@ struct QueryResponse {
 
 struct ServiceStats {
   uint64_t requests = 0;
-  uint64_t batches = 0;
   uint64_t errors = 0;
   /// Prepare() compilations that missed the prepared-handle caches
   /// (string submissions resolve through the same counters).
@@ -75,21 +72,18 @@ struct ServiceStats {
   CacheStats cache;
   /// Writer-pipeline counters (group commits, retries, errors).
   WriteStats writes;
-
-  /// Requests served per snapshot pin — the batching win.
-  double avg_batch_size() const {
-    return batches == 0 ? 0.0 : static_cast<double>(requests) / batches;
-  }
 };
 
 struct QueryServiceOptions {
+  /// Pool threads for Submit's cache misses (the QCOLL fan-out);
+  /// Execute runs on the caller's thread and never uses the pool.
   size_t num_threads = 4;
   size_t cache_capacity = 1024;
   /// Workers draining the per-document writer queues. Kept separate
   /// from the read pool so a group commit never waits behind a burst
   /// of cold queries (which would put pool queueing delay, not write
   /// work, in the commit tail). One writer thread suffices for most
-  /// loads because batching absorbs bursts; raise it when many
+  /// loads because write batching absorbs bursts; raise it when many
   /// distinct documents take writes concurrently.
   size_t num_write_threads = 1;
   /// Bounded LRU of (kind, raw text) → QueryHandle, so hot string
@@ -114,21 +108,22 @@ struct QueryServiceOptions {
 };
 
 /// Executes Extended XPath / XQuery requests against DocumentStore
-/// snapshots on a fixed-size thread pool, with per-document request
-/// batching: a worker claims every pending request for one document at
-/// once, pins the snapshot a single time, and runs the whole batch
-/// through the snapshot's own memoized engine pair
-/// (DocumentSnapshot::XPath/XQuery, built lazily once per published
-/// version together with its goddag::SnapshotIndex) — so N concurrent
-/// requests for a hot document cost one pin, and N *batches* against
-/// the same version cost one index build + one engine setup instead of
-/// N. Per-document serialization (scheduled_) is what makes sharing
-/// the stateful engines across batches sound.
+/// snapshots along one stateless read path: take the document's
+/// current snapshot, look the result up in the cache, and on a miss
+/// evaluate with a per-request engine that adopts the snapshot's
+/// shared goddag::SnapshotIndex (built or patched once per published
+/// version, by whichever request gets there first). Nothing on the
+/// path is per-document or exclusive, so requests on one document run
+/// as concurrently as requests on many.
+///
+/// Execute runs that path on the caller's thread. Submit answers a
+/// cache hit at once and posts a miss to a fixed-size pool — the
+/// asynchronous form RunCollectionQuery fans out across documents.
 ///
 /// The query API is compile-once/bind-many: Prepare() compiles an
 /// expression into a document-independent QueryHandle (deduplicated by
 /// canonical text, so every connection preparing the same query shares
-/// one object), and Submit(document, handle) runs it with zero
+/// one object), and Execute/Submit(document, handle) run it with zero
 /// per-request parse or canonicalization work. String submission is a
 /// thin wrapper: a bounded LRU maps (kind, raw text) → handle, so the
 /// hot string path still pays only one hash + lookup.
@@ -139,7 +134,7 @@ struct QueryServiceOptions {
 /// version listener invalidates a document's stale entries the moment
 /// an edit::Session commit publishes a new version.
 ///
-/// Writes batch symmetrically through the per-document WritePipeline
+/// Writes batch through the per-document WritePipeline
 /// (SubmitEdit / SubmitCommit), drained by a dedicated writer lane
 /// (ThreadPool of num_write_threads) so commits never queue behind
 /// cold reads: a writer claims every pending op-set for a document,
@@ -162,26 +157,31 @@ class QueryService {
   /// the same shared object.
   Result<QueryHandle> Prepare(const std::string& query, QueryKind kind);
 
-  /// Asynchronous entry points: enqueue and return immediately. The
-  /// string form resolves the expression through the prepared-handle
-  /// cache (compiling on first sight) and otherwise behaves exactly
-  /// like the handle form. An optional trace rides along: the worker
-  /// adds queue/index/cache/eval stages under `trace_parent` as the
-  /// request moves through the batch pipeline.
-  std::future<QueryResponse> Submit(QueryRequest request);
-  std::future<QueryResponse> Submit(std::string document,
-                                    QueryHandle handle,
-                                    obs::TracePtr trace = nullptr,
-                                    int trace_parent = -1);
-
-  /// Synchronous conveniences: Submit + wait.
+  /// Runs the read path on the calling thread. The string form
+  /// resolves the expression through the prepared-handle cache
+  /// (compiling on first sight) and otherwise behaves exactly like the
+  /// handle form. An optional trace rides along: the path adds
+  /// cache/index/eval stages under `trace_parent`.
   QueryResponse Execute(QueryRequest request);
   QueryResponse Execute(std::string document, QueryHandle handle,
                         obs::TracePtr trace = nullptr,
                         int trace_parent = -1);
 
-  /// Submits all requests, waits for all responses (same order).
-  std::vector<QueryResponse> ExecuteAll(std::vector<QueryRequest> requests);
+  /// Asynchronous form of Execute: the snapshot and cache lookup run
+  /// on the calling thread, so a hit (or a missing document) comes back
+  /// as a ready future; a miss is evaluated on the pool, with its wait
+  /// there traced as a `queue` stage.
+  std::future<QueryResponse> Submit(QueryRequest request);
+  std::future<QueryResponse> Submit(std::string document,
+                                    QueryHandle handle,
+                                    obs::TracePtr trace = nullptr,
+                                    int trace_parent = -1);
+  /// Submit against a snapshot the caller already holds: the answer is
+  /// that version's even if the document is edited or removed before
+  /// it runs (how RunCollectionQuery reads its selection).
+  std::future<QueryResponse> Submit(SnapshotPtr snap, QueryHandle handle,
+                                    obs::TracePtr trace = nullptr,
+                                    int trace_parent = -1);
 
   /// Routes a write through the per-document writer pipeline: FIFO
   /// with the document's other pending writes, grouped into one clone
@@ -215,24 +215,26 @@ class QueryService {
   obs::Tracer& tracer() { return tracer_; }
 
  private:
-  struct Pending {
-    QueryHandle handle;
-    std::promise<QueryResponse> promise;
-    obs::TracePtr trace;
-    int trace_parent = -1;
-    /// Submit time, for the cross-thread queue-wait stage.
-    obs::Trace::Clock::time_point enqueued;
-  };
-
-  /// Claims and runs batches for `document` until its queue drains.
-  void ServeDocument(const std::string& document);
-  /// Runs one prepared query against the snapshot's memoized engine
-  /// pair (DocumentSnapshot::XPath/XQuery) through the result cache,
-  /// recording per-stage latency (and trace stages when `p` carries a
-  /// trace). `claimed` is when the batch claimed the queue — the end
-  /// of this request's queue wait.
-  QueryResponse RunOne(const DocumentSnapshot& snap, Pending& p,
-                       obs::Trace::Clock::time_point claimed);
+  /// The result-cache lookup: a hit is answered into `response`.
+  bool CacheHit(const DocumentSnapshot& snap, const PreparedQuery& query,
+                const obs::TracePtr& trace, int trace_parent,
+                QueryResponse* response);
+  /// Submit once the snapshot is pinned: a hit comes back ready, a miss
+  /// is posted to the pool. `start` opens the request's read path time.
+  std::future<QueryResponse> Dispatch(obs::Trace::Clock::time_point start,
+                                      SnapshotPtr snap, QueryHandle handle,
+                                      obs::TracePtr trace, int trace_parent);
+  /// The miss half: the snapshot's shared index (a build or patch is
+  /// charged to the request that did it), one per-request engine over
+  /// it, and the cache fill.
+  QueryResponse Evaluate(const DocumentSnapshot& snap,
+                         const PreparedQuery& query,
+                         const obs::TracePtr& trace, int trace_parent);
+  /// Books a finished request: counters plus `service_us` (its read
+  /// path time, queue wait excluded) in cxml_query_us.
+  void Finish(const QueryResponse& response, double service_us);
+  /// A string request whose expression failed to compile.
+  QueryResponse Rejected(Status status);
 
   DocumentStore* store_;
   /// Declared before every member that registers metrics (cache_,
@@ -243,16 +245,16 @@ class QueryService {
   QueryCache cache_;
   uint64_t listener_id_ = 0;
 
-  /// Request accounting on lock-free obs counters — multiple
-  /// submitters and workers bump them without touching mu_, and
-  /// stats() reads exact sums without stopping anyone.
+  /// Request accounting on lock-free obs counters — concurrent
+  /// callers and pool workers bump them without a lock, and stats()
+  /// reads exact sums without stopping anyone.
   obs::Counter* requests_ = nullptr;
-  obs::Counter* batches_ = nullptr;
   obs::Counter* errors_ = nullptr;
   obs::Counter* prepares_ = nullptr;
-  /// Per-request latency breakdown (µs): end-to-end, queue wait,
-  /// evaluation (cache misses only), and the one-time snapshot index
-  /// build attributed to the request that paid it.
+  /// Per-request latency breakdown (µs): read path, pool queue wait
+  /// (Submit misses only), evaluation (cache misses only), and the
+  /// one-time snapshot index build attributed to the request that paid
+  /// it.
   obs::Histogram* query_us_ = nullptr;
   obs::Histogram* queue_us_ = nullptr;
   obs::Histogram* eval_us_ = nullptr;
@@ -280,13 +282,6 @@ class QueryService {
   StringLruCache<QueryHandle> prepared_lru_;
   std::map<std::string, std::weak_ptr<const PreparedQuery>>
       prepared_registry_;
-
-  mutable std::mutex mu_;
-  /// Per-document FIFO of pending requests.
-  std::map<std::string, std::deque<Pending>> pending_;
-  /// Documents that currently have a ServeDocument task queued/running;
-  /// requests arriving meanwhile just append and get batched.
-  std::set<std::string> scheduled_;
 
   /// Declared after the query state: workers must stop before the
   /// state above dies (the destructor's Shutdown drains them).

@@ -3,99 +3,51 @@
 #include <chrono>
 #include <utility>
 
-#include "xpath/engine.h"
-#include "xquery/xquery.h"
-
 namespace cxml::service {
 
-// Out of line so snapshot.h can forward-declare the engine types.
-DocumentSnapshot::DocumentSnapshot() = default;
-DocumentSnapshot::~DocumentSnapshot() = default;
-
-void DocumentSnapshot::BuildIndexLocked() const {
+std::shared_ptr<const goddag::SnapshotIndex> DocumentSnapshot::Index(
+    IndexBuild* build) const {
+  std::lock_guard<std::mutex> lock(index_mu_);
+  if (index_ != nullptr) return index_;
   auto start = std::chrono::steady_clock::now();
-  std::shared_ptr<const goddag::SnapshotIndex> built;
   goddag::SnapshotIndex::PatchStats pstats;
-  if (has_patch_base_ && patch_base_ != nullptr) {
-    built = goddag::SnapshotIndex::Patch(*patch_base_, *goddag,
-                                         pending_delta_, &pstats);
+  if (patch_base_ != nullptr) {
+    index_ = goddag::SnapshotIndex::Patch(*patch_base_, *goddag,
+                                          pending_delta_, &pstats);
   }
-  if (built != nullptr) {
-    index_patched_.store(true, std::memory_order_relaxed);
-    index_pools_shared_.store(pstats.pools_shared,
-                              std::memory_order_relaxed);
-    index_pools_rebuilt_.store(pstats.pools_rebuilt,
-                               std::memory_order_relaxed);
-  } else {
-    built = std::make_shared<const goddag::SnapshotIndex>(*goddag);
-    index_patched_.store(false, std::memory_order_relaxed);
-    index_pools_shared_.store(0, std::memory_order_relaxed);
-    index_pools_rebuilt_.store(0, std::memory_order_relaxed);
+  bool patched = index_ != nullptr;
+  if (!patched) {
+    index_ = std::make_shared<const goddag::SnapshotIndex>(*goddag);
   }
-  index_ = std::move(built);
-  // The base did its job (or never will): drop it so a later release/
-  // rebuild cycle on this stale version takes the plain full build,
-  // and so the predecessor's pools aren't pinned beyond what the
-  // patched index itself still shares.
+  // The base did its job (or never will): drop it so the predecessor's
+  // pools aren't pinned beyond what the patched index itself shares.
   patch_base_.reset();
   pending_delta_.Clear();
-  has_patch_base_ = false;
-  index_build_us_.store(
-      static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count()),
-      std::memory_order_relaxed);
-  index_ready_.store(true, std::memory_order_release);
-}
-
-const goddag::SnapshotIndex& DocumentSnapshot::Index() const {
-  std::lock_guard<std::mutex> lock(accel_mu_);
-  if (index_ == nullptr) BuildIndexLocked();
-  return *index_;
-}
-
-std::shared_ptr<const goddag::SnapshotIndex> DocumentSnapshot::IndexPtr()
-    const {
-  std::lock_guard<std::mutex> lock(accel_mu_);
-  if (index_ == nullptr) BuildIndexLocked();
+  if (build != nullptr) {
+    build->built = true;
+    build->patched = patched;
+    build->us = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+    build->pools_shared = patched ? pstats.pools_shared : 0;
+  }
   return index_;
-}
-
-xpath::XPathEngine& DocumentSnapshot::XPath() const {
-  std::lock_guard<std::mutex> lock(accel_mu_);
-  if (index_ == nullptr) BuildIndexLocked();
-  if (xpath_engine_ == nullptr) {
-    xpath_engine_ = std::make_unique<xpath::XPathEngine>(*goddag);
-    xpath_engine_->UseSnapshotIndex(index_);
-  }
-  return *xpath_engine_;
-}
-
-xquery::XQueryEngine& DocumentSnapshot::XQuery() const {
-  std::lock_guard<std::mutex> lock(accel_mu_);
-  if (index_ == nullptr) BuildIndexLocked();
-  if (xquery_engine_ == nullptr) {
-    xquery_engine_ = std::make_unique<xquery::XQueryEngine>(*goddag);
-    xquery_engine_->UseSnapshotIndex(index_);
-  }
-  return *xquery_engine_;
 }
 
 void DocumentSnapshot::AdoptPatchBase(const DocumentSnapshot& prev,
                                       const goddag::IndexDelta& delta) {
   // Runs before this snapshot is visible to any reader, so its own
-  // accel members need no lock; prev's do (a cold query may be
-  // building prev's index right now).
-  std::lock_guard<std::mutex> lock(prev.accel_mu_);
+  // members need no lock; prev's do (a cold query may be building
+  // prev's index right now).
+  std::lock_guard<std::mutex> lock(prev.index_mu_);
   if (delta.wide) return;
   if (prev.index_ != nullptr) {
     patch_base_ = prev.index_;
     pending_delta_ = delta;
-    has_patch_base_ = true;
     return;
   }
-  if (prev.has_patch_base_ && prev.patch_base_ != nullptr) {
+  if (prev.patch_base_ != nullptr) {
     // The predecessor was never queried: inherit ITS base and compose
     // the deltas, so a run of quiet commits still patches from the
     // last index actually built. Width saturates in Merge; the arena
@@ -105,37 +57,6 @@ void DocumentSnapshot::AdoptPatchBase(const DocumentSnapshot& prev,
     if (composed.wide) return;
     patch_base_ = prev.patch_base_;
     pending_delta_ = std::move(composed);
-    has_patch_base_ = true;
-  }
-}
-
-void DocumentSnapshot::MarkSuperseded() const {
-  superseded_.store(true, std::memory_order_release);
-  TryReleaseAccel();
-}
-
-void DocumentSnapshot::TryReleaseAccel() const {
-  std::lock_guard<std::mutex> lock(accel_mu_);
-  if (!superseded_.load(std::memory_order_acquire)) return;
-  if (pins_.load(std::memory_order_acquire) != 0) return;
-  // Engines hold the index shared_ptr; drop them first. Stats stay:
-  // they describe the last build for observability even after release.
-  xpath_engine_.reset();
-  xquery_engine_.reset();
-  index_.reset();
-  patch_base_.reset();
-  pending_delta_.Clear();
-  has_patch_base_ = false;
-  index_ready_.store(false, std::memory_order_release);
-}
-
-void DocumentSnapshot::AccelPin::Release() {
-  if (snap_ == nullptr) return;
-  const DocumentSnapshot* snap = snap_;
-  snap_ = nullptr;
-  if (snap->pins_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-      snap->superseded_.load(std::memory_order_acquire)) {
-    snap->TryReleaseAccel();
   }
 }
 

@@ -1,7 +1,6 @@
 #ifndef CXML_SERVICE_SNAPSHOT_H_
 #define CXML_SERVICE_SNAPSHOT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -12,13 +11,6 @@
 #include "goddag/index_delta.h"
 #include "goddag/snapshot_index.h"
 
-namespace cxml::xpath {
-class XPathEngine;
-}  // namespace cxml::xpath
-namespace cxml::xquery {
-class XQueryEngine;
-}  // namespace cxml::xquery
-
 namespace cxml::service {
 
 /// One immutable published version of a named document. Readers pin a
@@ -28,35 +20,22 @@ namespace cxml::service {
 /// outlive it (same lifetime contract as storage::LoadedGoddag).
 ///
 /// Because the GODDAG never mutates after publication, the snapshot
-/// also memoizes the per-version acceleration state the cold query
-/// path needs, built lazily on first query:
-///  * a goddag::SnapshotIndex — immutable, safe to share across
-///    threads and engines. When the store handed this snapshot a patch
-///    base at publish (the predecessor's built index plus the commit's
-///    edit delta), the build *patches* that index — rebuilding only the
-///    pools the commit dirtied and sharing the rest via shared_ptr —
-///    and falls back to the full constructor when patching declines
-///    (wide edit, no base, failed preconditions);
-///  * one Extended XPath + one XQuery engine wired to that index, so
-///    every batch on this version reuses their expression parse caches
-///    instead of rebuilding engines per batch.
-/// The engines themselves are stateful (parse LRU, variables) and NOT
-/// thread-safe: QueryService serializes batches per document, which is
-/// what makes handing them out by reference sound.
+/// also holds the one piece of per-version state the cold query path
+/// needs: a goddag::SnapshotIndex, built on the first Index() call.
+/// When the store handed this snapshot a patch base at publish (the
+/// predecessor's built index plus the commit's edit delta), that build
+/// *patches* the base — rebuilding only the pools the commit dirtied
+/// and sharing the rest via shared_ptr — and falls back to the full
+/// constructor when patching declines (wide edit, no base, failed
+/// preconditions).
 ///
-/// The memoized state is also *bounded*: when a newer version is
-/// published the store calls MarkSuperseded(), and once no in-flight
-/// batch holds an AccelPin the superseded snapshot drops its index and
-/// engine pair — so write-heavy runs never accumulate one accel set
-/// per stale version some cache still references. A reader that pins a
-/// stale snapshot later simply rebuilds lazily (correct, just cold).
-/// Callers that use Index()/XPath()/XQuery() *references* across a
-/// concurrent publish must hold an AccelPin for the duration
-/// (QueryService pins around each batch); IndexPtr() is always safe.
-///
-/// Losing write-pipeline clones never pay for any of this: the state
-/// is built on first query against the *published* version, never at
-/// publish time.
+/// The index is immutable and handed out as `shared_ptr<const ...>`:
+/// every request builds its own cheap evaluator over it, so any number
+/// of threads query one version at once, and the pointer copy is the
+/// only pin a reader needs. A superseded version's index lives exactly
+/// as long as the last snapshot or reader holding it. Losing
+/// write-pipeline clones never pay for an index: it is built on first
+/// query against the *published* version, never at publish time.
 struct DocumentSnapshot {
   std::string name;
   /// Monotonically increasing per document, starting at 1 on Register.
@@ -69,55 +48,27 @@ struct DocumentSnapshot {
   std::unique_ptr<cmh::ConcurrentHierarchies> cmh;
   std::unique_ptr<goddag::Goddag> goddag;
 
-  // Constructor/destructor are out of line (snapshot.cc): the engine
-  // members are forward-declared here, and both special members need
-  // the complete types.
-  DocumentSnapshot();
-  ~DocumentSnapshot();
-  DocumentSnapshot(const DocumentSnapshot&) = delete;
-  DocumentSnapshot& operator=(const DocumentSnapshot&) = delete;
+  /// How the index was produced, reported to the one Index() call that
+  /// built it so its cost is attributed to exactly that request.
+  struct IndexBuild {
+    /// True only for the call that built the index.
+    bool built = false;
+    /// SnapshotIndex::Patch from the predecessor's index (false: full
+    /// rebuild).
+    bool patched = false;
+    /// Wall-clock of the build or patch (µs).
+    uint64_t us = 0;
+    /// Pools the patch aliased from the predecessor (0 on rebuilds).
+    uint64_t pools_shared = 0;
+  };
 
-  /// The memoized structural index over `goddag` (thread-safe to call;
-  /// hold an AccelPin to use the reference across a concurrent publish).
-  const goddag::SnapshotIndex& Index() const;
-  /// Shared pointer form, for handing to engines that may outlive one
-  /// call site. Always lifetime-safe, pin or no pin.
-  std::shared_ptr<const goddag::SnapshotIndex> IndexPtr() const;
+  /// The structural index over `goddag`, built (or patched) by the
+  /// first call and shared by every later one. Thread-safe; concurrent
+  /// first calls wait for the one build. When this call built the
+  /// index and `build` is non-null, *build describes the build.
+  std::shared_ptr<const goddag::SnapshotIndex> Index(
+      IndexBuild* build = nullptr) const;
 
-  /// True once the memoized index exists — lets the query path tell a
-  /// cold Index() call (which pays the build) from a hot one, so the
-  /// build cost is attributed to exactly the request that bore it.
-  /// Drops back to false when a superseded snapshot releases its accel.
-  bool IndexReady() const {
-    return index_ready_.load(std::memory_order_acquire);
-  }
-  /// Wall-clock the memoized index build took (µs; 0 until built).
-  uint64_t index_build_us() const {
-    return index_build_us_.load(std::memory_order_relaxed);
-  }
-  /// True when the memoized index was produced by SnapshotIndex::Patch
-  /// from the predecessor version's index (false: full rebuild).
-  bool index_patched() const {
-    return index_patched_.load(std::memory_order_relaxed);
-  }
-  /// Pool objects the patch shared with / rebuilt from the predecessor
-  /// (0/0 for full rebuilds).
-  uint64_t index_pools_shared() const {
-    return index_pools_shared_.load(std::memory_order_relaxed);
-  }
-  uint64_t index_pools_rebuilt() const {
-    return index_pools_rebuilt_.load(std::memory_order_relaxed);
-  }
-
-  /// The memoized Extended XPath engine bound to `goddag` + Index().
-  /// Thread-safe to *obtain*; caller must serialize *use* and hold an
-  /// AccelPin across a concurrent publish (see above).
-  xpath::XPathEngine& XPath() const;
-  /// The memoized XQuery engine bound to `goddag` + Index(). Same
-  /// exclusion contract as XPath().
-  xquery::XQueryEngine& XQuery() const;
-
-  // ------------------------------------------------- publish-side hooks
   /// Called by DocumentStore::Publish on the *successor* snapshot,
   /// under the shard lock, before the swap: records the predecessor's
   /// built index (or its own inherited base, when the predecessor was
@@ -125,69 +76,14 @@ struct DocumentSnapshot {
   /// the first cold query here can patch instead of rebuild.
   void AdoptPatchBase(const DocumentSnapshot& prev,
                       const goddag::IndexDelta& delta);
-  /// Called by the store when a newer version replaces this snapshot
-  /// (or the document is removed): the memoized accel state is released
-  /// as soon as no AccelPin holds it, and rebuilt lazily if a stale
-  /// reader ever queries this version again.
-  void MarkSuperseded() const;
-
-  /// RAII reference count on the memoized accel state: while at least
-  /// one pin is held, a supersede never drops the index/engines out
-  /// from under the holder's references.
-  class AccelPin {
-   public:
-    AccelPin() = default;
-    explicit AccelPin(const DocumentSnapshot* snap) : snap_(snap) {
-      if (snap_ != nullptr) {
-        snap_->pins_.fetch_add(1, std::memory_order_acq_rel);
-      }
-    }
-    AccelPin(AccelPin&& other) noexcept : snap_(other.snap_) {
-      other.snap_ = nullptr;
-    }
-    AccelPin& operator=(AccelPin&& other) noexcept {
-      if (this != &other) {
-        Release();
-        snap_ = other.snap_;
-        other.snap_ = nullptr;
-      }
-      return *this;
-    }
-    AccelPin(const AccelPin&) = delete;
-    AccelPin& operator=(const AccelPin&) = delete;
-    ~AccelPin() { Release(); }
-
-   private:
-    void Release();
-    const DocumentSnapshot* snap_ = nullptr;
-  };
-  AccelPin PinAccel() const { return AccelPin(this); }
 
  private:
-  /// Builds (or patches) the index; caller holds accel_mu_.
-  void BuildIndexLocked() const;
-  /// Drops the memoized accel state iff superseded and unpinned.
-  void TryReleaseAccel() const;
-
-  /// One mutex for all lazy accel state instead of std::call_once: a
-  /// superseded snapshot's release re-arms the initialization, which a
-  /// once_flag cannot express.
-  mutable std::mutex accel_mu_;
+  /// Guards the lazy index and the patch plan it consumes.
+  mutable std::mutex index_mu_;
   mutable std::shared_ptr<const goddag::SnapshotIndex> index_;
-  mutable std::unique_ptr<xpath::XPathEngine> xpath_engine_;
-  mutable std::unique_ptr<xquery::XQueryEngine> xquery_engine_;
   /// Patch plan installed at publish (consumed by the first build).
   mutable std::shared_ptr<const goddag::SnapshotIndex> patch_base_;
   mutable goddag::IndexDelta pending_delta_;
-  mutable bool has_patch_base_ = false;
-
-  mutable std::atomic<bool> index_ready_{false};
-  mutable std::atomic<uint64_t> index_build_us_{0};
-  mutable std::atomic<bool> index_patched_{false};
-  mutable std::atomic<uint64_t> index_pools_shared_{0};
-  mutable std::atomic<uint64_t> index_pools_rebuilt_{0};
-  mutable std::atomic<uint64_t> pins_{0};
-  mutable std::atomic<bool> superseded_{false};
 };
 
 using SnapshotPtr = std::shared_ptr<const DocumentSnapshot>;

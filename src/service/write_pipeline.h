@@ -101,7 +101,7 @@ struct WriteStats {
   }
 };
 
-/// The per-document writer pipeline: edits batch like reads do.
+/// The per-document writer pipeline: edits batch per document.
 ///
 /// Each document has a FIFO queue of pending writes drained by the
 /// owner-supplied writer thread pool; one worker claims a document's

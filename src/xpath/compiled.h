@@ -22,8 +22,7 @@ uint64_t CanonicalHash(std::string_view canonical);
 /// evaluated many times (compile-once/bind-many). The object is
 /// immutable after Compile and document-independent, so one handle is
 /// safely shared across threads, documents, and connections; only
-/// *evaluation* needs an engine (and inherits that engine's exclusion
-/// contract).
+/// *evaluation* needs an engine (one per thread or request).
 ///
 /// The analysis annotates every location step with a StepPlan (ast.h):
 /// whether the step's axis runs on SnapshotIndex pools, whether the

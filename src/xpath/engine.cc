@@ -2,25 +2,14 @@
 
 namespace cxml::xpath {
 
-Result<const CompiledQuery*> XPathEngine::ParseCached(
-    std::string_view expression) {
-  if (const CompiledQueryPtr* hit = cache_.Get(expression)) {
-    return hit->get();
-  }
-  CXML_ASSIGN_OR_RETURN(CompiledQueryPtr compiled, Compile(expression));
-  return cache_.Put(expression, std::move(compiled))->get();
-}
-
 Result<Value> XPathEngine::Evaluate(std::string_view expression) {
-  CXML_ASSIGN_OR_RETURN(const CompiledQuery* query,
-                        ParseCached(expression));
+  CXML_ASSIGN_OR_RETURN(CompiledQueryPtr query, Compile(expression));
   return Evaluate(*query);
 }
 
 Result<Value> XPathEngine::EvaluateFrom(std::string_view expression,
                                         goddag::NodeId context) {
-  CXML_ASSIGN_OR_RETURN(const CompiledQuery* query,
-                        ParseCached(expression));
+  CXML_ASSIGN_OR_RETURN(CompiledQueryPtr query, Compile(expression));
   return EvaluateFrom(*query, context);
 }
 

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/lru_cache.h"
 #include "xpath/compiled.h"
 #include "xpath/evaluator.h"
 #include "xpath/parser.h"
@@ -22,22 +21,19 @@ namespace cxml::xpath {
 /// `xpath::Compile`) turns an expression into an immutable, document-
 /// independent CompiledQuery once, and the Evaluate* overloads taking
 /// the compiled form run it without any per-call parse or hash work.
-/// The string overloads are thin wrappers that fetch the compiled form
-/// from a bounded LRU parse cache (engines may live as long as a
-/// document snapshot — see service::DocumentSnapshot — so the cache
-/// must stay O(1) under adversarial query streams).
+/// The string overloads compile on every call; a caller that repeats
+/// an expression keeps its compiled form (the service's prepared-handle
+/// cache is the one parse cache).
+///
+/// An engine is cheap to build — a GODDAG pointer, an optional shared
+/// index, variable bindings and scratch space — and is not thread-safe:
+/// use one per thread or per request, sharing the immutable
+/// goddag::SnapshotIndex (UseSnapshotIndex) and compiled queries
+/// across them.
 class XPathEngine {
  public:
-  /// Default parse-cache capacity: generous for any realistic working
-  /// set of expressions per document, small enough that a snapshot-
-  /// resident engine stays O(1) memory under adversarial query streams.
-  static constexpr size_t kDefaultParseCacheCapacity = 128;
-
   /// `g` must outlive the engine.
-  explicit XPathEngine(const goddag::Goddag& g,
-                       size_t parse_cache_capacity =
-                           kDefaultParseCacheCapacity)
-      : g_(&g), evaluator_(g), cache_(parse_cache_capacity) {}
+  explicit XPathEngine(const goddag::Goddag& g) : g_(&g), evaluator_(g) {}
 
   /// Compiles an expression for this engine's dialect. Document-
   /// independent and stateless — provided on the engine for symmetry
@@ -57,12 +53,6 @@ class XPathEngine {
   Result<Value> EvaluateFrom(const CompiledQuery& query,
                              goddag::NodeId context) {
     return evaluator_.Evaluate(query.expr(), NodeEntry::Of(context));
-  }
-
-  /// Evaluates a pre-parsed expression (used by the XQuery engine, which
-  /// compiles embedded expressions once and runs them per tuple).
-  Result<Value> EvaluateExpr(const Expr& expr) {
-    return evaluator_.Evaluate(expr);
   }
 
   /// Convenience: evaluates and requires a node-set; returns the GODDAG
@@ -86,7 +76,7 @@ class XPathEngine {
   }
 
   /// Adopts a prebuilt goddag::SnapshotIndex shared across engines
-  /// pinned to the same immutable snapshot (the index is read-only, so
+  /// over the same immutable GODDAG (the index is read-only, so
   /// sharing is thread-safe even though each engine is not).
   void UseSnapshotIndex(
       std::shared_ptr<const goddag::SnapshotIndex> index) {
@@ -106,33 +96,18 @@ class XPathEngine {
     evaluator_.SetPositionalPushdown(enabled);
   }
 
-  /// Call after mutating the GODDAG: clears evaluator indexes (the parse
-  /// cache stays — expressions do not depend on the instance).
+  /// Call after mutating the GODDAG: clears evaluator indexes.
   void InvalidateIndexes() { evaluator_.Reset(); }
 
-  /// Axis-strategy tallies since the last reset (see xpath::AxisStats).
-  /// The service layer brackets an evaluation with Reset/read to
-  /// attribute strategy choices to a single query.
+  /// Axis-strategy tallies since construction or the last reset (see
+  /// xpath::AxisStats); a per-request engine reads them as that one
+  /// query's strategy choices.
   const AxisStats& axis_stats() const { return evaluator_.axis_stats(); }
   void ResetAxisStats() { evaluator_.ResetAxisStats(); }
 
-  size_t cache_size() const { return cache_.size(); }
-  size_t parse_cache_capacity() const { return cache_.capacity(); }
-
  private:
-  /// Returns the compiled expression, MRU-promoting it. The pointer is
-  /// owned by the cache and stays valid until `cache_capacity` newer
-  /// distinct expressions evict it — callers use it within the same
-  /// evaluation, never across ParseCached calls.
-  Result<const CompiledQuery*> ParseCached(std::string_view expression);
-
   const goddag::Goddag* g_;
   Evaluator evaluator_;
-  /// Bounded LRU of compiled expressions keyed by the raw text (the
-  /// canonical form would save duplicate entries for whitespace
-  /// variants, but would put a full parse on the hot string path —
-  /// canonical sharing belongs to the service's result cache).
-  StringLruCache<CompiledQueryPtr> cache_;
 };
 
 }  // namespace cxml::xpath

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "goddag/goddag.h"
@@ -78,6 +79,14 @@ class Evaluator {
 
   /// Binds $name. Overwrites existing bindings.
   void SetVariable(const std::string& name, Value value);
+  /// Every binding, and their wholesale replacement — how a caller that
+  /// binds temporaries (one XQuery FLWOR Run) restores what it found.
+  const std::map<std::string, Value>& variables() const {
+    return variables_;
+  }
+  void SetVariables(std::map<std::string, Value> variables) {
+    variables_ = std::move(variables);
+  }
 
   /// Selects indexed vs naive-scan axes (see AxisStrategy).
   void SetAxisStrategy(AxisStrategy strategy) { strategy_ = strategy; }
@@ -94,8 +103,8 @@ class Evaluator {
   }
   bool positional_pushdown() const { return positional_pushdown_; }
 
-  /// Adopts a prebuilt index over the same GODDAG — typically the one
-  /// memoized on a service::DocumentSnapshot, so every engine pinned to
+  /// Adopts a prebuilt index over the same GODDAG — typically the one a
+  /// service::DocumentSnapshot builds, so every per-request evaluator on
   /// a published version shares one build. Without this, the evaluator
   /// lazily builds a private index on first indexed-axis use.
   void SetSnapshotIndex(std::shared_ptr<const goddag::SnapshotIndex> index) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <map>
 #include <utility>
 
 #include "common/strings.h"
@@ -367,13 +368,7 @@ Result<CompiledQueryPtr> Compile(std::string_view query) {
 }
 
 Result<std::vector<std::string>> XQueryEngine::Run(std::string_view query) {
-  const CompiledQuery* compiled = nullptr;
-  if (const CompiledQueryPtr* hit = cache_.Get(query)) {
-    compiled = hit->get();
-  } else {
-    CXML_ASSIGN_OR_RETURN(CompiledQueryPtr fresh, Compile(query));
-    compiled = cache_.Put(query, std::move(fresh))->get();
-  }
+  CXML_ASSIGN_OR_RETURN(CompiledQueryPtr compiled, Compile(query));
   return Run(*compiled);
 }
 
@@ -383,7 +378,8 @@ Result<std::vector<std::string>> XQueryEngine::Run(
 
   // Bare Extended XPath expression.
   if (query.bare_ != nullptr) {
-    CXML_ASSIGN_OR_RETURN(Value value, xpath_.Evaluate(*query.bare_));
+    CXML_ASSIGN_OR_RETURN(Value value,
+                          evaluator_.Evaluate(query.bare_->expr()));
     if (value.is_node_set()) {
       for (const xpath::NodeEntry& e : value.nodes()) {
         items.push_back(Value::StringValue(*g_, e));
@@ -409,7 +405,7 @@ Result<std::vector<std::string>> XQueryEngine::Run(
       [&](size_t binding_index) -> Status {
     if (binding_index == flwor.bindings.size()) {
       if (flwor.where != nullptr) {
-        auto keep = xpath_.EvaluateExpr(*flwor.where);
+        auto keep = evaluator_.Evaluate(*flwor.where);
         if (!keep.ok()) return keep.status();
         if (!keep->ToBoolean()) return Status::Ok();
       }
@@ -420,7 +416,7 @@ Result<std::vector<std::string>> XQueryEngine::Run(
           item += seg.literal;
           continue;
         }
-        auto value = xpath_.EvaluateExpr(*seg.expr);
+        auto value = evaluator_.Evaluate(*seg.expr);
         if (!value.ok()) return value.status();
         if (flwor.bare_expression && value->is_node_set() &&
             flwor.segments.size() == 1) {
@@ -439,7 +435,7 @@ Result<std::vector<std::string>> XQueryEngine::Run(
       OrderedItem entry;
       entry.item = std::move(item);
       if (flwor.order_by != nullptr) {
-        auto key = xpath_.EvaluateExpr(*flwor.order_by);
+        auto key = evaluator_.Evaluate(*flwor.order_by);
         if (!key.ok()) return key.status();
         entry.key = key->ToString(*g_);
         double numeric = key->ToNumber(*g_);
@@ -452,7 +448,7 @@ Result<std::vector<std::string>> XQueryEngine::Run(
       return Status::Ok();
     }
     const Impl::Binding& binding = flwor.bindings[binding_index];
-    auto value = xpath_.EvaluateExpr(*binding.expr);
+    auto value = evaluator_.Evaluate(*binding.expr);
     if (!value.ok()) return value.status();
     if (binding.is_for) {
       if (!value->is_node_set()) {
@@ -460,15 +456,21 @@ Result<std::vector<std::string>> XQueryEngine::Run(
             "XQuery: 'for $", binding.var, "' needs a node-set to iterate"));
       }
       for (const xpath::NodeEntry& e : value->nodes()) {
-        xpath_.SetVariable(binding.var, Value(xpath::NodeSet{e}));
+        evaluator_.SetVariable(binding.var, Value(xpath::NodeSet{e}));
         CXML_RETURN_IF_ERROR(enumerate(binding_index + 1));
       }
       return Status::Ok();
     }
-    xpath_.SetVariable(binding.var, std::move(value).value());
+    evaluator_.SetVariable(binding.var, std::move(value).value());
     return enumerate(binding_index + 1);
   };
-  CXML_RETURN_IF_ERROR(enumerate(0));
+  // The for/let bindings belong to this Run alone: restore the
+  // external ones however it ends, so a reused engine never answers a
+  // later query from this one's tuples.
+  std::map<std::string, Value> externals = evaluator_.variables();
+  Status enumerated = enumerate(0);
+  evaluator_.SetVariables(std::move(externals));
+  CXML_RETURN_IF_ERROR(enumerated);
 
   if (flwor.order_by != nullptr) {
     auto ascending_less = [](const OrderedItem& a, const OrderedItem& b) {

@@ -5,13 +5,13 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "common/lru_cache.h"
 #include "common/result.h"
 #include "goddag/goddag.h"
 #include "xpath/compiled.h"
-#include "xpath/engine.h"
+#include "xpath/evaluator.h"
 
 namespace cxml::xquery {
 
@@ -29,8 +29,7 @@ Result<CompiledQueryPtr> Compile(std::string_view query);
 
 /// A compiled XQuery — the compile-once/bind-many handle mirroring
 /// xpath::CompiledQuery. Immutable after Compile, safe to share across
-/// threads, documents and connections; running it requires an engine
-/// (and inherits that engine's exclusion contract).
+/// threads, documents and connections; running it requires an engine.
 class CompiledQuery {
  public:
   ~CompiledQuery();
@@ -85,20 +84,15 @@ class CompiledQuery {
 /// Every embedded expression is full Extended XPath (overlapping axes,
 /// hierarchy qualifiers, extension functions, $variables).
 ///
-/// Like XPathEngine, the string Run path is a thin wrapper over the
-/// compiled one: a bounded LRU parse cache (shared StringLruCache
-/// implementation) keeps FLWOR bodies from being re-parsed on every
-/// string Run now that engines live as long as a document snapshot.
+/// Like xpath::XPathEngine, the engine is cheap to build and not
+/// thread-safe — one per thread or per request, sharing an immutable
+/// goddag::SnapshotIndex — and its string Run compiles on every call.
+/// A Run's for/let bindings last for that Run only: external variables
+/// (SetVariable) are all a later Run sees.
 class XQueryEngine {
  public:
-  static constexpr size_t kDefaultParseCacheCapacity =
-      xpath::XPathEngine::kDefaultParseCacheCapacity;
-
   /// `g` must outlive the engine.
-  explicit XQueryEngine(const goddag::Goddag& g,
-                        size_t parse_cache_capacity =
-                            kDefaultParseCacheCapacity)
-      : g_(&g), xpath_(g), cache_(parse_cache_capacity) {}
+  explicit XQueryEngine(const goddag::Goddag& g) : g_(&g), evaluator_(g) {}
 
   /// Compiles a query; identical to the free xquery::Compile.
   static Result<CompiledQueryPtr> Prepare(std::string_view query) {
@@ -116,42 +110,38 @@ class XQueryEngine {
 
   /// Binds an external variable visible to all queries.
   void SetVariable(const std::string& name, xpath::Value value) {
-    xpath_.SetVariable(name, std::move(value));
+    evaluator_.SetVariable(name, std::move(value));
   }
 
   /// Adopts a prebuilt goddag::SnapshotIndex for the embedded Extended
-  /// XPath engine (see XPathEngine::UseSnapshotIndex).
+  /// XPath evaluator (see XPathEngine::UseSnapshotIndex).
   void UseSnapshotIndex(
       std::shared_ptr<const goddag::SnapshotIndex> index) {
-    xpath_.UseSnapshotIndex(std::move(index));
+    evaluator_.SetSnapshotIndex(std::move(index));
   }
 
-  /// Forwards the axis strategy to the embedded engine (the naive path
-  /// is the equivalence oracle for the indexed one).
+  /// Selects the embedded evaluator's axis strategy (the naive path is
+  /// the equivalence oracle for the indexed one).
   void SetAxisStrategy(xpath::AxisStrategy strategy) {
-    xpath_.SetAxisStrategy(strategy);
+    evaluator_.SetAxisStrategy(strategy);
   }
 
-  /// Forwards the positional-pushdown toggle to the embedded engine.
+  /// Toggles the embedded evaluator's positional pushdown.
   void SetPositionalPushdown(bool enabled) {
-    xpath_.SetPositionalPushdown(enabled);
+    evaluator_.SetPositionalPushdown(enabled);
   }
 
-  /// Axis-strategy tallies of the embedded engine (see
+  /// Axis-strategy tallies of the embedded evaluator (see
   /// xpath::AxisStats); every path expression a query runs accumulates
   /// here until the next reset.
-  const xpath::AxisStats& axis_stats() const { return xpath_.axis_stats(); }
-  void ResetAxisStats() { xpath_.ResetAxisStats(); }
-
-  size_t cache_size() const { return cache_.size(); }
-  size_t parse_cache_capacity() const { return cache_.capacity(); }
+  const xpath::AxisStats& axis_stats() const {
+    return evaluator_.axis_stats();
+  }
+  void ResetAxisStats() { evaluator_.ResetAxisStats(); }
 
  private:
   const goddag::Goddag* g_;
-  xpath::XPathEngine xpath_;
-  /// Bounded LRU of compiled queries keyed by the raw text, mirroring
-  /// XPathEngine's parse cache.
-  StringLruCache<CompiledQueryPtr> cache_;
+  xpath::Evaluator evaluator_;
 };
 
 }  // namespace cxml::xquery

@@ -314,9 +314,10 @@ TEST(IndexPatchRandomized, EditThenQuerySweepStaysEquivalent) {
 
     auto next = store.GetSnapshot("doc");
     ASSERT_TRUE(next.ok());
-    (void)(*next)->Index();
-    EXPECT_TRUE((*next)->index_patched()) << "round " << round;
-    ExpectAnswersMatchNaive(*(*next)->goddag, (*next)->IndexPtr());
+    service::DocumentSnapshot::IndexBuild build;
+    auto index = (*next)->Index(&build);
+    EXPECT_TRUE(build.patched) << "round " << round;
+    ExpectAnswersMatchNaive(*(*next)->goddag, index);
   }
   // The rounds must have actually exercised the patch path.
   ASSERT_GE(commits, 4u);
@@ -332,8 +333,10 @@ TEST(IndexPatchFallback, FreshRegistrationRebuilds) {
   ASSERT_TRUE(store.RegisterBytes("doc", *bytes).ok());
   auto snap = store.GetSnapshot("doc");
   ASSERT_TRUE(snap.ok());
-  (void)(*snap)->Index();
-  EXPECT_FALSE((*snap)->index_patched());
+  service::DocumentSnapshot::IndexBuild build;
+  (void)(*snap)->Index(&build);
+  EXPECT_TRUE(build.built);
+  EXPECT_FALSE(build.patched);
 }
 
 /// Commits that are opaque to the WAL (no replayable op lines → a full
@@ -405,9 +408,10 @@ TEST(IndexPatchFallback, OpaqueCommitsPatchLiveAndRebuildAfterRecovery) {
 
     auto next = store.GetSnapshot("ms");
     ASSERT_TRUE(next.ok());
-    (void)(*next)->Index();
-    EXPECT_TRUE((*next)->index_patched());
-    ExpectAnswersMatchNaive(*(*next)->goddag, (*next)->IndexPtr());
+    service::DocumentSnapshot::IndexBuild build;
+    auto index = (*next)->Index(&build);
+    EXPECT_TRUE(build.patched);
+    ExpectAnswersMatchNaive(*(*next)->goddag, index);
 
     service::QueryResponse q =
         service.Execute({"ms", "count(//a0)", service::QueryKind::kXPath});
@@ -430,12 +434,14 @@ TEST(IndexPatchFallback, OpaqueCommitsPatchLiveAndRebuildAfterRecovery) {
 
     auto snap = store.GetSnapshot("ms");
     ASSERT_TRUE(snap.ok());
-    (void)(*snap)->Index();
-    EXPECT_FALSE((*snap)->index_patched());
-    ExpectAnswersMatchNaive(*(*snap)->goddag, (*snap)->IndexPtr());
+    service::DocumentSnapshot::IndexBuild build;
+    auto index = (*snap)->Index(&build);
+    EXPECT_TRUE(build.built);
+    EXPECT_FALSE(build.patched);
+    ExpectAnswersMatchNaive(*(*snap)->goddag, index);
 
     xpath::XPathEngine engine(*(*snap)->goddag);
-    engine.UseSnapshotIndex((*snap)->IndexPtr());
+    engine.UseSnapshotIndex(index);
     auto v = engine.EvaluateToStrings("count(//a0)");
     ASSERT_TRUE(v.ok()) << v.status();
     ASSERT_FALSE(v->empty());

@@ -238,28 +238,6 @@ TEST(CompiledQuery, AnalysisRecordsPlansAndReferences) {
             xpath::StepPlan::Positional::kNone);
 }
 
-// ----------------------------------------------- engine parse caches
-
-TEST(XQueryEngineParseCache, LruBound) {
-  auto fixture = testing::BoethiusFixture::Make();
-  xquery::XQueryEngine engine(*fixture.g, /*parse_cache_capacity=*/4);
-  EXPECT_EQ(engine.parse_cache_capacity(), 4u);
-  auto run = [&](const std::string& query) {
-    auto items = engine.Run(query);
-    EXPECT_TRUE(items.ok()) << query << ": " << items.status();
-    return items.ok() && !items->empty() ? (*items)[0] : std::string();
-  };
-  std::string words = run("let $n := count(//w) return {$n}");
-  EXPECT_FALSE(words.empty());
-  for (int i = 0; i < 10; ++i) {
-    run("let $n := count(//w) return {$n + " + std::to_string(i) + "}");
-    EXPECT_LE(engine.cache_size(), 4u);
-  }
-  EXPECT_EQ(engine.cache_size(), 4u);
-  // Evicted long ago, still correct on re-compile.
-  EXPECT_EQ(run("let $n := count(//w) return {$n}"), words);
-}
-
 // ------------------------------------------------------ service layer
 
 constexpr size_t kContentChars = 2000;

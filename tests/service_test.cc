@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <future>
 #include <memory>
@@ -10,31 +12,38 @@
 #include <vector>
 
 #include "goddag/builder.h"
+#include "service/collection_query.h"
 #include "service/document_store.h"
 #include "service/query_service.h"
 #include "storage/binary.h"
 #include "workload/generator.h"
+#include "xpath/engine.h"
+#include "xquery/xquery.h"
 
 namespace cxml::service {
 namespace {
 
 constexpr size_t kContentChars = 3000;
 
-/// Snapshot bytes of a small synthetic manuscript (page/line, s/w, and
-/// two annotation hierarchies a0/a1) — generated once, registered per
-/// test so every test owns its store.
+/// Snapshot bytes of a synthetic manuscript (page/line, s/w, and two
+/// annotation hierarchies a0/a1) of `content_chars` characters.
+std::string ManuscriptBytes(size_t content_chars) {
+  workload::GeneratorParams params;
+  params.content_chars = content_chars;
+  auto corpus = workload::GenerateManuscript(params);
+  EXPECT_TRUE(corpus.ok()) << corpus.status();
+  auto g = goddag::Builder::Build(*corpus->doc);
+  EXPECT_TRUE(g.ok()) << g.status();
+  auto saved = storage::Save(*g);
+  EXPECT_TRUE(saved.ok()) << saved.status();
+  return std::move(saved).value();
+}
+
+/// The small manuscript — generated once, registered per test so every
+/// test owns its store.
 const std::string& CorpusBytes() {
-  static const std::string* bytes = [] {
-    workload::GeneratorParams params;
-    params.content_chars = kContentChars;
-    auto corpus = workload::GenerateManuscript(params);
-    EXPECT_TRUE(corpus.ok()) << corpus.status();
-    auto g = goddag::Builder::Build(*corpus->doc);
-    EXPECT_TRUE(g.ok()) << g.status();
-    auto saved = storage::Save(*g);
-    EXPECT_TRUE(saved.ok()) << saved.status();
-    return new std::string(std::move(saved).value());
-  }();
+  static const std::string* bytes =
+      new std::string(ManuscriptBytes(kContentChars));
   return *bytes;
 }
 
@@ -356,7 +365,6 @@ TEST_F(ServiceTest, ConcurrentReadersWhileEditing) {
 
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.requests, kReaders * kQueriesPerReader);
-  EXPECT_GE(stats.batches, 1u);
   EXPECT_EQ(stats.errors, 0u);
   EXPECT_EQ(stats.cache.hits + stats.cache.misses,
             static_cast<uint64_t>(kReaders * kQueriesPerReader));
@@ -367,6 +375,214 @@ TEST_F(ServiceTest, ConcurrentReadersWhileEditing) {
   auto snap = store_.GetSnapshot("ms");
   ASSERT_TRUE(snap.ok());
   EXPECT_TRUE((*snap)->goddag->Validate().ok());
+}
+
+/// Uncached submissions on one version evaluate at once, each on its
+/// own engine over the version's one shared index, and all agree —
+/// with each other and with a naive-scan engine on the same snapshot.
+TEST_F(ServiceTest, ConcurrentSubmissionsShareOneIndexAndAgree) {
+  QueryService service(&store_, {4, 0});  // no result cache: all evaluate
+  const std::vector<QueryRequest> mix = {
+      {"ms", "count(//w)", QueryKind::kXPath},
+      {"ms", "//w[overlapping::line]", QueryKind::kXPath},
+      {"ms", "for $l in //line where count($l/overlapping::s) > 0 "
+             "return {string($l/@n)}",
+       QueryKind::kXQuery},
+  };
+  auto snap = store_.GetSnapshot("ms");
+  ASSERT_TRUE(snap.ok());
+  std::vector<std::vector<std::string>> expected;
+  for (const QueryRequest& request : mix) {
+    Result<std::vector<std::string>> items = std::vector<std::string>();
+    if (request.kind == QueryKind::kXPath) {
+      xpath::XPathEngine naive(*(*snap)->goddag);
+      naive.SetAxisStrategy(xpath::AxisStrategy::kNaiveScan);
+      items = naive.EvaluateToStrings(request.query);
+    } else {
+      xquery::XQueryEngine naive(*(*snap)->goddag);
+      naive.SetAxisStrategy(xpath::AxisStrategy::kNaiveScan);
+      items = naive.Run(request.query);
+    }
+    ASSERT_TRUE(items.ok()) << request.query << ": " << items.status();
+    ASSERT_FALSE(items->empty()) << request.query;
+    expected.push_back(std::move(items).value());
+  }
+
+  constexpr int kRequests = 32;
+  std::vector<std::future<QueryResponse>> futures;
+  for (int i = 0; i < kRequests; ++i) {
+    futures.push_back(service.Submit(mix[i % mix.size()]));
+  }
+  for (int i = 0; i < kRequests; ++i) {
+    QueryResponse response = futures[i].get();
+    ASSERT_TRUE(response.ok()) << response.status;
+    EXPECT_FALSE(response.cache_hit);
+    EXPECT_EQ(response.version, (*snap)->version);
+    EXPECT_EQ(*response.items, expected[i % mix.size()])
+        << mix[i % mix.size()].query;
+  }
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests, static_cast<uint64_t>(kRequests));
+  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_EQ(stats.index_patches + stats.index_rebuilds, 1u);
+}
+
+/// Reads on one document do not queue behind each other: while a slow
+/// submitted query is evaluating, a cheap Execute on the same document
+/// returns without waiting for it.
+TEST_F(ServiceTest, CheapReadDoesNotWaitForSlowReadOnSameDocument) {
+  ASSERT_TRUE(store_.RegisterBytes("big", ManuscriptBytes(20000)).ok());
+  QueryService service(&store_, {2, 64});
+  obs::Histogram* claimed =
+      service.registry()->GetHistogram("cxml_query_queue_us");
+  auto slow_handle =
+      service.Prepare("count(//w/following::w)", QueryKind::kXPath);
+  ASSERT_TRUE(slow_handle.ok()) << slow_handle.status();
+  std::future<QueryResponse> slow = service.Submit("big", *slow_handle);
+  // The queue wait is booked when a pool worker claims the request.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (claimed->Count() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(claimed->Count(), 1u);
+
+  QueryResponse cheap =
+      service.Execute({"big", "count(//line)", QueryKind::kXPath});
+  ASSERT_TRUE(cheap.ok()) << cheap.status;
+  EXPECT_EQ(slow.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "the cheap read waited for the slow one";
+  QueryResponse slow_response = slow.get();
+  ASSERT_TRUE(slow_response.ok()) << slow_response.status;
+  EXPECT_EQ(slow_response.version, cheap.version);
+}
+
+/// However many first queries race on a freshly published version, the
+/// version's index is built once — by patching its predecessor's.
+TEST_F(ServiceTest, RacingFirstQueriesBuildTheIndexOnce) {
+  QueryService service(&store_, {2, 64});
+  ASSERT_TRUE(service.Execute({"ms", "count(//w)", QueryKind::kXPath}).ok());
+  uint64_t version = CommitAnnotation(100);
+  obs::Counter* patches =
+      service.registry()->GetCounter("cxml_index_patch_total");
+  obs::Counter* rebuilds =
+      service.registry()->GetCounter("cxml_index_rebuild_total");
+  uint64_t patches_before = patches->Value();
+  uint64_t builds_before = patches_before + rebuilds->Value();
+
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ++ready;
+      while (!go.load()) std::this_thread::yield();
+      // Distinct queries: every thread misses the cache and needs the
+      // index.
+      QueryResponse r = service.Execute(
+          {"ms", "count(//w) + " + std::to_string(t), QueryKind::kXPath});
+      if (!r.ok() || r.cache_hit || r.version != version) ++failures;
+    });
+  }
+  while (ready.load() < kThreads) std::this_thread::yield();
+  go = true;
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(patches->Value() + rebuilds->Value() - builds_before, 1u);
+  EXPECT_EQ(patches->Value() - patches_before, 1u);
+}
+
+/// A FLWOR's bindings never outlive its request: `string($w)` after a
+/// `for $w` query on the same version is an unbound-variable error, and
+/// the error is never cached.
+TEST_F(ServiceTest, FlworBindingsDoNotLeakIntoLaterRequests) {
+  QueryService service(&store_, {2, 64});
+  QueryResponse flwor = service.Execute(
+      {"ms", "for $w in //w return string($w)", QueryKind::kXQuery});
+  ASSERT_TRUE(flwor.ok()) << flwor.status;
+  ASSERT_FALSE(flwor.items->empty());
+  // Twice: a cached answer would come back as a hit the second time.
+  for (int i = 0; i < 2; ++i) {
+    QueryResponse leaked =
+        service.Execute({"ms", "string($w)", QueryKind::kXQuery});
+    ASSERT_FALSE(leaked.ok()) << "answered '" << (*leaked.items)[0] << "'";
+    EXPECT_NE(leaked.status.message().find("unbound variable $w"),
+              std::string::npos)
+        << leaked.status;
+    EXPECT_FALSE(leaked.cache_hit);
+  }
+  auto handle = service.Prepare("string($w)", QueryKind::kXQuery);
+  ASSERT_TRUE(handle.ok()) << handle.status();
+  auto snap = store_.GetSnapshot("ms");
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ((*snap)->version, flwor.version);
+  EXPECT_EQ(service.cache().Get({"ms", (*snap)->version,
+                                 (*snap)->generation, (*handle)->canonical,
+                                 (*handle)->canonical_hash,
+                                 QueryKind::kXQuery}),
+            nullptr);
+}
+
+/// A collection query racing REMOVE and re-REGISTER of matched
+/// documents never fails: it answers from the snapshots its selection
+/// pinned, and every row names a registered document.
+TEST_F(ServiceTest, CollectionQuerySurvivesRemovalsMidFanOut) {
+  const std::vector<std::string> names = {"c/0", "c/1", "c/2", "c/3"};
+  for (const std::string& name : names) {
+    ASSERT_TRUE(store_.RegisterBytes(name, CorpusBytes()).ok());
+  }
+  // No result cache: every fan-out leg evaluates on the pool, so
+  // removals land while legs are still in flight.
+  QueryService service(&store_, {2, 0});
+  auto handle = service.Prepare("count(//w)", QueryKind::kXPath);
+  ASSERT_TRUE(handle.ok()) << handle.status();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> churn_errors{0};
+  std::thread churn([&] {
+    while (!done.load()) {
+      for (const char* name : {"c/1", "c/2"}) {
+        if (!store_.Remove(name).ok()) ++churn_errors;
+        if (!store_.RegisterBytes(name, CorpusBytes()).ok()) ++churn_errors;
+      }
+    }
+  });
+  int failures = 0;
+  for (int i = 0; i < 300 && failures == 0; ++i) {
+    CollectionResponse coll = RunCollectionQuery(&service, "c/*", *handle);
+    if (!coll.ok()) {
+      ADD_FAILURE() << "iteration " << i << ": " << coll.status;
+      ++failures;
+      continue;
+    }
+    EXPECT_EQ(coll.matched, coll.docs.size());
+    EXPECT_GE(coll.docs.size(), 2u);  // c/0 and c/3 never leave
+    for (const CollectionDocResult& doc : coll.docs) {
+      EXPECT_NE(std::find(names.begin(), names.end(), doc.document),
+                names.end())
+          << doc.document;
+      EXPECT_EQ(doc.items.size(), 1u);
+    }
+  }
+  done = true;
+  churn.join();
+  EXPECT_EQ(churn_errors.load(), 0);
+
+  // A leg that fails still fails the collection, naming its document.
+  auto unbound = service.Prepare("string($nope)", QueryKind::kXPath);
+  ASSERT_TRUE(unbound.ok()) << unbound.status();
+  CollectionResponse coll = RunCollectionQuery(&service, "c/*", *unbound);
+  ASSERT_FALSE(coll.ok());
+  EXPECT_EQ(coll.status.code(), StatusCode::kNotFound);
+  EXPECT_NE(coll.status.message().find("unbound variable $nope"),
+            std::string::npos)
+      << coll.status;
+  EXPECT_NE(coll.status.message().find("'c/0'"), std::string::npos)
+      << coll.status;
 }
 
 TEST_F(ServiceTest, TrafficGeneratorDrivesService) {
@@ -633,25 +849,6 @@ TEST_F(ServiceTest, PipelinedCommitKeepsOptimisticConflict) {
   EXPECT_EQ(store_.GetVersion("ms").value_or(0), 2u);
 }
 
-TEST_F(ServiceTest, BatchedSubmissionsShareSnapshotPin) {
-  QueryService service(&store_, {1, 0});  // no result cache: pure batching
-  std::vector<QueryRequest> requests;
-  for (int i = 0; i < 32; ++i) {
-    requests.push_back({"ms", "count(//w)", QueryKind::kXPath});
-  }
-  std::vector<QueryResponse> responses =
-      service.ExecuteAll(std::move(requests));
-  for (const QueryResponse& response : responses) {
-    ASSERT_TRUE(response.ok()) << response.status;
-    EXPECT_EQ((*response.items)[0], (*responses[0].items)[0]);
-  }
-  ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.requests, 32u);
-  // With one worker and 32 queued requests, batching must coalesce:
-  // strictly fewer batches than requests.
-  EXPECT_LT(stats.batches, stats.requests);
-}
-
 // ---------------------------------------------------- observability
 
 /// Two services in one process must not mix numbers: each owns a
@@ -684,13 +881,20 @@ TEST_F(ServiceTest, ExternalRegistryReceivesStageHistograms) {
       service.Execute({"ms", "count(//w)", QueryKind::kXPath}).ok());
   ASSERT_TRUE(
       service.Execute({"ms", "count(//w)", QueryKind::kXPath}).ok());
+  // A submitted hit answers at once; a submitted miss queues.
+  ASSERT_TRUE(
+      service.Submit({"ms", "count(//w)", QueryKind::kXPath}).get().ok());
+  ASSERT_TRUE(
+      service.Submit({"ms", "count(//s)", QueryKind::kXPath}).get().ok());
   EXPECT_EQ(service.registry(), &registry);
   EXPECT_EQ(
-      registry.GetCounter("cxml_service_requests_total")->Value(), 2u);
-  EXPECT_EQ(registry.GetHistogram("cxml_query_us")->Count(), 2u);
-  EXPECT_EQ(registry.GetHistogram("cxml_query_queue_us")->Count(), 2u);
-  // Only the cache miss evaluated; the hit skipped the engines.
-  EXPECT_EQ(registry.GetHistogram("cxml_query_eval_us")->Count(), 1u);
+      registry.GetCounter("cxml_service_requests_total")->Value(), 4u);
+  EXPECT_EQ(registry.GetHistogram("cxml_query_us")->Count(), 4u);
+  // Execute runs on the caller's thread: only the submitted miss
+  // waited in the pool's queue.
+  EXPECT_EQ(registry.GetHistogram("cxml_query_queue_us")->Count(), 1u);
+  // Only the cache misses evaluated; the hits skipped the engines.
+  EXPECT_EQ(registry.GetHistogram("cxml_query_eval_us")->Count(), 2u);
   // The evaluator's axis-strategy tallies flowed up as counters.
   EXPECT_GT(registry.GetCounter("cxml_axis_indexed_total")->Value() +
                 registry.GetCounter("cxml_axis_naive_total")->Value() +
@@ -698,8 +902,9 @@ TEST_F(ServiceTest, ExternalRegistryReceivesStageHistograms) {
             0u);
 }
 
-/// A trace passed into Submit collects the service-side stages (queue,
-/// index, cache, eval) under the caller's parent stage.
+/// A trace passed into Submit collects the service-side stages (cache,
+/// then for a miss queue, index and eval) under the caller's parent
+/// stage.
 TEST_F(ServiceTest, SubmittedTraceCollectsServiceStages) {
   QueryService service(&store_, {2, 64});
   auto handle =
@@ -709,7 +914,8 @@ TEST_F(ServiceTest, SubmittedTraceCollectsServiceStages) {
   obs::TracePtr trace = service.tracer().Start();
   ASSERT_NE(trace, nullptr);
   int parent = trace->StartStage("service");
-  QueryResponse response = service.Execute("ms", *handle, trace, parent);
+  QueryResponse response =
+      service.Submit("ms", *handle, trace, parent).get();
   trace->EndStage(parent);
   ASSERT_TRUE(response.ok()) << response.status;
   service.tracer().Finish(trace);

@@ -3,9 +3,8 @@
 // full scans (the equivalence oracle kept compile-time available via
 // xpath::AxisStrategy::kNaiveScan), on the hand-built Boethius corpus
 // and across randomized synthetic manuscripts; plus the pinned
-// following/preceding equal-extent semantics, the engine parse-cache
-// LRU bound, and the snapshot-resident memoization in the service
-// layer.
+// following/preceding equal-extent semantics and the per-version index
+// the service layer's snapshots share.
 
 #include "goddag/snapshot_index.h"
 
@@ -23,7 +22,6 @@
 #include "test_util.h"
 #include "workload/generator.h"
 #include "xpath/engine.h"
-#include "xquery/xquery.h"
 
 namespace cxml {
 namespace {
@@ -242,43 +240,11 @@ TEST(SnapshotIndexRegression, ZeroWidthTwinsAreNotFollowingOrPreceding) {
   }
 }
 
-// The engine's parse cache is a bounded LRU now that engines live as
-// long as a snapshot: distinct expressions evict the oldest, reuse
-// promotes, and evicted expressions still re-parse correctly.
-TEST(XPathEngineParseCache, LruBound) {
-  auto fixture = testing::BoethiusFixture::Make();
-  xpath::XPathEngine engine(*fixture.g, /*parse_cache_capacity=*/4);
-  EXPECT_EQ(engine.parse_cache_capacity(), 4u);
-  auto count = [&](const std::string& expr) {
-    auto v = engine.Evaluate(expr);
-    EXPECT_TRUE(v.ok()) << v.status();
-    return v.ok() ? v->ToNumber(*fixture.g) : -1.0;
-  };
-  double words = count("count(//w)");
-  EXPECT_GT(words, 0);
-  for (int i = 0; i < 10; ++i) {
-    count("count(//w) + " + std::to_string(i));
-    EXPECT_LE(engine.cache_size(), 4u);
-  }
-  EXPECT_EQ(engine.cache_size(), 4u);
-  // Evicted long ago, still correct on re-parse.
-  EXPECT_EQ(count("count(//w)"), words);
-  EXPECT_EQ(engine.cache_size(), 4u);
-}
-
-TEST(XPathEngineParseCache, CapacityZeroClampsToOne) {
-  auto fixture = testing::BoethiusFixture::Make();
-  xpath::XPathEngine engine(*fixture.g, /*parse_cache_capacity=*/0);
-  EXPECT_EQ(engine.parse_cache_capacity(), 1u);
-  EXPECT_TRUE(engine.Evaluate("count(//w)").ok());
-  EXPECT_TRUE(engine.Evaluate("count(//line)").ok());
-  EXPECT_EQ(engine.cache_size(), 1u);
-}
-
-// DocumentSnapshot memoizes one index + engine pair per published
-// version: repeated accessors return the same objects, and a new
-// version gets fresh ones.
-TEST(DocumentSnapshotMemo, OneIndexAndEnginePairPerVersion) {
+// DocumentSnapshot builds one index per published version: every call
+// shares it, the call that built it is told so, a new version's first
+// query patches its predecessor's index, and the predecessor keeps its
+// own for readers still pinning it.
+TEST(DocumentSnapshotMemo, OneIndexPerVersion) {
   workload::GeneratorParams params;
   params.content_chars = 600;
   auto corpus = workload::GenerateManuscript(params);
@@ -293,18 +259,20 @@ TEST(DocumentSnapshotMemo, OneIndexAndEnginePairPerVersion) {
   auto snap = store.GetSnapshot("doc");
   ASSERT_TRUE(snap.ok());
 
-  const SnapshotIndex* index = &(*snap)->Index();
-  EXPECT_EQ(index, &(*snap)->Index());
-  EXPECT_EQ((*snap)->IndexPtr().get(), index);
-  xpath::XPathEngine* xp = &(*snap)->XPath();
-  EXPECT_EQ(xp, &(*snap)->XPath());
-  xquery::XQueryEngine* xq = &(*snap)->XQuery();
-  EXPECT_EQ(xq, &(*snap)->XQuery());
-  auto v = xp->Evaluate("count(//w)");
+  service::DocumentSnapshot::IndexBuild build;
+  std::shared_ptr<const SnapshotIndex> index = (*snap)->Index(&build);
+  EXPECT_TRUE(build.built);
+  EXPECT_FALSE(build.patched);  // a fresh registration has no base
+  service::DocumentSnapshot::IndexBuild again;
+  EXPECT_EQ((*snap)->Index(&again), index);
+  EXPECT_FALSE(again.built);
+  xpath::XPathEngine engine(*(*snap)->goddag);
+  engine.UseSnapshotIndex(index);
+  auto v = engine.Evaluate("count(//w)");
   ASSERT_TRUE(v.ok()) << v.status();
   EXPECT_GT(v->ToNumber(*(*snap)->goddag), 0);
 
-  // Publish a new version; its snapshot memoizes its own state.
+  // Publish a new version; its snapshot builds its own index.
   auto txn = store.BeginEdit("doc");
   ASSERT_TRUE(txn.ok()) << txn.status();
   ASSERT_TRUE(txn->session().Select(Interval(10, 30)).ok());
@@ -313,57 +281,19 @@ TEST(DocumentSnapshotMemo, OneIndexAndEnginePairPerVersion) {
   auto snap2 = store.GetSnapshot("doc");
   ASSERT_TRUE(snap2.ok());
   ASSERT_NE((*snap2).get(), (*snap).get());
-  EXPECT_NE(&(*snap2)->Index(), index);
+  service::DocumentSnapshot::IndexBuild next;
+  EXPECT_NE((*snap2)->Index(&next), index);
   // The successor's first cold index patched the predecessor's copy
   // instead of rebuilding from scratch (the commit carried a delta).
-  EXPECT_TRUE((*snap2)->index_patched());
-  // Publishing superseded the old snapshot: with no in-flight batch
-  // pinning it, its memoized index/engines were released (bounded
-  // snapshot-resident memory). It still answers correctly — accessors
-  // lazily rebuild — but pointer identity across a supersede is no
-  // longer part of the contract.
-  EXPECT_FALSE((*snap)->IndexReady());
-  auto old_v = (*snap)->XPath().Evaluate("count(//w)");
+  EXPECT_TRUE(next.built);
+  EXPECT_TRUE(next.patched);
+  EXPECT_GT(next.pools_shared, 0u);
+  // The superseded snapshot keeps its index for as long as it lives.
+  EXPECT_EQ((*snap)->Index(), index);
+  auto old_v = engine.Evaluate("count(//w)");
   ASSERT_TRUE(old_v.ok()) << old_v.status();
   EXPECT_EQ(old_v->ToNumber(*(*snap)->goddag),
             v->ToNumber(*(*snap)->goddag));
-  // Once rebuilt, memoization holds again for this holder.
-  const SnapshotIndex* rebuilt = &(*snap)->Index();
-  EXPECT_EQ(rebuilt, &(*snap)->Index());
-}
-
-// A batch that pinned the predecessor's accel state keeps it alive
-// across a publish; the release happens when the last pin drops.
-TEST(DocumentSnapshotMemo, AccelPinDefersReleaseAcrossPublish) {
-  workload::GeneratorParams params;
-  params.content_chars = 600;
-  auto corpus = workload::GenerateManuscript(params);
-  ASSERT_TRUE(corpus.ok()) << corpus.status();
-  auto g = sacx::ParseToGoddag(*corpus->cmh, corpus->SourceViews());
-  ASSERT_TRUE(g.ok()) << g.status();
-  auto bytes = storage::Save(*g);
-  ASSERT_TRUE(bytes.ok()) << bytes.status();
-
-  service::DocumentStore store;
-  ASSERT_TRUE(store.RegisterBytes("doc", *bytes).ok());
-  auto snap = store.GetSnapshot("doc");
-  ASSERT_TRUE(snap.ok());
-
-  const SnapshotIndex* index = &(*snap)->Index();
-  {
-    auto pin = (*snap)->PinAccel();
-    auto txn = store.BeginEdit("doc");
-    ASSERT_TRUE(txn.ok()) << txn.status();
-    ASSERT_TRUE(txn->session().Select(Interval(10, 30)).ok());
-    ASSERT_TRUE(txn->session().Apply(2, "a0").ok());
-    ASSERT_TRUE(txn->Commit().ok());
-    // Superseded but pinned: the memoized index survives, with
-    // pointer identity, until the pin drops.
-    EXPECT_TRUE((*snap)->IndexReady());
-    EXPECT_EQ(&(*snap)->Index(), index);
-  }
-  // Last pin dropped after the supersede: accel state is gone.
-  EXPECT_FALSE((*snap)->IndexReady());
 }
 
 }  // namespace

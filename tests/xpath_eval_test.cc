@@ -348,14 +348,6 @@ TEST_F(XPathEvalTest, FilterExpressions) {
   EXPECT_EQ(Number("count((//line | //s)/w)"), 13);
 }
 
-TEST_F(XPathEvalTest, EngineCaching) {
-  EXPECT_EQ(engine_->cache_size(), 0u);
-  ASSERT_TRUE(engine_->Evaluate("count(//w)").ok());
-  EXPECT_EQ(engine_->cache_size(), 1u);
-  ASSERT_TRUE(engine_->Evaluate("count(//w)").ok());
-  EXPECT_EQ(engine_->cache_size(), 1u);
-}
-
 TEST_F(XPathEvalTest, EvaluateFromContext) {
   NodeId line1 = g_->ElementsByTag("line")[0];
   auto v = engine_->EvaluateFrom("count(overlapping::w)", line1);

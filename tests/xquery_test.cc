@@ -143,6 +143,31 @@ TEST_F(XQueryTest, ExternalVariables) {
   EXPECT_EQ(items, (std::vector<std::string>{"2"}));
 }
 
+// A Run's for/let bindings end with that Run: a reused engine must not
+// answer a later query from an earlier one's tuples, and an external
+// variable a FLWOR shadowed is back once the Run is over.
+TEST_F(XQueryTest, FlworBindingsEndWithTheirRun) {
+  ASSERT_EQ(Run("for $w in //w return string($w)").size(), 13u);
+  for (int pass = 0; pass < 2; ++pass) {
+    auto compiled = Compile("string($w)");
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
+    auto leaked = pass == 0 ? engine_->Run("string($w)")
+                            : engine_->Run(**compiled);
+    ASSERT_FALSE(leaked.ok()) << "answered " << (*leaked)[0];
+    EXPECT_EQ(leaked.status().code(), StatusCode::kNotFound);
+    EXPECT_NE(leaked.status().message().find("unbound variable $w"),
+              std::string::npos)
+        << leaked.status();
+  }
+
+  engine_->SetVariable("min", xpath::Value(2.0));
+  EXPECT_EQ(Run("for $min in //line return {string($min/@n)}"),
+            (std::vector<std::string>{"1", "2"}));
+  // A failing Run restores the bindings too.
+  EXPECT_FALSE(engine_->Run("for $min in //line return {$nope}").ok());
+  EXPECT_EQ(Run("$min"), (std::vector<std::string>{"2"}));
+}
+
 TEST_F(XQueryTest, Errors) {
   EXPECT_FALSE(engine_->Run("").ok());
   EXPECT_FALSE(engine_->Run("for $x return 1").ok());     // missing in
