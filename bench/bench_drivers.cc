@@ -1,4 +1,4 @@
-// T-DRIVER (DESIGN.md): import/export across the concurrent-markup
+// Representation drivers: import/export across the concurrent-markup
 // representation zoo (paper §4 "Document manipulation", DKE'05).
 //
 // Measures per-representation export, import, and full round-trip time;

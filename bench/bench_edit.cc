@@ -1,6 +1,7 @@
-// T-EDIT (DESIGN.md): authoring cost — markup insertion with and without
-// prevalidation, the subsequence (potential-validity) check itself, and
-// the xTagger applicable-tags menu.
+// Authoring cost of the paper's Figure 4 engine (xTagger): markup
+// insertion with and without prevalidation, the subsequence
+// (potential-validity) check itself, and the applicable-tags menu.
+// edit_test.cc checks the verdicts.
 //
 // The paper's claim: prevalidation is cheap enough to run on every
 // keystroke-level edit ("implements prevalidation checking").

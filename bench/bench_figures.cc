@@ -1,4 +1,4 @@
-// FIG1 + FIG2 + FIG4 (DESIGN.md): mechanical regeneration of the paper's
+// Figures 1, 2 and 4 of the paper: mechanical regeneration of the paper's
 // figure artifacts with machine-checkable assertions, plus timing of the
 // regeneration itself. Run with --verify (default when invoked without
 // google-benchmark flags is to run both benchmarks and checks).

@@ -1,4 +1,5 @@
-// T-BUILD (DESIGN.md): GODDAG construction and structure cost.
+// GODDAG construction and structure cost (the paper's Figure 2;
+// goddag_test.cc checks the invariants).
 //
 // Reports build time plus node/leaf counters as the overlap density of
 // the annotation hierarchies grows: leaves multiply with boundary

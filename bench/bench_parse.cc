@@ -1,4 +1,4 @@
-// T-PARSE (DESIGN.md): parsing concurrent XML.
+// Parsing concurrent XML with SACX (sacx_test.cc checks the merge).
 //
 // Reproduces the shape of the SACX evaluation (WIDM'04): merged
 // streaming parse time scales linearly with content size and with the

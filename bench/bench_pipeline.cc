@@ -1,7 +1,8 @@
-// FIG3 (DESIGN.md): the framework pipeline of the paper's Figure 3,
-// timed stage by stage — representation driver in, SACX parse, GODDAG
-// build, Extended XPath query, filter, export. One benchmark per stage
-// plus the full end-to-end flow.
+// The framework pipeline of the paper's Figure 3, timed stage by
+// stage — representation driver in, SACX parse, GODDAG build, Extended
+// XPath query, filter, export. One benchmark per stage plus the full
+// end-to-end flow (whose answers integration_test.cc's
+// FullPipelineOnBoethius checks).
 
 #include <benchmark/benchmark.h>
 

@@ -1,4 +1,4 @@
-// T-QUERY + T-XPATH (DESIGN.md): the paper's core claim — "XPath and
+// The paper's core query claim — "XPath and
 // XQuery are inefficient in expressing certain important information
 // needs over concurrent XML documents (e.g., requests for overlapping
 // content given two tags)"; the Extended XPath's `overlapping` axis over

@@ -17,7 +17,9 @@ namespace cxml::baseline {
 /// standard XPath/XSLT user pays today.
 ///
 /// Used by bench/bench_query as the comparator for the GODDAG
-/// `overlapping` axis (T-QUERY in DESIGN.md).
+/// `overlapping` axis; integration_test.cc's
+/// GoddagAndBaselineAgreeOnSyntheticCorpus checks both give the same
+/// answers.
 
 /// One logical element reassembled from fragments.
 struct JoinedElement {

@@ -862,6 +862,22 @@ void SnapshotIndex::Dominated(const Pool& pool, NodeId ctx,
   }
 }
 
+void SnapshotIndex::ChildrenOfDominated(const Pool& pool, NodeId ctx,
+                                        std::vector<NodeId>* out) const {
+  // A child of ctx or of a node ctx dominates lies inside ctx's extent,
+  // so the containment window holds every candidate; the parent test
+  // then decides. `n == ctx` fails it on its own: ctx's parent is
+  // neither ctx nor dominated by it.
+  Interval span = g_->char_range(ctx);
+  auto [lo, hi] = ContainmentWindow(pool, span);
+  for (size_t i = lo; i < hi; ++i) {
+    if (pool.ends[i] > span.end) continue;
+    NodeId n = pool.nodes[i];
+    NodeId parent = g_->parent(n);
+    if (parent == ctx || Dominates(ctx, parent)) out->push_back(n);
+  }
+}
+
 void SnapshotIndex::Contained(const Pool& pool, NodeId ctx,
                               std::vector<NodeId>* out) const {
   Interval span = g_->char_range(ctx);

@@ -159,6 +159,14 @@ class SnapshotIndex {
 
   /// Pool nodes dominated by `ctx` — the descendant axis over elements.
   void Dominated(const Pool& pool, NodeId ctx, std::vector<NodeId>* out) const;
+  /// Element-pool nodes whose tree parent is `ctx` or a node `ctx`
+  /// dominates — `descendant-or-self::node()/child::T` (the `//T`
+  /// abbreviation) from an element or leaf context in one scan of
+  /// Dominated's window. Narrower than Dominated: an element the context
+  /// dominates is kept only when its parent is the context or is
+  /// dominated by it as well.
+  void ChildrenOfDominated(const Pool& pool, NodeId ctx,
+                           std::vector<NodeId>* out) const;
   /// Pool nodes whose extent is contained in ctx's (equal allowed),
   /// excluding `ctx` itself — the descendant axis' leaf rule.
   void Contained(const Pool& pool, NodeId ctx, std::vector<NodeId>* out) const;

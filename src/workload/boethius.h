@@ -22,7 +22,8 @@ namespace cxml::workload {
 /// The figure itself is an image in the paper; this reconstruction
 /// preserves its documented conflict structure: a <w> crosses the <line>
 /// break, <res> and <dmg> cross word and line boundaries, so the four
-/// encodings cannot merge into one well-formed XML document (DESIGN.md §7).
+/// encodings cannot merge into one well-formed XML document
+/// (cmh_test.cc's BoethiusEncodingsConflict checks this).
 ///
 /// All four documents share the root tag `r` (as in the paper) and
 /// byte-identical content.

@@ -14,11 +14,12 @@
 namespace cxml::workload {
 
 /// Parameters of a synthetic manuscript. The generator reproduces the
-/// statistical shape of the paper's corpus (DESIGN.md §7): a physical
-/// hierarchy (pages/lines), a linguistic hierarchy (sentences/words) with
-/// boundaries deliberately misaligned with the physical ones, and any
-/// number of extra annotation hierarchies (ranges placed uniformly, so
-/// they overlap everything else at a controllable rate).
+/// shape of the paper's Boethius manuscript (Figure 1, boethius.h) at
+/// any size: a physical hierarchy (pages/lines), a linguistic hierarchy
+/// (sentences/words) with boundaries deliberately misaligned with the
+/// physical ones, and any number of extra annotation hierarchies
+/// (ranges placed uniformly, so they overlap everything else at a
+/// controllable rate).
 struct GeneratorParams {
   /// Approximate content size in characters.
   size_t content_chars = 10'000;

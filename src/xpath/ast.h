@@ -73,6 +73,18 @@ struct StepPlan {
   /// sibling/self/attribute walks) — the seam future per-step strategy
   /// choice hangs off.
   bool index_friendly = false;
+  /// Set on a bare `descendant-or-self::node()` step (no hierarchy
+  /// qualifier, no predicates) whose next step is `child::T` with T a
+  /// name or `*` — the `//T` abbreviation. In a GODDAG that pair
+  /// selects the T children of the context or of any node the context
+  /// dominates, which is not the extent-based descendant axis (a `w`
+  /// inside a `line` extent is the child of an `s`, not of the line).
+  /// Under AxisStrategy::kIndexed the evaluator answers the pair as one
+  /// scan of the (hierarchy, T) pool — SnapshotIndex::ChildrenOfDominated
+  /// — instead of materialising every node below the context and
+  /// walking each one's children. node()/text() tests stay unfused:
+  /// a leaf has one parent per hierarchy.
+  bool fuse_with_child = false;
 };
 
 /// One location step: axis(hierarchy)::test[pred]...

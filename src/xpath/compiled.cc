@@ -51,6 +51,17 @@ StepPlan::Positional LeadingPositional(const Step& step) {
   return StepPlan::Positional::kNone;
 }
 
+/// True for the `//T` step pair the evaluator answers as one pool scan
+/// (StepPlan::fuse_with_child): a bare descendant-or-self::node()
+/// followed by a child step testing a name or `*`.
+bool FusesWithChild(const Step& step, const Step& next) {
+  return step.axis == AxisKind::kDescendantOrSelf &&
+         step.hierarchy.empty() && step.test.kind == NodeTest::Kind::kNode &&
+         step.predicates.empty() && next.axis == AxisKind::kChild &&
+         (next.test.kind == NodeTest::Kind::kName ||
+          next.test.kind == NodeTest::Kind::kAnyName);
+}
+
 struct Analysis {
   std::vector<std::string>* hierarchies;
   std::vector<std::string>* tags;
@@ -59,7 +70,10 @@ struct Analysis {
 void AnalyzeExpr(Expr* expr, const Analysis& a);
 
 void AnalyzePath(LocationPath* path, const Analysis& a) {
-  for (Step& step : path->steps) {
+  for (size_t i = 0; i < path->steps.size(); ++i) {
+    Step& step = path->steps[i];
+    step.plan.fuse_with_child =
+        i + 1 < path->steps.size() && FusesWithChild(step, path->steps[i + 1]);
     step.plan.uses_pools = AxisUsesPools(step.axis);
     step.plan.index_friendly = step.plan.uses_pools;
     // Positional pushdown is defined for the forward containment steps

@@ -48,19 +48,27 @@ void Evaluator::NormalizeSet(NodeSet* set) {
     return;
   }
   const goddag::SnapshotIndex& idx = *index_;
-  std::sort(set->begin(), set->end(),
-            [this, &idx](const NodeEntry& a, const NodeEntry& b) {
-              if (a.is_document() != b.is_document()) return a.is_document();
-              if (a.node != b.node) {
-                uint32_t ra = idx.rank(a.node);
-                uint32_t rb = idx.rank(b.node);
-                if (ra != rb) return ra < rb;
-                // Both detached (kUnranked): structural fallback keeps
-                // the order total and identical to Value::Normalize.
-                return g_->Before(a.node, b.node);
-              }
-              return a.attr < b.attr;
-            });
+  auto before = [this, &idx](const NodeEntry& a, const NodeEntry& b) {
+    if (a.is_document() != b.is_document()) return a.is_document();
+    if (a.node != b.node) {
+      uint32_t ra = idx.rank(a.node);
+      uint32_t rb = idx.rank(b.node);
+      if (ra != rb) return ra < rb;
+      // Both detached (kUnranked): structural fallback keeps the order
+      // total and identical to Value::Normalize.
+      return g_->Before(a.node, b.node);
+    }
+    return a.attr < b.attr;
+  };
+  // Pool scans hand most sets over already in document order and
+  // duplicate-free; one linear pass spares those the sort.
+  if (std::adjacent_find(set->begin(), set->end(),
+                         [&before](const NodeEntry& a, const NodeEntry& b) {
+                           return !before(a, b);
+                         }) == set->end()) {
+    return;
+  }
+  std::sort(set->begin(), set->end(), before);
   set->erase(std::unique(set->begin(), set->end()), set->end());
 }
 
@@ -553,6 +561,27 @@ Result<NodeSet> Evaluator::AxisNodes(const Step& step, const NodeEntry& ctx) {
   return out;
 }
 
+Status Evaluator::FilterByPredicates(const std::vector<ExprPtr>& predicates,
+                                     NodeSet* nodes) {
+  for (const ExprPtr& pred : predicates) {
+    NodeSet filtered;
+    for (size_t i = 0; i < nodes->size(); ++i) {
+      Context pctx;
+      pctx.node = (*nodes)[i];
+      pctx.position = i + 1;
+      pctx.size = nodes->size();
+      CXML_ASSIGN_OR_RETURN(Value v, EvalExpr(*pred, pctx));
+      bool keep =
+          (v.type() == Value::Type::kNumber)
+              ? (v.ToNumber(*g_) == static_cast<double>(pctx.position))
+              : v.ToBoolean();
+      if (keep) filtered.push_back((*nodes)[i]);
+    }
+    *nodes = std::move(filtered);
+  }
+  return Status::Ok();
+}
+
 Result<NodeSet> Evaluator::EvalStep(const Step& step, NodeSet input) {
   NodeSet result;
   for (const NodeEntry& ctx : input) {
@@ -560,40 +589,83 @@ Result<NodeSet> Evaluator::EvalStep(const Step& step, NodeSet input) {
     if (IsReverseAxis(step.axis)) {
       std::reverse(candidates.begin(), candidates.end());
     }
-    // Apply predicates with proximity positions.
-    for (const ExprPtr& pred : step.predicates) {
-      NodeSet filtered;
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        Context pctx;
-        pctx.node = candidates[i];
-        pctx.position = i + 1;
-        pctx.size = candidates.size();
-        CXML_ASSIGN_OR_RETURN(Value v, EvalExpr(*pred, pctx));
-        bool keep = (v.type() == Value::Type::kNumber)
-                        ? (v.ToNumber(*g_) ==
-                           static_cast<double>(pctx.position))
-                        : v.ToBoolean();
-        if (keep) filtered.push_back(candidates[i]);
-      }
-      candidates = std::move(filtered);
-    }
+    CXML_RETURN_IF_ERROR(FilterByPredicates(step.predicates, &candidates));
     result.insert(result.end(), candidates.begin(), candidates.end());
   }
   NormalizeSet(&result);
   return result;
 }
 
-Result<NodeSet> Evaluator::EvalPath(const LocationPath& path,
-                                    const Context& ctx) {
-  NodeSet current;
-  if (path.absolute) {
-    current.push_back(NodeEntry::Document());
-  } else {
-    current.push_back(ctx.node);
+Result<NodeSet> Evaluator::EvalDescendantChild(const Step& child,
+                                               NodeSet input) {
+  NodeSet result;
+  const goddag::SnapshotIndex::Pool* pool = nullptr;
+  for (const NodeEntry& ctx : input) {
+    // descendant-or-self::node() selects nothing from an attribute, so
+    // the child step never runs for one; resolving its hierarchy only
+    // at the first other context errors exactly when the literal pair
+    // would.
+    if (ctx.is_attribute()) continue;
+    if (pool == nullptr) {
+      CXML_ASSIGN_OR_RETURN(HierarchyId hq, ResolveHierarchy(child.hierarchy));
+      pool = &ElementPoolFor(hq, child.test);
+    } else {
+      stats_.pool_nodes += pool->size();  // ElementPoolFor tallied the first
+    }
+    ++stats_.indexed_axes;
+    if (ctx.is_document()) {
+      // Every attached element is a child of the root or of another
+      // element, all of which descend from the document node; the root
+      // itself is the document node's child.
+      if (MatchesTest(child.test, NodeEntry::Of(g_->root()), false)) {
+        result.push_back(NodeEntry::Of(g_->root()));
+      }
+      for (NodeId n : pool->nodes) result.push_back(NodeEntry::Of(n));
+      continue;
+    }
+    scratch_.clear();
+    index().ChildrenOfDominated(*pool, ctx.node, &scratch_);
+    for (NodeId n : scratch_) result.push_back(NodeEntry::Of(n));
   }
-  for (const Step& step : path.steps) {
-    CXML_ASSIGN_OR_RETURN(current, EvalStep(step, std::move(current)));
-    if (current.empty()) break;
+  NormalizeSet(&result);
+  if (child.predicates.empty()) return result;
+
+  // XPath positions on a child step count among one parent's children.
+  // Every child of a parent that qualified is in `result`, so stably
+  // regrouping by parent (the root's is kInvalidNode) gives each
+  // parent's full child list in document order.
+  std::stable_sort(result.begin(), result.end(),
+                   [this](const NodeEntry& a, const NodeEntry& b) {
+                     return g_->parent(a.node) < g_->parent(b.node);
+                   });
+  NodeSet kept;
+  for (size_t begin = 0; begin < result.size();) {
+    const NodeId parent = g_->parent(result[begin].node);
+    size_t end = begin + 1;
+    while (end < result.size() && g_->parent(result[end].node) == parent) {
+      ++end;
+    }
+    NodeSet siblings(result.begin() + static_cast<ptrdiff_t>(begin),
+                     result.begin() + static_cast<ptrdiff_t>(end));
+    CXML_RETURN_IF_ERROR(FilterByPredicates(child.predicates, &siblings));
+    kept.insert(kept.end(), siblings.begin(), siblings.end());
+    begin = end;
+  }
+  NormalizeSet(&kept);
+  return kept;
+}
+
+Result<NodeSet> Evaluator::EvalSteps(const std::vector<Step>& steps,
+                                     NodeSet current) {
+  for (size_t i = 0; i < steps.size() && !current.empty(); ++i) {
+    if (steps[i].plan.fuse_with_child && i + 1 < steps.size() &&
+        strategy_ == AxisStrategy::kIndexed) {
+      ++i;  // the child step is consumed with its descendant-or-self
+      CXML_ASSIGN_OR_RETURN(current,
+                            EvalDescendantChild(steps[i], std::move(current)));
+    } else {
+      CXML_ASSIGN_OR_RETURN(current, EvalStep(steps[i], std::move(current)));
+    }
   }
   return current;
 }
@@ -607,25 +679,8 @@ Result<Value> Evaluator::EvalFilter(const Expr& expr, const Context& ctx) {
   }
   NodeSet nodes = std::move(primary.nodes());
   NormalizeSet(&nodes);
-  for (const ExprPtr& pred : expr.predicates) {
-    NodeSet filtered;
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      Context pctx;
-      pctx.node = nodes[i];
-      pctx.position = i + 1;
-      pctx.size = nodes.size();
-      CXML_ASSIGN_OR_RETURN(Value v, EvalExpr(*pred, pctx));
-      bool keep =
-          (v.type() == Value::Type::kNumber)
-              ? (v.ToNumber(*g_) == static_cast<double>(pctx.position))
-              : v.ToBoolean();
-      if (keep) filtered.push_back(nodes[i]);
-    }
-    nodes = std::move(filtered);
-  }
-  for (const Step& step : expr.path.steps) {
-    CXML_ASSIGN_OR_RETURN(nodes, EvalStep(step, std::move(nodes)));
-  }
+  CXML_RETURN_IF_ERROR(FilterByPredicates(expr.predicates, &nodes));
+  CXML_ASSIGN_OR_RETURN(nodes, EvalSteps(expr.path.steps, std::move(nodes)));
   return Value(std::move(nodes));
 }
 
@@ -777,7 +832,9 @@ Result<Value> Evaluator::EvalExpr(const Expr& expr, const Context& ctx) {
       return Value(std::move(merged));
     }
     case Expr::Kind::kPath: {
-      CXML_ASSIGN_OR_RETURN(NodeSet nodes, EvalPath(expr.path, ctx));
+      NodeSet start(1, expr.path.absolute ? NodeEntry::Document() : ctx.node);
+      CXML_ASSIGN_OR_RETURN(NodeSet nodes,
+                            EvalSteps(expr.path.steps, std::move(start)));
       return Value(std::move(nodes));
     }
     case Expr::Kind::kFilter:

@@ -62,7 +62,15 @@ struct AxisStats {
 ///    milestones at the same position — are neither following nor
 ///    preceding each other, for elements and leaves alike;
 ///  * the `overlapping` axes implement the paper's concurrent-markup
-///    queries, with optional hierarchy qualifiers on every axis.
+///    queries, with optional hierarchy qualifiers on every axis;
+///  * `//` abbreviates `/descendant-or-self::node()/`, so `//T` selects
+///    the T children of the context or of any node it dominates. That
+///    is not the extent-based descendant axis: a `w` inside a `line`'s
+///    extent is the child of an `s`, so `//line//w` misses it while
+///    `//line/descendant::w` finds it. Under kIndexed a compiled `//T`
+///    (T a name or `*`) is answered as one scan of the T pool
+///    (StepPlan::fuse_with_child); kNaiveScan evaluates both steps
+///    literally and stays the oracle.
 ///
 /// The evaluator is deliberately stateless across calls except for a
 /// lazily built (or externally shared, see SetSnapshotIndex) snapshot
@@ -127,8 +135,21 @@ class Evaluator {
 
   Result<Value> EvalExpr(const Expr& expr, const Context& ctx);
   Result<Value> EvalFilter(const Expr& expr, const Context& ctx);
-  Result<NodeSet> EvalPath(const LocationPath& path, const Context& ctx);
+  /// The one step loop behind location paths and filter-expression
+  /// paths, and the only place that picks the fused `//T` step
+  /// (StepPlan::fuse_with_child, indexed strategy only).
+  Result<NodeSet> EvalSteps(const std::vector<Step>& steps, NodeSet current);
   Result<NodeSet> EvalStep(const Step& step, NodeSet input);
+  /// `descendant-or-self::node()/child` answered as one step: for each
+  /// context, the `child` step's pool nodes whose parent is the context
+  /// or a node it dominates (plus the root, from the document node).
+  /// Predicates run per parent, so positions keep their child-axis
+  /// meaning.
+  Result<NodeSet> EvalDescendantChild(const Step& child, NodeSet input);
+  /// Filters `nodes` through `predicates` in turn, each with proximity
+  /// positions over what the previous one kept.
+  Status FilterByPredicates(const std::vector<ExprPtr>& predicates,
+                            NodeSet* nodes);
   Result<NodeSet> AxisNodes(const Step& step, const NodeEntry& ctx);
   Result<Value> CallFunction(const Expr& call, const Context& ctx);
   Result<Value> Compare(Expr::Kind op, const Value& lhs, const Value& rhs);

@@ -1,8 +1,8 @@
 #include "xpath/value.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "common/strings.h"
 
@@ -109,12 +109,15 @@ double ParseXPathNumber(std::string_view s) {
 std::string FormatXPathNumber(double value) {
   if (std::isnan(value)) return "NaN";
   if (std::isinf(value)) return value > 0 ? "Infinity" : "-Infinity";
-  if (value == 0) return std::signbit(value) ? "0" : "0";
-  if (value == static_cast<double>(static_cast<int64_t>(value))) {
-    return StrFormat("%lld", static_cast<long long>(value));
-  }
-  std::string out = StrFormat("%.12g", value);
-  return out;
+  if (value == 0) return "0";  // both zeros (XPath 1.0 §4.2)
+  // Shortest round-trip digits in plain decimal: §4.2 forbids exponent
+  // notation, and integral values print without a fraction. The widest
+  // outputs (DBL_MAX's 309 digits; the least subnormal's "0." and 324
+  // more) fit with room for a sign.
+  char buf[400];
+  std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), value,
+                                         std::chars_format::fixed);
+  return std::string(buf, r.ptr);
 }
 
 }  // namespace cxml::xpath

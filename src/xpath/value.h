@@ -90,8 +90,9 @@ class Value {
 /// NaN when malformed.
 double ParseXPathNumber(std::string_view s);
 
-/// Formats a number per XPath string() rules (integers without ".0",
-/// NaN/Infinity spelled out).
+/// Formats a number per XPath string() rules: plain decimal, never
+/// exponent notation, with the fewest digits that parse back to the same
+/// double (integers without ".0", NaN/Infinity spelled out).
 std::string FormatXPathNumber(double value);
 
 }  // namespace cxml::xpath

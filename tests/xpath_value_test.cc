@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "goddag/goddag.h"
 #include "xpath/value.h"
@@ -110,6 +113,16 @@ TEST(XPathNumberTest, Formatting) {
   // Integral doubles print without a fraction (XPath string() rules).
   EXPECT_EQ(FormatXPathNumber(13.0), "13");
   EXPECT_EQ(FormatXPathNumber(-0.0), "0");
+  // Just enough digits to tell the double from every other (§4.2)...
+  EXPECT_EQ(FormatXPathNumber(0.1 + 0.2), "0.30000000000000004");
+  // ...and never exponent notation, however small or large.
+  EXPECT_EQ(FormatXPathNumber(1.0 / 10000000), "0.0000001");
+  for (double v : {1.2345678901234567e19, -9.3e25, DBL_MAX, -DBL_MAX,
+                   std::numeric_limits<double>::denorm_min()}) {
+    std::string text = FormatXPathNumber(v);
+    EXPECT_EQ(text.find_first_of("eE"), std::string::npos) << text;
+    EXPECT_EQ(ParseXPathNumber(text), v) << text;
+  }
 }
 
 TEST(XPathNumberTest, RoundTrip) {
