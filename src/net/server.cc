@@ -17,8 +17,22 @@
 #include "common/strings.h"
 #include "ingest/ingest.h"
 #include "service/collection_query.h"
+#include "storage/binary.h"
 
 namespace cxml::net {
+
+namespace {
+
+/// A pipeline write's wire answer: the published version once the
+/// write is acked (durable, on a WAL-armed server), its error
+/// otherwise.
+Result<std::string> AwaitWrite(std::future<service::EditResponse> write) {
+  service::EditResponse response = write.get();
+  if (!response.ok()) return response.status;
+  return RenderVersion(response.version);
+}
+
+}  // namespace
 
 /// Per-connection state. The socket and the FrameDecoder belong to the
 /// poll thread alone; `mu` guards the request queue and the outbox,
@@ -650,10 +664,10 @@ Result<std::string> Server::Dispatch(Conn* conn, const Request& request,
         return status::Unimplemented(
             "REGISTER is disabled on this server");
       }
-      CXML_RETURN_IF_ERROR(
-          store_->RegisterBytes(request.document, request.body));
-      // Registration always publishes version 1.
-      return RenderVersion(1);
+      CXML_ASSIGN_OR_RETURN(storage::LoadedGoddag doc,
+                            storage::Load(request.body));
+      return AwaitWrite(service_->pipeline().SubmitRegister(
+          request.document, std::move(doc)));
     }
     case Verb::kImport:
       return DoImport(request);
@@ -663,8 +677,8 @@ Result<std::string> Server::Dispatch(Conn* conn, const Request& request,
       if (!options_.allow_register) {
         return status::Unimplemented("REMOVE is disabled on this server");
       }
-      CXML_RETURN_IF_ERROR(store_->Remove(request.document));
-      return RenderOk();
+      // A removal acks as version 0: the plain OK line.
+      return AwaitWrite(service_->pipeline().SubmitRemove(request.document));
     }
   }
   return status::Internal("unhandled CXP/1 verb");
@@ -770,18 +784,19 @@ Result<std::string> Server::DoImport(const Request& request) {
     return imported.status().WithContext(
         StrCat("importing '", request.document, "'"));
   }
-  // Publication rides the standard Register path so the store's
-  // version listeners fire: a WAL-armed server checkpoints the import
-  // durably (kSnapshot record) and followers replicate it over SYNC,
-  // exactly like a REGISTER upload.
-  CXML_RETURN_IF_ERROR(
-      store_->Register(request.document, std::move(imported->doc)));
+  // Publication is a pipeline registration, exactly like a REGISTER
+  // upload: a WAL-armed server acks only once the import's checkpoint
+  // is on disk, and followers replicate it over SYNC.
+  CXML_ASSIGN_OR_RETURN(
+      std::string response,
+      AwaitWrite(service_->pipeline().SubmitRegister(
+          request.document, std::move(imported->doc))));
   imports_total_->Add();
   import_us_->Observe(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - started)
           .count()));
-  return RenderVersion(1);
+  return response;
 }
 
 Result<std::string> Server::DoCollectionQuery(Conn* conn,
@@ -828,7 +843,7 @@ Result<std::string> Server::DoEdit(const Request& request) {
   // only this op-set — as ERR with the op's own status — while the
   // rest of the batch commits. The op lines ride along as the WAL
   // payload: the same text the wire carried replays the commit.
-  service::EditResponse response = service_->ExecuteEdit(
+  return AwaitWrite(service_->SubmitEdit(
       request.document,
       [ops = request.ops](edit::EditSession& session) -> Status {
         for (const EditOp& op : ops) {
@@ -841,9 +856,7 @@ Result<std::string> Server::DoEdit(const Request& request) {
         }
         return Status::Ok();
       },
-      {RenderOps(request.ops)});
-  if (!response.ok()) return response.status;
-  return RenderVersion(response.version);
+      {RenderOps(request.ops)}));
 }
 
 Result<std::string> Server::DoEditBegin(Conn* conn,
@@ -903,13 +916,8 @@ Result<std::string> Server::DoEditCommit(Conn* conn) {
     wal_op_sets.push_back(RenderOps(conn->txn_ops));
   }
   conn->txn_ops.clear();
-  service::EditResponse response =
-      service_
-          ->SubmitCommit(std::move(document), std::move(txn),
-                         std::move(wal_op_sets))
-          .get();
-  if (!response.ok()) return response.status;
-  return RenderVersion(response.version);
+  return AwaitWrite(service_->SubmitCommit(
+      std::move(document), std::move(txn), std::move(wal_op_sets)));
 }
 
 Result<std::string> Server::DoEditAbort(Conn* conn) {
@@ -1022,9 +1030,6 @@ Result<std::string> Server::DoStat() {
   items.push_back(StrFormat(
       "write_batches %llu",
       static_cast<unsigned long long>(stats.writes.batches)));
-  items.push_back(StrFormat(
-      "write_retries %llu",
-      static_cast<unsigned long long>(stats.writes.retries)));
   items.push_back(StrFormat("cache_hits %llu",
                             static_cast<unsigned long long>(stats.cache.hits)));
   items.push_back(

@@ -8,9 +8,9 @@
 
 namespace cxml::service {
 
-Status DocumentStore::Register(const std::string& name,
-                               storage::LoadedGoddag doc,
-                               uint64_t initial_version) {
+Result<SnapshotPtr> DocumentStore::Register(const std::string& name,
+                                            storage::LoadedGoddag doc,
+                                            uint64_t initial_version) {
   if (name.empty()) {
     return status::InvalidArgument("document name must not be empty");
   }
@@ -36,26 +36,25 @@ Status DocumentStore::Register(const std::string& name,
           StrCat("document '", name, "' is already registered"));
     }
     snap->generation = next_generation_.fetch_add(1);
-    shard.docs.emplace(name, std::move(snap));
+    shard.docs.emplace(name, snap);
   }
-  // Registration is a version event like any publish: the durability
-  // layer hears it (initial checkpoint), and caches treat a fresh
-  // (name, initial_version) like any other new version.
+  // Caches treat a fresh (name, initial_version) like any other new
+  // version.
   NotifyListeners(name, initial_version);
-  return Status::Ok();
+  return SnapshotPtr(std::move(snap));
 }
 
 Status DocumentStore::RegisterBytes(const std::string& name,
                                     std::string_view bytes) {
   CXML_ASSIGN_OR_RETURN(storage::LoadedGoddag doc, storage::Load(bytes));
-  return Register(name, std::move(doc));
+  return Register(name, std::move(doc)).status();
 }
 
 Status DocumentStore::RegisterFromFile(const std::string& name,
                                        const std::string& path) {
   CXML_ASSIGN_OR_RETURN(storage::LoadedGoddag doc,
                         storage::LoadFromFile(path));
-  return Register(name, std::move(doc));
+  return Register(name, std::move(doc)).status();
 }
 
 Result<SnapshotPtr> DocumentStore::GetSnapshot(
@@ -116,44 +115,39 @@ Result<EditTransaction> DocumentStore::BeginEdit(const std::string& name) {
                          std::move(copy), std::move(session));
 }
 
-Result<uint64_t> DocumentStore::Publish(const std::string& name,
-                                        uint64_t base_version,
-                                        uint64_t generation,
-                                        storage::LoadedGoddag* doc,
-                                        const goddag::IndexDelta* delta) {
-  uint64_t new_version = 0;
-  {
-    Shard& shard = ShardFor(name);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.docs.find(name);
-    if (it == shard.docs.end()) {
-      return status::NotFound(
-          StrCat("document '", name, "' was removed during the edit"));
-    }
-    if (it->second->generation != generation) {
-      return status::FailedPrecondition(StrCat(
-          "document '", name, "' was replaced during the edit"));
-    }
-    if (it->second->version != base_version) {
-      return status::FailedPrecondition(StrFormat(
-          "write conflict on '%s': base version %llu, current %llu",
-          name.c_str(), static_cast<unsigned long long>(base_version),
-          static_cast<unsigned long long>(it->second->version)));
-    }
-    auto snap = std::make_shared<DocumentSnapshot>();
-    snap->name = name;
-    snap->version = base_version + 1;
-    snap->generation = generation;
-    snap->cmh = std::move(doc->cmh);
-    snap->goddag = std::move(doc->g);
-    new_version = snap->version;
-    // Hand the predecessor's index to the successor as a patch base
-    // (when the commit came with a delta — i.e. `doc` is a clone of
-    // the predecessor's GODDAG).
-    if (delta != nullptr) snap->AdoptPatchBase(*it->second, *delta);
-    it->second = std::move(snap);
+Result<SnapshotPtr> DocumentStore::Publish(const std::string& name,
+                                           uint64_t base_version,
+                                           uint64_t generation,
+                                           storage::LoadedGoddag* doc,
+                                           const goddag::IndexDelta& delta) {
+  Shard& shard = ShardFor(name);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.docs.find(name);
+  if (it == shard.docs.end()) {
+    return status::NotFound(
+        StrCat("document '", name, "' was removed during the edit"));
   }
-  return new_version;
+  if (it->second->generation != generation) {
+    return status::FailedPrecondition(
+        StrCat("document '", name, "' was replaced during the edit"));
+  }
+  if (it->second->version != base_version) {
+    return status::FailedPrecondition(StrFormat(
+        "write conflict on '%s': base version %llu, current %llu",
+        name.c_str(), static_cast<unsigned long long>(base_version),
+        static_cast<unsigned long long>(it->second->version)));
+  }
+  auto snap = std::make_shared<DocumentSnapshot>();
+  snap->name = name;
+  snap->version = base_version + 1;
+  snap->generation = generation;
+  snap->cmh = std::move(doc->cmh);
+  snap->goddag = std::move(doc->g);
+  // Hand the predecessor's index to the successor as a patch base
+  // (`doc` is a clone of the predecessor's GODDAG).
+  snap->AdoptPatchBase(*it->second, delta);
+  it->second = snap;
+  return SnapshotPtr(std::move(snap));
 }
 
 uint64_t DocumentStore::AddVersionListener(VersionListener listener) {
@@ -177,8 +171,8 @@ void DocumentStore::NotifyListeners(const std::string& name,
   for (const auto& [id, listener] : listeners_) listener(name, version);
 }
 
-Result<uint64_t> EditTransaction::Commit() {
-  if (committed_ || session_ == nullptr) {
+Result<SnapshotPtr> EditTransaction::Commit() {
+  if (session_ == nullptr) {
     return status::FailedPrecondition("transaction already committed");
   }
   // Publish first: the session's commit sequence, its hooks, and the
@@ -187,16 +181,15 @@ Result<uint64_t> EditTransaction::Commit() {
   // The session's index delta rides along: the successor snapshot
   // patches this transaction's base index instead of rebuilding.
   CXML_ASSIGN_OR_RETURN(
-      uint64_t version,
+      SnapshotPtr published,
       store_->Publish(name_, base_version_, generation_, &copy_,
-                      &session_->index_delta()));
-  committed_ = true;
+                      session_->index_delta()));
   // Version-listener notification (cache invalidation) rides the
   // session's commit hooks, registered here — not in BeginEdit — so it
   // carries the exact published version and can never fire from a
   // session Commit that published nothing.
   session_->AddCommitHook(
-      [store = store_, name = name_, version](
+      [store = store_, name = name_, version = published->version](
           uint64_t /*seq*/, const std::vector<std::string>& /*ops*/) {
         store->NotifyListeners(name, version);
       });
@@ -205,7 +198,7 @@ Result<uint64_t> EditTransaction::Commit() {
   // readers treat as immutable — release the session so this
   // transaction can never mutate it.
   session_.reset();
-  return version;
+  return published;
 }
 
 }  // namespace cxml::service

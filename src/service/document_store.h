@@ -24,43 +24,21 @@ class DocumentStore;
 /// current snapshot (the structural storage::Clone — an in-memory
 /// arena copy, no serializer round trip), the caller mutates the
 /// private copy through the prevalidating `edit::EditSession`, and
-/// `Commit()` publishes it as the next version. Readers holding the old
-/// snapshot are never blocked and never observe partial edits.
+/// WritePipeline::SubmitCommit publishes it as the next version.
+/// Readers holding the old snapshot are never blocked and never
+/// observe partial edits.
 ///
+/// Only the pipeline commits, so every publish reaches its commit sink.
 /// Commit is optimistic: it fails with kFailedPrecondition when another
-/// transaction published a newer version since `BeginEdit` (first
-/// committer wins). On conflict the session — pending ops included —
-/// stays intact, so the loser can inspect what it tried; the session's
-/// commit sequence only advances for commits that actually became store
-/// versions. `EditSession::Commit` fires only after a successful
-/// publish: hooks the caller layered on observe the commit, and a hook
-/// registered at commit time relays the exact published version to the
-/// store's version listeners (cache invalidation).
+/// write published a newer version since `BeginEdit` (first committer
+/// wins), and a loser's session never commits. `EditSession::Commit`
+/// fires only after a successful publish: hooks the caller layered on
+/// observe the commit, and a hook registered at commit time relays the
+/// exact published version to the store's version listeners (cache
+/// invalidation).
 class EditTransaction {
  public:
-  EditTransaction(EditTransaction&&) = default;
-  EditTransaction& operator=(EditTransaction&&) = default;
-
-  const std::string& document() const { return name_; }
-  /// The version this transaction branched from.
-  uint64_t base_version() const { return base_version_; }
-  bool committed() const { return committed_; }
-
-  /// The prevalidating session over the private copy. Must not be
-  /// called after a successful Commit: the transaction releases the
-  /// session then, because its GODDAG became the published (immutable,
-  /// concurrently read) snapshot.
-  edit::EditSession& session() { return *session_; }
-  const goddag::Goddag& goddag() const { return session_->goddag(); }
-
-  /// Publishes the private copy as the document's next version and
-  /// returns the new version number. The transaction is consumed on
-  /// success; on conflict it remains inspectable but cannot retry —
-  /// start a fresh BeginEdit from the new base.
-  Result<uint64_t> Commit();
-
- private:
-  friend class DocumentStore;
+  /// Built by DocumentStore::BeginEdit.
   EditTransaction(DocumentStore* store, std::string name,
                   uint64_t base_version, uint64_t generation,
                   storage::LoadedGoddag copy, edit::EditSession session)
@@ -70,12 +48,30 @@ class EditTransaction {
         generation_(generation),
         copy_(std::move(copy)),
         session_(std::make_unique<edit::EditSession>(std::move(session))) {}
+  EditTransaction(EditTransaction&&) = default;
+  EditTransaction& operator=(EditTransaction&&) = default;
+
+  const std::string& document() const { return name_; }
+  /// The version this transaction branched from.
+  uint64_t base_version() const { return base_version_; }
+
+  /// The prevalidating session over the private copy.
+  edit::EditSession& session() { return *session_; }
+  const goddag::Goddag& goddag() const { return session_->goddag(); }
+
+ private:
+  friend class WritePipeline;
+
+  /// Publishes the private copy as the document's next version and
+  /// returns the published snapshot. Consumes the transaction on
+  /// success: the session is released, because its GODDAG became the
+  /// published (immutable, concurrently read) snapshot.
+  Result<SnapshotPtr> Commit();
 
   DocumentStore* store_;
   std::string name_;
   uint64_t base_version_;
   uint64_t generation_;
-  bool committed_ = false;
   storage::LoadedGoddag copy_;
   // unique_ptr so the Editor's Goddag* stays valid across moves.
   std::unique_ptr<edit::EditSession> session_;
@@ -102,9 +98,14 @@ class DocumentStore {
   /// registrations start at version 1; crash recovery (wal::WalManager)
   /// resumes a document at its last logged version so the version
   /// sequence — and everything keyed on it, caches and replication
-  /// alike — survives a restart.
-  Status Register(const std::string& name, storage::LoadedGoddag doc,
-                  uint64_t initial_version = 1);
+  /// alike — survives a restart. Returns the published snapshot.
+  /// Direct calls serve stores without a durability log and recovery
+  /// itself; a store with a WAL attached registers and removes through
+  /// WritePipeline::SubmitRegister / SubmitRemove, whose commit sink is
+  /// the log's only input.
+  Result<SnapshotPtr> Register(const std::string& name,
+                               storage::LoadedGoddag doc,
+                               uint64_t initial_version = 1);
   /// Loads a `CXG1` snapshot (storage/binary) and registers it.
   Status RegisterBytes(const std::string& name, std::string_view bytes);
   Status RegisterFromFile(const std::string& name, const std::string& path);
@@ -144,14 +145,13 @@ class DocumentStore {
   /// EditTransaction::Commit) so cache invalidation is observably tied
   /// to EditSession::Commit.
   ///
-  /// `delta` (may be nullptr) is the committing session's structural
-  /// edit summary: under the shard lock the new snapshot adopts the
-  /// predecessor's index as a patch base keyed by it. No delta
-  /// (Register, recovery, opaque applies) ⇒ the successor takes a full
-  /// rebuild on its first cold query.
-  Result<uint64_t> Publish(const std::string& name, uint64_t base_version,
-                           uint64_t generation, storage::LoadedGoddag* doc,
-                           const goddag::IndexDelta* delta = nullptr);
+  /// `delta` is the committing session's structural edit summary: under
+  /// the shard lock the new snapshot adopts the predecessor's index as a
+  /// patch base keyed by it. A registered or recovered version has no
+  /// predecessor, so its first cold query takes a full rebuild.
+  Result<SnapshotPtr> Publish(const std::string& name, uint64_t base_version,
+                              uint64_t generation, storage::LoadedGoddag* doc,
+                              const goddag::IndexDelta& delta);
   void NotifyListeners(const std::string& name, uint64_t version);
 
   static constexpr size_t kNumShards = 16;

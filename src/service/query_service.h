@@ -70,7 +70,7 @@ struct ServiceStats {
   uint64_t index_patches = 0;
   uint64_t index_rebuilds = 0;
   CacheStats cache;
-  /// Writer-pipeline counters (group commits, retries, errors).
+  /// Writer-pipeline counters (group commits, errors).
   WriteStats writes;
 };
 
@@ -135,12 +135,13 @@ struct QueryServiceOptions {
 /// an edit::Session commit publishes a new version.
 ///
 /// Writes batch through the per-document WritePipeline
-/// (SubmitEdit / SubmitCommit), drained by a dedicated writer lane
-/// (ThreadPool of num_write_threads) so commits never queue behind
-/// cold reads: a writer claims every pending op-set for a document,
-/// clones once (structural storage::Clone) and publishes one group
-/// commit — so N queued edits cost one clone + one version bump + one
-/// cache invalidation instead of N.
+/// (SubmitEdit / SubmitCommit; registrations and removals through
+/// pipeline()), drained by a dedicated writer lane (ThreadPool of
+/// num_write_threads) so commits never queue behind cold reads: a
+/// writer claims every pending op-set for a document, clones once
+/// (structural storage::Clone) and publishes one group commit — so N
+/// queued edits cost one clone + one version bump + one cache
+/// invalidation instead of N.
 class QueryService {
  public:
   explicit QueryService(DocumentStore* store, QueryServiceOptions options =
@@ -185,11 +186,9 @@ class QueryService {
 
   /// Routes a write through the per-document writer pipeline: FIFO
   /// with the document's other pending writes, grouped into one clone
-  /// + one publish + one cache invalidation per batch. `apply` must
-  /// tolerate re-execution (see EditFn): a publish race lost to a
-  /// direct BeginEdit committer re-applies the batch on the new base.
-  /// `wal_op_sets` is the write's wire op text for the durability sink
-  /// (see WritePipeline::SubmitEdit).
+  /// + one publish + one cache invalidation per batch. `apply` runs
+  /// exactly once. `wal_op_sets` is the write's wire op text for the
+  /// durability sink (see WritePipeline::SubmitEdit).
   std::future<EditResponse> SubmitEdit(
       std::string document, EditFn apply,
       std::vector<std::string> wal_op_sets = {});

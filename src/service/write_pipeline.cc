@@ -18,13 +18,6 @@ double MicrosSince(SteadyClock::time_point start) {
       .count();
 }
 
-/// How often a batch is re-applied on a fresh base after losing the
-/// optimistic publish to a direct (non-pipeline) committer. Pipeline
-/// writes for one document are already serialized, so conflicts only
-/// come from in-process BeginEdit users racing the pipeline — rare,
-/// and each retry starts from the version that beat us.
-constexpr int kMaxPublishAttempts = 4;
-
 }  // namespace
 
 WritePipeline::WritePipeline(DocumentStore* store, ThreadPool* pool,
@@ -35,7 +28,6 @@ WritePipeline::WritePipeline(DocumentStore* store, ThreadPool* pool,
   commits_ = r->GetCounter("cxml_write_commits_total");
   batches_ = r->GetCounter("cxml_write_batches_total");
   batched_edits_ = r->GetCounter("cxml_write_batched_edits_total");
-  retries_ = r->GetCounter("cxml_write_retries_total");
   errors_ = r->GetCounter("cxml_write_errors_total");
   commit_us_ = r->GetHistogram("cxml_commit_us");
 }
@@ -57,6 +49,22 @@ std::future<EditResponse> WritePipeline::SubmitCommit(
   entry.txn = std::move(txn);
   entry.wal_op_sets = std::move(wal_op_sets);
   commits_->Add();
+  return Enqueue(document, std::move(entry));
+}
+
+std::future<EditResponse> WritePipeline::SubmitRegister(
+    std::string document, storage::LoadedGoddag doc,
+    uint64_t initial_version) {
+  PendingWrite entry;
+  entry.kind = CommitBatch::Kind::kRegister;
+  entry.doc = std::move(doc);
+  entry.initial_version = initial_version;
+  return Enqueue(document, std::move(entry));
+}
+
+std::future<EditResponse> WritePipeline::SubmitRemove(std::string document) {
+  PendingWrite entry;
+  entry.kind = CommitBatch::Kind::kRemove;
   return Enqueue(document, std::move(entry));
 }
 
@@ -121,9 +129,8 @@ void WritePipeline::ServeDocument(const std::string& document) {
   }
 
   // Preserve FIFO while splitting the claim into runs: consecutive
-  // grouped entries share one clone + one group commit; an exclusive
-  // (cross-frame) commit holds its own clone and runs alone in its
-  // queue position.
+  // grouped entries share one clone + one group commit; every other
+  // entry runs alone in its queue position.
   std::deque<PendingWrite> group;
   auto flush_group = [&] {
     if (!group.empty()) RunGroup(document, &group);
@@ -134,7 +141,7 @@ void WritePipeline::ServeDocument(const std::string& document) {
       group.push_back(std::move(entry));
     } else {
       flush_group();
-      RunExclusive(&entry);
+      RunExclusive(document, &entry);
     }
   }
   flush_group();
@@ -163,144 +170,138 @@ void WritePipeline::ServeDocument(const std::string& document) {
 void WritePipeline::RunGroup(const std::string& document,
                              std::deque<PendingWrite>* group) {
   SteadyClock::time_point start = SteadyClock::now();
+  auto txn = store_->BeginEdit(document);
+  if (!txn.ok()) {
+    for (PendingWrite& entry : *group) Fail(&entry, txn.status());
+    return;
+  }
   std::vector<Status> statuses(group->size());
-  for (int attempt = 1;; ++attempt) {
-    auto txn = store_->BeginEdit(document);
-    if (!txn.ok()) {
-      for (PendingWrite& entry : *group) Fail(&entry, txn.status());
-      return;
-    }
-    size_t applied = 0;
-    bool corrupt = false;
-    for (size_t i = 0; i < group->size(); ++i) {
-      // Each op-set starts from the fresh-session default (no
-      // selection), exactly as if it had its own BeginEdit — a
-      // participant that applies without selecting must not inherit
-      // its batch predecessor's cursor.
-      txn->session().ClearSelection();
-      edit::EditSession::Mark mark = txn->session().MarkState();
-      Status st = (*group)[i].apply(txn->session());
-      if (st.ok()) {
-        ++applied;
-        statuses[i] = Status::Ok();
-        continue;
-      }
-      statuses[i] = std::move(st);
-      Status rollback = txn->session().RollbackTo(mark);
-      if (!rollback.ok()) {
-        // The shared copy is no longer trustworthy: abandon the clone
-        // (nothing was published) and fail the whole batch loudly.
-        for (PendingWrite& entry : *group) {
-          Fail(&entry, status::Internal(StrCat(
-                           "group-commit rollback failed, batch dropped: ",
-                           rollback.message())));
-        }
-        corrupt = true;
-        break;
-      }
-    }
-    if (corrupt) return;
-    if (applied == 0) {
-      // Every op-set failed its own way; nothing to publish, so no
-      // version bump and no listener fire.
-      for (size_t i = 0; i < group->size(); ++i) {
-        Fail(&(*group)[i], std::move(statuses[i]));
-      }
-      return;
-    }
-
-    uint64_t base_version = txn->base_version();
-    auto version = txn->Commit();
-    if (version.ok()) {
-      batches_->Add();
-      batched_edits_->Add(applied);
-      commit_us_->Observe(MicrosSince(start));
-      // Log the publish before resolving any promise: an acked write
-      // must already be in the durability sink's hands.
-      CommitBatch wal_batch;
-      wal_batch.document = document;
-      wal_batch.version = *version;
-      wal_batch.base_version = base_version;
-      wal_batch.replayable = true;
-      for (size_t i = 0; i < group->size(); ++i) {
-        if (!statuses[i].ok()) continue;
-        if ((*group)[i].wal_op_sets.empty()) {
-          // An opaque closure rode this publish: its effect cannot be
-          // replayed from op text, so the sink must snapshot instead.
-          wal_batch.replayable = false;
-          continue;
-        }
-        for (std::string& op_set : (*group)[i].wal_op_sets) {
-          wal_batch.op_sets.push_back(std::move(op_set));
-        }
-      }
-      CommitSinkResult sink_result = RunCommitSink(wal_batch);
-      for (size_t i = 0; i < group->size(); ++i) {
-        if (!statuses[i].ok()) {
-          Fail(&(*group)[i], std::move(statuses[i]));
-          continue;
-        }
-        if (!sink_result.status.ok()) {
-          // The publish landed in memory but the log rejected it: the
-          // write must not be acknowledged as committed.
-          Fail(&(*group)[i],
-               sink_result.status.WithContext("commit not durable"));
-          continue;
-        }
-        EditResponse response;
-        response.version = *version;
-        response.batch_size = applied;
-        response.wal_append_us = sink_result.append_us;
-        response.wal_fsync_us = sink_result.fsync_us;
-        (*group)[i].promise.set_value(std::move(response));
-      }
-      return;
-    }
-    if (version.status().code() == StatusCode::kFailedPrecondition &&
-        attempt < kMaxPublishAttempts) {
-      // A direct BeginEdit committer published between our clone and
-      // our publish; the clone is stale. Re-apply everything (failed
-      // op-sets included — the new base may accept them) on a fresh
-      // clone of the winner's version.
-      retries_->Add();
+  size_t applied = 0;
+  for (size_t i = 0; i < group->size(); ++i) {
+    // Each op-set starts from the fresh-session default (no
+    // selection), exactly as if it had its own BeginEdit — a
+    // participant that applies without selecting must not inherit its
+    // batch predecessor's cursor.
+    txn->session().ClearSelection();
+    edit::EditSession::Mark mark = txn->session().MarkState();
+    statuses[i] = (*group)[i].apply(txn->session());
+    if (statuses[i].ok()) {
+      ++applied;
       continue;
     }
+    Status rollback = txn->session().RollbackTo(mark);
+    if (!rollback.ok()) {
+      // The shared copy is no longer trustworthy: abandon the clone
+      // (nothing was published) and fail the whole batch loudly.
+      for (PendingWrite& entry : *group) {
+        Fail(&entry, status::Internal(StrCat(
+                         "group-commit rollback failed, batch dropped: ",
+                         rollback.message())));
+      }
+      return;
+    }
+  }
+  if (applied == 0) {
+    // Every op-set failed its own way; nothing to publish, so no
+    // version bump and no listener fire.
     for (size_t i = 0; i < group->size(); ++i) {
-      Fail(&(*group)[i], statuses[i].ok() ? version.status()
-                                          : std::move(statuses[i]));
+      Fail(&(*group)[i], std::move(statuses[i]));
     }
     return;
+  }
+  // The pipeline is the only committer, so this publish fails only
+  // when the document was removed or replaced outside it.
+  auto published = txn->Commit();
+  if (!published.ok()) {
+    for (size_t i = 0; i < group->size(); ++i) {
+      Fail(&(*group)[i],
+           statuses[i].ok() ? published.status() : std::move(statuses[i]));
+    }
+    return;
+  }
+  batches_->Add();
+  batched_edits_->Add(applied);
+  commit_us_->Observe(MicrosSince(start));
+  // Log the publish before resolving any promise: an acked write must
+  // already be in the durability sink's hands.
+  CommitBatch batch;
+  batch.document = document;
+  batch.version = (*published)->version;
+  batch.snapshot = *published;
+  batch.replayable = true;
+  for (size_t i = 0; i < group->size(); ++i) {
+    if (!statuses[i].ok()) continue;
+    if ((*group)[i].wal_op_sets.empty()) {
+      // An opaque closure rode this publish: its effect cannot be
+      // replayed from op text, so the sink must snapshot instead.
+      batch.replayable = false;
+      continue;
+    }
+    for (std::string& op_set : (*group)[i].wal_op_sets) {
+      batch.op_sets.push_back(std::move(op_set));
+    }
+  }
+  CommitSinkResult sunk = RunCommitSink(batch);
+  for (size_t i = 0; i < group->size(); ++i) {
+    if (statuses[i].ok()) {
+      Ack(&(*group)[i], sunk, batch.version, applied);
+    } else {
+      Fail(&(*group)[i], std::move(statuses[i]));
+    }
   }
 }
 
-void WritePipeline::RunExclusive(PendingWrite* entry) {
+void WritePipeline::RunExclusive(const std::string& document,
+                                 PendingWrite* entry) {
   SteadyClock::time_point start = SteadyClock::now();
-  std::string document = entry->txn->document();
-  uint64_t base_version = entry->txn->base_version();
-  auto version = entry->txn->Commit();
-  if (!version.ok()) {
-    // Deterministic: a stale cross-frame transaction must lose with
-    // FailedPrecondition no matter where it sat in the queue.
-    Fail(entry, version.status());
+  CommitBatch batch;
+  batch.kind = entry->kind;
+  batch.document = document;
+  Result<SnapshotPtr> published = SnapshotPtr();
+  switch (entry->kind) {
+    case CommitBatch::Kind::kPublish:
+      // Deterministic: a stale cross-frame transaction loses with
+      // FailedPrecondition no matter where it sat in the queue.
+      published = entry->txn->Commit();
+      batch.document = entry->txn->document();
+      batch.replayable = !entry->wal_op_sets.empty();
+      batch.op_sets = std::move(entry->wal_op_sets);
+      break;
+    case CommitBatch::Kind::kRegister:
+      published = store_->Register(document, std::move(entry->doc),
+                                   entry->initial_version);
+      break;
+    case CommitBatch::Kind::kRemove:
+      if (Status removed = store_->Remove(document); !removed.ok()) {
+        published = removed;
+      }
+      break;
+  }
+  if (!published.ok()) {
+    Fail(entry, published.status());
     return;
   }
-  commit_us_->Observe(MicrosSince(start));
-  CommitBatch wal_batch;
-  wal_batch.document = std::move(document);
-  wal_batch.version = *version;
-  wal_batch.base_version = base_version;
-  wal_batch.replayable = !entry->wal_op_sets.empty();
-  wal_batch.op_sets = std::move(entry->wal_op_sets);
-  CommitSinkResult sink_result = RunCommitSink(wal_batch);
-  if (!sink_result.status.ok()) {
-    Fail(entry, sink_result.status.WithContext("commit not durable"));
+  if (entry->kind == CommitBatch::Kind::kPublish) {
+    commit_us_->Observe(MicrosSince(start));
+  }
+  batch.snapshot = std::move(published).value();
+  if (batch.snapshot != nullptr) batch.version = batch.snapshot->version;
+  Ack(entry, RunCommitSink(batch), batch.version, 1);
+}
+
+void WritePipeline::Ack(PendingWrite* entry, const CommitSinkResult& sunk,
+                        uint64_t version, size_t batch_size) {
+  if (!sunk.status.ok()) {
+    // The event landed in memory but the log rejected it: the write
+    // must not be acknowledged as committed.
+    Fail(entry, sunk.status.WithContext("commit not durable"));
     return;
   }
   EditResponse response;
-  response.version = *version;
-  response.batch_size = 1;
-  response.wal_append_us = sink_result.append_us;
-  response.wal_fsync_us = sink_result.fsync_us;
+  response.version = version;
+  response.batch_size = batch_size;
+  response.wal_append_us = sunk.append_us;
+  response.wal_fsync_us = sunk.fsync_us;
   entry->promise.set_value(std::move(response));
 }
 
@@ -317,7 +318,6 @@ WriteStats WritePipeline::stats() const {
   stats.commits = commits_->Value();
   stats.batches = batches_->Value();
   stats.batched_edits = batched_edits_->Value();
-  stats.retries = retries_->Value();
   stats.errors = errors_->Value();
   return stats;
 }

@@ -23,16 +23,12 @@ namespace cxml::service {
 /// One grouped edit: the caller's op-set, applied to the batch's
 /// shared prevalidating session. Return the first failing status to
 /// have the whole op-set rolled back (the batch continues without it).
-/// The function MUST be effectively idempotent: when the batch loses
-/// its optimistic publish to a direct BeginEdit committer, every
-/// op-set — previously failed ones included — is re-applied on a
-/// fresh clone of the new base, so a closure with external side
-/// effects may run more than once per submission.
 using EditFn = std::function<Status(edit::EditSession&)>;
 
 struct EditResponse {
   Status status;
-  /// The published version containing this edit (0 on failure).
+  /// The published version containing this write (0 on failure and for
+  /// removals).
   uint64_t version = 0;
   /// How many op-sets shared that publish (1 = no batching win).
   size_t batch_size = 0;
@@ -44,30 +40,32 @@ struct EditResponse {
   bool ok() const { return status.ok(); }
 };
 
-/// One published version, as handed to the commit sink (the WAL).
+/// One document event, as handed to the commit sink (the WAL): a
+/// publish of `version` on top of `version - 1`, a registration at
+/// `version` (1, or a follower's bootstrap version), or a removal.
 struct CommitBatch {
+  enum class Kind { kPublish, kRegister, kRemove };
+  Kind kind = Kind::kPublish;
   std::string document;
-  /// The version this publish produced and the version it branched
-  /// from. base_version + 1 == version always; the sink uses the pair
-  /// to detect holes left by commits that bypassed the pipeline.
   uint64_t version = 0;
-  uint64_t base_version = 0;
-  /// The successful participants' wire op-sets (net::RenderOps text),
-  /// in application order. Only meaningful when `replayable`.
+  /// The published snapshot (null for a removal).
+  SnapshotPtr snapshot;
+  /// kPublish: the successful participants' wire op-sets
+  /// (net::RenderOps text), in application order.
   std::vector<std::string> op_sets;
-  /// True when every successful participant carried a wire op-set, so
-  /// replaying `op_sets` over version `base_version` reproduces
-  /// `version` exactly. False for opaque EditFn closures and
-  /// cross-frame transactions submitted without their op text — the
-  /// sink must capture a full snapshot instead.
+  /// kPublish: true when every successful participant carried a wire
+  /// op-set, so replaying `op_sets` over version `version - 1`
+  /// reproduces `snapshot`. False for opaque EditFn closures and
+  /// transactions committed without their op text: the sink logs
+  /// `snapshot` itself.
   bool replayable = false;
 };
 
-/// What the sink spent making the publish durable (reported back to
-/// each participant's EditResponse), and whether it succeeded. A
-/// non-OK status means the publish is visible in memory but NOT on
-/// disk — the pipeline fails every participant's ack with it, so a
-/// client never holds an acknowledgement the log cannot honour.
+/// What the sink spent making the event durable (reported back to each
+/// participant's EditResponse), and whether it succeeded. A non-OK
+/// status means the event is visible in memory but NOT on disk — the
+/// pipeline fails every participant's ack with it, so a client never
+/// holds an acknowledgement the log cannot honour.
 struct CommitSinkResult {
   Status status;
   double append_us = 0;
@@ -75,8 +73,9 @@ struct CommitSinkResult {
 };
 
 /// Durability hook: invoked synchronously after every successful
-/// publish, before the participants' futures resolve — when the sink
-/// blocks on fsync, an acked write is a durable write.
+/// publish, registration and removal, before the participants' futures
+/// resolve — when the sink blocks on fsync, an acked write is a durable
+/// write.
 using CommitSink = std::function<CommitSinkResult(const CommitBatch&)>;
 
 struct WriteStats {
@@ -88,9 +87,6 @@ struct WriteStats {
   uint64_t batches = 0;
   /// Op-sets that rode a group commit (sum of publish batch sizes).
   uint64_t batched_edits = 0;
-  /// Publish conflicts absorbed by re-applying a batch on a new base
-  /// (a direct BeginEdit committer raced the pipeline).
-  uint64_t retries = 0;
   /// Requests answered with a failure status.
   uint64_t errors = 0;
 
@@ -101,33 +97,29 @@ struct WriteStats {
   }
 };
 
-/// The per-document writer pipeline: edits batch per document.
+/// The per-document writer pipeline, and the only way a store with a
+/// durability log changes: edits, transaction commits, registrations
+/// and removals all queue here, and every one of them reaches the
+/// commit sink.
 ///
 /// Each document has a FIFO queue of pending writes drained by the
 /// owner-supplied writer thread pool; one worker claims a document's
-/// entire backlog
-/// at once, clones the snapshot a single time (the structural
-/// storage::Clone), applies every op-set back-to-back on one
-/// prevalidating session, and publishes with **group commit**: one
-/// store version and one listener/cache-invalidation fire for the
-/// whole batch. An op-set that fails prevalidation (or any edit check)
-/// is rolled back via EditSession::RollbackTo and reports its own
-/// status — typically FailedPrecondition/ValidationError — without
-/// poisoning the rest of the batch; a batch whose op-sets all fail
-/// publishes nothing. A publish conflict (an in-process BeginEdit
-/// committer won the race) re-applies the batch on the new base a
-/// bounded number of times.
+/// entire backlog at once, so one document's events reach the sink one
+/// at a time and in version order. Consecutive edits are applied
+/// back-to-back on one clone (the structural storage::Clone) and one
+/// prevalidating session, and publish with **group commit**: one store
+/// version and one listener/cache-invalidation fire for the whole
+/// batch. An op-set that fails prevalidation (or any edit check) is
+/// rolled back via EditSession::RollbackTo and reports its own status —
+/// typically FailedPrecondition/ValidationError — without poisoning the
+/// rest of the batch; a batch whose op-sets all fail publishes nothing.
 ///
-/// Cross-frame transactions (net EBEGIN..ECOMMIT) carry their own
-/// clone, so they cannot join a group; SubmitCommit instead queues the
-/// transaction's commit *behind* the document's pending writes,
-/// keeping per-document FIFO order while preserving the optimistic
-/// first-committer-wins conflict exactly as EditTransaction::Commit
-/// surfaces it (no retry: a stale base must lose deterministically).
-///
-/// DocumentStore::BeginEdit remains available for in-process callers;
-/// both paths publish through the same optimistic Publish, so mixing
-/// them is safe — pipeline batches just absorb lost races by retrying.
+/// Every other entry runs alone in its queue position. Cross-frame
+/// transactions (net EBEGIN..ECOMMIT) carry their own clone, so they
+/// cannot join a group; SubmitCommit publishes one with the optimistic
+/// first-committer-wins check, so a transaction whose base went stale
+/// loses deterministically. SubmitRegister and SubmitRemove add and
+/// drop whole documents.
 class WritePipeline {
  public:
   /// `store` and `pool` must outlive the pipeline; the owner
@@ -159,8 +151,19 @@ class WritePipeline {
       std::string document, std::unique_ptr<EditTransaction> txn,
       std::vector<std::string> wal_op_sets = {});
 
+  /// Queues a registration (DocumentStore::Register semantics: version
+  /// `initial_version`, AlreadyExists for a live name). Acks with the
+  /// registered version.
+  std::future<EditResponse> SubmitRegister(std::string document,
+                                           storage::LoadedGoddag doc,
+                                           uint64_t initial_version = 1);
+
+  /// Queues a removal (DocumentStore::Remove semantics: NotFound for an
+  /// unknown name).
+  std::future<EditResponse> SubmitRemove(std::string document);
+
   /// Installs (or clears, with nullptr) the durability sink. Blocks
-  /// until no publish is mid-sink, so after SetCommitSink(nullptr)
+  /// until no event is mid-sink, so after SetCommitSink(nullptr)
   /// returns the previous sink can be destroyed safely.
   void SetCommitSink(CommitSink sink);
 
@@ -168,9 +171,13 @@ class WritePipeline {
 
  private:
   struct PendingWrite {
-    /// Grouped entry when set; exclusive commit entry otherwise.
+    CommitBatch::Kind kind = CommitBatch::Kind::kPublish;
+    /// kPublish: a grouped edit when set, else `txn`'s commit.
     EditFn apply;
     std::unique_ptr<EditTransaction> txn;
+    /// kRegister: the document and its first version.
+    storage::LoadedGoddag doc;
+    uint64_t initial_version = 0;
     std::vector<std::string> wal_op_sets;
     std::promise<EditResponse> promise;
   };
@@ -187,11 +194,16 @@ class WritePipeline {
   /// One group commit over consecutive grouped entries.
   void RunGroup(const std::string& document,
                 std::deque<PendingWrite>* group);
-  void RunExclusive(PendingWrite* entry);
+  /// One commit, registration or removal, alone.
+  void RunExclusive(const std::string& document, PendingWrite* entry);
   void Fail(PendingWrite* entry, Status status);
-  /// Runs the sink (if any) for a just-published batch, under the
+  /// Runs the sink (if any) for a just-published event, under the
   /// shared lock that lets SetCommitSink quiesce.
   CommitSinkResult RunCommitSink(const CommitBatch& batch);
+  /// Resolves `entry` once its event went through the sink: with
+  /// `version` when the sink made it durable, as not durable otherwise.
+  void Ack(PendingWrite* entry, const CommitSinkResult& sunk,
+           uint64_t version, size_t batch_size);
 
   DocumentStore* store_;
   ThreadPool* pool_;
@@ -217,7 +229,6 @@ class WritePipeline {
   obs::Counter* commits_ = nullptr;
   obs::Counter* batches_ = nullptr;
   obs::Counter* batched_edits_ = nullptr;
-  obs::Counter* retries_ = nullptr;
   obs::Counter* errors_ = nullptr;
   /// Group/exclusive commit latency: clone + apply + publish, per run.
   obs::Histogram* commit_us_ = nullptr;

@@ -167,9 +167,7 @@ bool Follower::SyncRound(net::Client* client) {
 
   // A document the primary no longer serves must disappear here too.
   for (const std::string& name : store_->ListDocuments()) {
-    if (primary_docs.count(name) == 0) {
-      (void)store_->Remove(name);
-    }
+    if (primary_docs.count(name) == 0) RemoveLocal(name);
   }
 
   bool progress = false;
@@ -178,6 +176,12 @@ bool Follower::SyncRound(net::Client* client) {
     if (SyncDocument(client, name) > 0) progress = true;
   }
   return progress;
+}
+
+void Follower::RemoveLocal(const std::string& name) {
+  // A removal the local log could not make durable still happened in
+  // memory; the next round bootstraps over it either way.
+  if (!service_->pipeline().SubmitRemove(name).get().ok()) errors_->Add();
 }
 
 size_t Follower::SyncDocument(net::Client* client,
@@ -223,9 +227,12 @@ size_t Follower::SyncDocument(net::Client* client,
         errors_->Add();
         break;
       }
-      (void)store_->Remove(name);  // NotFound on bootstrap is fine
-      Status registered = store_->Register(
-          name, std::move(loaded).value(), record->version);
+      if (local != 0) RemoveLocal(name);
+      service::EditResponse registered =
+          service_->pipeline()
+              .SubmitRegister(name, std::move(loaded).value(),
+                              record->version)
+              .get();
       if (!registered.ok()) {
         errors_->Add();
         break;
@@ -236,7 +243,7 @@ size_t Follower::SyncDocument(net::Client* client,
       if (record->base_version != local) {
         // Divergence (or a hole): drop the local copy; the next round
         // bootstraps from a snapshot record.
-        (void)store_->Remove(name);
+        RemoveLocal(name);
         resyncs_->Add();
         return applied;
       }
@@ -256,7 +263,7 @@ size_t Follower::SyncDocument(net::Client* client,
               .get();
       if (!response.ok() || response.version != record->version) {
         // Applied wrong (or a local writer interfered): resync.
-        (void)store_->Remove(name);
+        RemoveLocal(name);
         resyncs_->Add();
         errors_->Add();
         return applied;

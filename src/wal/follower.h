@@ -50,13 +50,16 @@ struct FollowerStats {
 
 /// The replication follower: tails a primary over CXP/1 `SYNC`,
 /// applies every record through the local WritePipeline (snapshot
-/// records register/replace the document; ops records replay as one
-/// grouped submission, reproducing the primary's version sequence
-/// exactly), and lets the local server answer CXP/1 reads from its own
-/// DocumentStore. Any divergence — a base-version mismatch, a version
-/// that lands wrong — drops the local copy and re-bootstraps from a
-/// snapshot record on the next round, so the follower converges
-/// instead of wedging.
+/// records register/replace the document at the record's version; ops
+/// records replay as one grouped submission, reproducing the primary's
+/// version sequence exactly), and lets the local server answer CXP/1
+/// reads from its own DocumentStore. Because every change goes through
+/// the pipeline, a follower with its own WalManager logs what it
+/// applies: a bootstrap is a checkpoint at the primary's version, and
+/// the ops records after it log as ops records. Any divergence — a
+/// base-version mismatch, a version that lands wrong — drops the local
+/// copy and re-bootstraps from a snapshot record on the next round, so
+/// the follower converges instead of wedging.
 ///
 /// Run it against a read-only server (net::ServerOptions::read_only)
 /// so local writers cannot fork the replica's history.
@@ -99,6 +102,8 @@ class Follower {
   bool SyncRound(net::Client* client);
   /// Applies one document's batch; returns applied-record count.
   size_t SyncDocument(net::Client* client, const std::string& name);
+  /// Drops the local copy of `name` through the pipeline.
+  void RemoveLocal(const std::string& name);
 
   service::DocumentStore* store_;
   service::QueryService* service_;

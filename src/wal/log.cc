@@ -89,11 +89,12 @@ Status WriteAll(int fd, std::string_view bytes, const std::string& path) {
   return Status::Ok();
 }
 
-Status FsyncDirOf(const std::string& file_path) {
-  size_t slash = file_path.rfind('/');
-  std::string dir = slash == std::string::npos
-                        ? std::string(".")
-                        : file_path.substr(0, slash);
+}  // namespace
+
+Status FsyncDirOf(const std::string& path) {
+  size_t slash = path.rfind('/');
+  std::string dir =
+      slash == std::string::npos ? std::string(".") : path.substr(0, slash);
   int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) return Errno("open directory", dir);
   int rc = fsync(fd);
@@ -101,8 +102,6 @@ Status FsyncDirOf(const std::string& file_path) {
   if (rc != 0) return Errno("fsync directory", dir);
   return Status::Ok();
 }
-
-}  // namespace
 
 std::string EncodeDocDir(std::string_view name) {
   static const char kHex[] = "0123456789abcdef";

@@ -58,6 +58,9 @@ Result<std::string> ReadFileBytes(const std::string& path);
 Status WriteFileDurable(const std::string& path, std::string_view bytes);
 /// Unlinks every file in `path`, then the directory itself.
 Status RemoveDirRecursive(const std::string& path);
+/// Fsyncs the directory containing `path`, making the creation,
+/// rename or removal of that entry durable.
+Status FsyncDirOf(const std::string& path);
 
 /// Append handle over one open segment file. Not thread-safe — the
 /// manager serializes per-document appends.

@@ -285,7 +285,8 @@ Status WalManager::RecoverDoc(const std::string& dir_name,
     std::lock_guard<std::mutex> lock(mu_);
     docs_[name] = state;
   }
-  CXML_RETURN_IF_ERROR(store->Register(name, std::move(doc), version));
+  CXML_RETURN_IF_ERROR(
+      store->Register(name, std::move(doc), version).status());
   stats->docs_recovered++;
   recovered_docs_->Add();
   return Status::Ok();
@@ -297,10 +298,6 @@ void WalManager::Attach(service::DocumentStore* store,
                         service::WritePipeline* pipeline) {
   store_ = store;
   pipeline_ = pipeline;
-  listener_id_ = store->AddVersionListener(
-      [this](const std::string& name, uint64_t version) {
-        OnVersionEvent(name, version);
-      });
   pipeline->SetCommitSink([this](const service::CommitBatch& batch) {
     return OnCommit(batch);
   });
@@ -309,11 +306,9 @@ void WalManager::Attach(service::DocumentStore* store,
 
 void WalManager::Detach() {
   if (!attached_) return;
-  // Order matters: clearing the sink blocks until no publish is
-  // mid-sink; removing the listener blocks until no notification is
-  // in flight. After both, nothing can call back into this object.
+  // Clearing the sink blocks until no event is mid-sink; after it,
+  // nothing can call back into this object.
   pipeline_->SetCommitSink(nullptr);
-  store_->RemoveVersionListener(listener_id_);
   attached_ = false;
 }
 
@@ -324,46 +319,7 @@ Status WalManager::EnsureRegistered(const std::string& name) {
   if (FindDoc(name) != nullptr) return Status::Ok();
   CXML_ASSIGN_OR_RETURN(service::SnapshotPtr snap,
                         store_->GetSnapshot(name));
-  std::string dir = StrCat(options_.data_dir, "/", EncodeDocDir(name));
-  // Stale files from a previous same-name document would pollute the
-  // fresh log; a directory without in-memory state is by definition
-  // stale (recovery either adopted it or refused it).
-  CXML_RETURN_IF_ERROR(RemoveDirRecursive(dir));
-  CXML_RETURN_IF_ERROR(EnsureDir(dir));
-  CXML_ASSIGN_OR_RETURN(std::string bytes, storage::Save(*snap->goddag));
-  CXML_RETURN_IF_ERROR(WriteFileDurable(
-      StrCat(dir, "/", CheckpointFileName(snap->version)), bytes));
-  CXML_ASSIGN_OR_RETURN(
-      std::unique_ptr<SegmentWriter> segment,
-      SegmentWriter::Create(
-          StrCat(dir, "/", SegmentFileName(snap->version)),
-          snap->version));
-  segment->set_injector(options_.injector);
-  auto state = std::make_shared<DocState>();
-  state->name = name;
-  state->dir = dir;
-  state->segment = std::move(segment);
-  state->last_version = snap->version;
-  state->checkpoint_version = snap->version;
-  std::lock_guard<std::mutex> lock(mu_);
-  docs_[name] = state;
-  checkpoints_->Add();
-  return Status::Ok();
-}
-
-// ---------------------------------------------------- version events
-
-void WalManager::OnVersionEvent(const std::string& name, uint64_t version) {
-  if (version == UINT64_MAX) {
-    DropDoc(name);
-    return;
-  }
-  if (version != 1) return;  // ordinary publishes ride the commit sink
-  // A (re-)registration at version 1: any surviving WAL state belongs
-  // to the predecessor document and must not answer for this one.
-  DropDoc(name);
-  Status registered = EnsureRegistered(name);
-  if (!registered.ok()) errors_->Add();
+  return CreateDoc(name, *snap);
 }
 
 WalManager::DocPtr WalManager::FindDoc(const std::string& name) {
@@ -372,32 +328,35 @@ WalManager::DocPtr WalManager::FindDoc(const std::string& name) {
   return it == docs_.end() ? nullptr : it->second;
 }
 
-Result<WalManager::DocPtr> WalManager::EnsureDoc(
-    const std::string& name, uint64_t create_segment_base) {
-  if (DocPtr existing = FindDoc(name)) return existing;
+Status WalManager::CreateDoc(const std::string& name,
+                             const service::DocumentSnapshot& snap) {
+  // Stale files from a previous same-name document would pollute the
+  // fresh log.
+  CXML_RETURN_IF_ERROR(DropDoc(name));
   std::string dir = StrCat(options_.data_dir, "/", EncodeDocDir(name));
-  CXML_RETURN_IF_ERROR(RemoveDirRecursive(dir));
   CXML_RETURN_IF_ERROR(EnsureDir(dir));
+  CXML_RETURN_IF_ERROR(FsyncDirOf(dir));
+  CXML_ASSIGN_OR_RETURN(std::string bytes, storage::Save(*snap.goddag));
+  CXML_RETURN_IF_ERROR(WriteFileDurable(
+      StrCat(dir, "/", CheckpointFileName(snap.version)), bytes));
   CXML_ASSIGN_OR_RETURN(
       std::unique_ptr<SegmentWriter> segment,
-      SegmentWriter::Create(
-          StrCat(dir, "/", SegmentFileName(create_segment_base)),
-          create_segment_base));
+      SegmentWriter::Create(StrCat(dir, "/", SegmentFileName(snap.version)),
+                            snap.version));
   segment->set_injector(options_.injector);
   auto state = std::make_shared<DocState>();
   state->name = name;
   state->dir = dir;
   state->segment = std::move(segment);
-  // last_version stays 0: the first commit always fails the
-  // continuity check and logs a full snapshot, which is exactly right
-  // for a document the WAL has never seen.
+  state->last_version = snap.version;
+  state->checkpoint_version = snap.version;
   std::lock_guard<std::mutex> lock(mu_);
-  DocPtr& slot = docs_[name];
-  if (slot == nullptr) slot = state;
-  return slot;
+  docs_[name] = state;
+  checkpoints_->Add();
+  return Status::Ok();
 }
 
-void WalManager::DropDoc(const std::string& name) {
+Status WalManager::DropDoc(const std::string& name) {
   DocPtr state;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -407,7 +366,6 @@ void WalManager::DropDoc(const std::string& name) {
       docs_.erase(it);
     }
   }
-  std::string dir = StrCat(options_.data_dir, "/", EncodeDocDir(name));
   if (state != nullptr) {
     {
       std::lock_guard<std::mutex> lock(state->mu);
@@ -419,8 +377,9 @@ void WalManager::DropDoc(const std::string& name) {
     std::lock_guard<std::mutex> lock(sync_mu_);
     dirty_.erase(state);
   }
-  Status removed = RemoveDirRecursive(dir);
-  if (!removed.ok()) errors_->Add();
+  std::string dir = StrCat(options_.data_dir, "/", EncodeDocDir(name));
+  CXML_RETURN_IF_ERROR(RemoveDirRecursive(dir));
+  return FsyncDirOf(dir);
 }
 
 // --------------------------------------------------------- appending
@@ -428,43 +387,53 @@ void WalManager::DropDoc(const std::string& name) {
 service::CommitSinkResult WalManager::OnCommit(
     const service::CommitBatch& batch) {
   service::CommitSinkResult result;
-  auto ensured = EnsureDoc(batch.document, batch.base_version);
-  if (!ensured.ok()) {
-    errors_->Add();
-    result.status = ensured.status().WithContext("wal");
+  if (batch.kind != service::CommitBatch::Kind::kPublish) {
+    result.status = batch.kind == service::CommitBatch::Kind::kRegister
+                        ? CreateDoc(batch.document, *batch.snapshot)
+                        : DropDoc(batch.document);
+    if (!result.status.ok()) {
+      errors_->Add();
+      result.status = result.status.WithContext("wal");
+    }
     return result;
   }
-  DocPtr doc = std::move(ensured).value();
 
+  // Every document's log is created by its registration, so a publish
+  // for a document the log does not hold (its registration was not
+  // durable, or the store changed outside the pipeline) cannot be made
+  // durable here.
+  auto no_log = [&] {
+    errors_->Add();
+    result.status = status::FailedPrecondition(
+        StrCat("wal holds no log for '", batch.document, "'"));
+    return result;
+  };
+  DocPtr doc = FindDoc(batch.document);
+  if (doc == nullptr) return no_log();
   bool need_snapshot = !batch.replayable;
   {
+    // A version gap is the repair after a failed append: the publish
+    // it belonged to is visible in memory but missing from the log, so
+    // this record rebases the log on a full snapshot.
     std::lock_guard<std::mutex> lock(doc->mu);
-    if (doc->dropped || doc->segment == nullptr) return result;
-    if (doc->last_version + 1 != batch.version) {
-      // A commit that bypassed the pipeline (direct BeginEdit) left a
-      // hole; rebase the log on a full snapshot to restore continuity.
-      need_snapshot = true;
-    }
+    if (doc->last_version + 1 != batch.version) need_snapshot = true;
   }
 
   Record record;
   record.wall_micros = NowWallMicros();
+  record.version = batch.version;
   if (need_snapshot) {
-    auto snap = store_->GetSnapshot(batch.document);
-    if (!snap.ok()) return result;  // removed mid-flight: nothing to log
-    auto bytes = storage::Save(*(*snap)->goddag);
+    auto bytes = storage::Save(*batch.snapshot->goddag);
     if (!bytes.ok()) {
       errors_->Add();
       result.status = bytes.status().WithContext("wal snapshot");
       return result;
     }
     record.type = Record::Type::kSnapshot;
-    record.version = (*snap)->version;
     record.snapshot = std::move(bytes).value();
   } else {
     record.type = Record::Type::kOps;
-    record.version = batch.version;
-    record.base_version = batch.base_version;
+    record.base_version = batch.version - 1;
     record.op_sets = batch.op_sets;
   }
   std::string framed = EncodeRecord(record);
@@ -473,12 +442,7 @@ service::CommitSinkResult WalManager::OnCommit(
   bool trigger_checkpoint = false;
   {
     std::lock_guard<std::mutex> lock(doc->mu);
-    if (doc->dropped || doc->segment == nullptr) return result;
-    if (record.version <= doc->last_version) {
-      // A snapshot record from a racing commit already covers this
-      // version; appending it again would step the log backwards.
-      return result;
-    }
+    if (doc->dropped) return no_log();
     Status appended = doc->segment->Append(framed);
     if (!appended.ok()) {
       errors_->Add();
@@ -871,7 +835,6 @@ Status WalManager::SealForPromotion() {
   for (const DocPtr& doc : all) {
     std::lock_guard<std::mutex> doc_lock(doc->mu);
     if (doc->dropped || doc->segment == nullptr) continue;
-    if (doc->last_version == 0) continue;  // log never saw a commit
     Record record;
     record.type = Record::Type::kPromote;
     record.version = doc->last_version;

@@ -79,25 +79,22 @@ Status ApplyOpSets(edit::EditSession& session,
 ///
 /// Lifecycle: construct → Open() (creates data_dir, starts the fsync +
 /// checkpoint threads) → RecoverAll(store) (registers every recovered
-/// document at its logged version — before any listener wiring, so
+/// document at its logged version — before the sink is wired, so
 /// recovery itself is never re-logged) → Attach(store, pipeline)
-/// (listener + commit sink; from here every pipeline publish is
-/// durable before its submitter is acked) → serve. Destroy only after
-/// the pipeline has quiesced (QueryService destroyed / Server
-/// stopped), or call Detach() first — Detach blocks until in-flight
-/// sink calls and listener notifications have drained.
+/// (commit sink; from here every pipeline event is durable before its
+/// submitter is acked) → EnsureRegistered(name) for documents
+/// registered before Attach → serve. Destroy only after the pipeline
+/// has quiesced (QueryService destroyed / Server stopped), or call
+/// Detach() first — Detach blocks until in-flight sink calls have
+/// drained.
 ///
-/// What is logged: every WritePipeline group commit (one record per
-/// publish — replayable op lines when every batch participant carried
-/// a wire payload, a full kSnapshot record otherwise), plus wire
-/// REGISTERs (initial checkpoint via the version listener) and
-/// REMOVEs (the document's directory is dropped). Direct
-/// DocumentStore::BeginEdit commits bypass the pipeline and are NOT
-/// logged individually; the next pipeline commit detects the version
-/// hole and rebases with a kSnapshot record, so the log never
-/// silently diverges — but a direct commit alone is only durable once
-/// a pipeline commit or checkpoint follows. cxml_serverd routes every
-/// write through the pipeline.
+/// What is logged: the sink is the log's only input, so every change
+/// to an attached store goes through the WritePipeline. A group commit
+/// is one record (replayable op lines when every batch participant
+/// carried a wire payload, a full kSnapshot record otherwise); a
+/// registration writes an initial checkpoint and a fresh segment; a
+/// removal drops the document's directory. A commit for a document the
+/// log does not hold fails its ack.
 class WalManager : public net::SyncSource {
  public:
   explicit WalManager(WalOptions options);
@@ -118,19 +115,18 @@ class WalManager : public net::SyncSource {
   Status RecoverAll(service::DocumentStore* store,
                     RecoveryStats* stats = nullptr);
 
-  /// Wires the version listener (REGISTER/REMOVE durability) and the
-  /// pipeline commit sink (per-publish records). Call after
-  /// RecoverAll; the sink blocks each publish until group fsync covers
-  /// its record, so a client ack implies durability.
+  /// Wires the pipeline commit sink. Call after RecoverAll; the sink
+  /// blocks each event until its record or checkpoint is on disk, so a
+  /// client ack implies durability.
   void Attach(service::DocumentStore* store,
               service::WritePipeline* pipeline);
-  /// Unwires both hooks, blocking until in-flight calls drain.
+  /// Unwires the sink, blocking until in-flight calls drain.
   void Detach();
 
   /// Ensures `name` (already registered in the attached store) has
   /// on-disk state: writes an initial checkpoint at its current
-  /// version if none exists. Used for documents registered before
-  /// Attach (serverd's synthetic/--load documents).
+  /// version if none exists. The bootstrap for documents registered
+  /// before Attach (serverd's synthetic/--load documents).
   Status EnsureRegistered(const std::string& name);
 
   /// net::SyncSource — serves `SYNC <doc> <from_version>` from the
@@ -182,18 +178,18 @@ class WalManager : public net::SyncSource {
   };
   using DocPtr = std::shared_ptr<DocState>;
 
-  /// The pipeline commit sink: encode, append, wait for group fsync.
+  /// The pipeline commit sink: a publish is encoded, appended and
+  /// awaited through group fsync; a registration creates the
+  /// document's log; a removal drops it.
   service::CommitSinkResult OnCommit(const service::CommitBatch& batch);
-  /// The store version listener: version 1 → fresh WAL state +
-  /// initial checkpoint; UINT64_MAX → drop the document's directory.
-  void OnVersionEvent(const std::string& name, uint64_t version);
 
   DocPtr FindDoc(const std::string& name);
-  /// Creates (or returns) the document's state; `create_segment_base`
-  /// seeds a fresh segment when the state is new.
-  Result<DocPtr> EnsureDoc(const std::string& name,
-                           uint64_t create_segment_base);
-  void DropDoc(const std::string& name);
+  /// Replaces any log state for `name` with a fresh one at `snap`: a
+  /// durable checkpoint and an empty segment based at its version.
+  Status CreateDoc(const std::string& name,
+                   const service::DocumentSnapshot& snap);
+  /// Drops the document's log state and, durably, its directory.
+  Status DropDoc(const std::string& name);
   Status RecoverDoc(const std::string& dir_name,
                     service::DocumentStore* store, RecoveryStats* stats);
   Status CheckpointDoc(const DocPtr& doc);
@@ -218,7 +214,6 @@ class WalManager : public net::SyncSource {
   WalOptions options_;
   service::DocumentStore* store_ = nullptr;
   service::WritePipeline* pipeline_ = nullptr;
-  uint64_t listener_id_ = 0;
   bool attached_ = false;
   bool opened_ = false;
 

@@ -11,7 +11,8 @@
 namespace cxml::wal {
 
 /// One durable unit of the per-document write-ahead log: exactly one
-/// WritePipeline group commit (or one full-snapshot rebase). Records
+/// WritePipeline publish (a group commit or a transaction commit).
+/// Registrations are checkpoints, not records. Records
 /// travel framed — on disk inside CXW1 segments, and on the wire as
 /// CXP/1 `SYNC` response items — as
 ///
@@ -31,9 +32,11 @@ namespace cxml::wal {
 /// each encoded as CXP/1 op lines (net::RenderOps — SELECT/APPLY, no
 /// COMMIT), replayed through a prevalidating edit session with the
 /// same per-op-set selection reset the group commit used. `kSnapshot`
-/// replaces the document wholesale at `version` — the bootstrap /
-/// resync record for commits with no wire form (opaque in-process
-/// EditFns) and for followers too far behind the in-memory sync ring.
+/// replaces the document wholesale at `version`. The log writes one
+/// for a publish with no wire form (an opaque in-process EditFn) and
+/// for the first publish after a failed append, whose version the log
+/// never received; SYNC ships one to a follower too far behind the
+/// in-memory sync ring.
 /// `kPromote` seals an inherited log at failover: it marks "the
 /// replicated history ends here at `version`; everything after was
 /// written by the promoted primary". It changes no document state —
@@ -48,8 +51,8 @@ struct Record {
   /// Commit wall clock (microseconds since the Unix epoch) — the
   /// replication-lag reference a follower measures against.
   uint64_t wall_micros = 0;
-  /// kOps: the version the batch applied on (version - 1 unless a
-  /// non-pipeline committer squeezed in, which forces a kSnapshot).
+  /// kOps: the version the batch applied on, always version - 1 (a
+  /// reader checks the chain with it).
   uint64_t base_version = 0;
   /// kOps: one entry per successful batch participant.
   std::vector<std::string> op_sets;

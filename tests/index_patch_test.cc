@@ -281,6 +281,7 @@ TEST(IndexPatchRandomized, EditThenQuerySweepStaysEquivalent) {
 
   service::DocumentStore store;
   ASSERT_TRUE(store.RegisterBytes("doc", *bytes).ok());
+  service::QueryService service(&store);
 
   std::mt19937 rng(991);
   size_t commits = 0;
@@ -309,7 +310,12 @@ TEST(IndexPatchRandomized, EditThenQuerySweepStaysEquivalent) {
       if (node.ok()) ++applied;
     }
     if (applied == 0) continue;
-    ASSERT_TRUE(txn->Commit().ok());
+    service::EditResponse committed =
+        service
+            .SubmitCommit("doc", std::make_unique<service::EditTransaction>(
+                                     std::move(txn).value()))
+            .get();
+    ASSERT_TRUE(committed.ok()) << committed.status;
     ++commits;
 
     auto next = store.GetSnapshot("doc");

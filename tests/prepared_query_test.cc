@@ -360,7 +360,12 @@ TEST_F(PreparedServiceTest, OneHandleBindsAcrossVersions) {
   Interval gap = FreeA0Gap(*store_.GetSnapshot("ms").value()->goddag);
   ASSERT_TRUE(txn->session().Select(gap).ok());
   ASSERT_TRUE(txn->session().Apply(2, "a0").ok());
-  ASSERT_TRUE(txn->Commit().ok());
+  service::EditResponse committed =
+      service
+          .SubmitCommit("ms", std::make_unique<service::EditTransaction>(
+                                  std::move(txn).value()))
+          .get();
+  ASSERT_TRUE(committed.ok()) << committed.status;
 
   // The same handle, rebound to the new version: fresh result.
   service::QueryResponse after = service.Execute("ms", *handle);

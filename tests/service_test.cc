@@ -81,18 +81,26 @@ class ServiceTest : public ::testing::Test {
 
   /// An edit guaranteed to change query results: inserts one <a0>
   /// annotation (hierarchy 2) into the first free gap at or after
-  /// `from_hint`.
-  uint64_t CommitAnnotation(size_t from_hint) {
-    auto txn = store_.BeginEdit("ms");
-    EXPECT_TRUE(txn.ok()) << txn.status();
-    size_t offset = FindFreeA0Gap(txn->goddag(), from_hint, kAnnotationLen);
-    EXPECT_TRUE(
-        txn->session().Select(Interval(offset, offset + kAnnotationLen)).ok());
-    auto applied = txn->session().Apply(2, "a0");
-    EXPECT_TRUE(applied.ok()) << applied.status();
-    auto version = txn->Commit();
-    EXPECT_TRUE(version.ok()) << version.status();
-    return version.value_or(0);
+  /// `from_hint`, committed through `service`'s writer pipeline.
+  static uint64_t CommitAnnotation(QueryService& service, size_t from_hint) {
+    EditResponse response = service.ExecuteEdit(
+        "ms", [from_hint](edit::EditSession& session) -> Status {
+          size_t offset =
+              FindFreeA0Gap(session.goddag(), from_hint, kAnnotationLen);
+          CXML_RETURN_IF_ERROR(
+              session.Select(Interval(offset, offset + kAnnotationLen)));
+          return session.Apply(2, "a0").status();
+        });
+    EXPECT_TRUE(response.ok()) << response.status;
+    return response.version;
+  }
+
+  /// Commits a transaction begun with BeginEdit, as ECOMMIT does.
+  static EditResponse Commit(QueryService& service, EditTransaction txn) {
+    return service
+        .SubmitCommit(txn.document(),
+                      std::make_unique<EditTransaction>(std::move(txn)))
+        .get();
   }
 
   DocumentStore store_;
@@ -218,7 +226,7 @@ TEST_F(ServiceTest, CommitBumpsVersionAndInvalidatesCache) {
   auto pinned = store_.GetSnapshot("ms");
   ASSERT_TRUE(pinned.ok());
 
-  uint64_t v2 = CommitAnnotation(0);
+  uint64_t v2 = CommitAnnotation(service, 0);
   EXPECT_EQ(v2, 2u);
 
   // The version listener dropped the version-1 entry eagerly.
@@ -240,6 +248,7 @@ TEST_F(ServiceTest, CommitBumpsVersionAndInvalidatesCache) {
 }
 
 TEST_F(ServiceTest, SessionCommitHookFires) {
+  QueryService service(&store_, {2, 64});
   auto txn = store_.BeginEdit("ms");
   ASSERT_TRUE(txn.ok()) << txn.status();
 
@@ -257,22 +266,17 @@ TEST_F(ServiceTest, SessionCommitHookFires) {
   ASSERT_TRUE(txn->session().Apply(2, "a0").ok());
   EXPECT_EQ(txn->session().PendingOps().size(), 1u);
   EXPECT_EQ(txn->session().commit_count(), 0u);
-  EXPECT_FALSE(txn->committed());
 
-  auto version = txn->Commit();
-  ASSERT_TRUE(version.ok()) << version.status();
-  EXPECT_EQ(*version, 2u);
-  EXPECT_TRUE(txn->committed());
+  EditResponse committed = Commit(service, std::move(txn).value());
+  ASSERT_TRUE(committed.ok()) << committed.status;
+  EXPECT_EQ(committed.version, 2u);
   EXPECT_EQ(observed_seq, 1u);
   ASSERT_EQ(observed_ops.size(), 1u);
   EXPECT_NE(observed_ops[0].find("applied <a0>"), std::string::npos);
-
-  // A consumed transaction cannot commit twice (the session is gone —
-  // its GODDAG became the published, concurrently-read snapshot).
-  EXPECT_EQ(txn->Commit().status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(ServiceTest, ConflictingCommitLoses) {
+  QueryService service(&store_, {2, 64});
   auto txn1 = store_.BeginEdit("ms");
   auto txn2 = store_.BeginEdit("ms");
   ASSERT_TRUE(txn1.ok() && txn2.ok());
@@ -283,21 +287,26 @@ TEST_F(ServiceTest, ConflictingCommitLoses) {
   size_t off2 = FindFreeA0Gap(txn2->goddag(), 500, 40);
   ASSERT_TRUE(txn2->session().Select(Interval(off2, off2 + 40)).ok());
   ASSERT_TRUE(txn2->session().Apply(2, "a0").ok());
+  bool loser_committed = false;
+  txn2->session().AddCommitHook(
+      [&](uint64_t, const std::vector<std::string>&) {
+        loser_committed = true;
+      });
 
-  EXPECT_TRUE(txn1->Commit().ok());
-  auto lost = txn2->Commit();
-  EXPECT_EQ(lost.status().code(), StatusCode::kFailedPrecondition);
-  // The loser's session is untouched: its commit sequence never
-  // advanced and its pending ops are still inspectable for a retry.
-  EXPECT_FALSE(txn2->committed());
-  EXPECT_EQ(txn2->session().commit_count(), 0u);
-  EXPECT_EQ(txn2->session().PendingOps().size(), 1u);
+  EXPECT_TRUE(Commit(service, std::move(txn1).value()).ok());
+  EditResponse lost = Commit(service, std::move(txn2).value());
+  EXPECT_EQ(lost.status.code(), StatusCode::kFailedPrecondition);
+  // The loser's session never committed: its commit sequence did not
+  // advance and its hooks never fired.
+  EXPECT_FALSE(loser_committed);
+  EXPECT_EQ(store_.GetVersion("ms").value_or(0), 2u);
   // The loser retries from the new base.
-  uint64_t v3 = CommitAnnotation(100);
+  uint64_t v3 = CommitAnnotation(service, 100);
   EXPECT_EQ(v3, 3u);
 }
 
 TEST_F(ServiceTest, StaleTransactionCannotPublishAcrossReregistration) {
+  QueryService service(&store_, {2, 64});
   auto txn = store_.BeginEdit("ms");
   ASSERT_TRUE(txn.ok());
   size_t offset = FindFreeA0Gap(txn->goddag(), 0, 20);
@@ -307,12 +316,16 @@ TEST_F(ServiceTest, StaleTransactionCannotPublishAcrossReregistration) {
   // Remove + same-name re-register: versions restart at 1, so a bare
   // version check would let the stale transaction publish the *old*
   // document's edit as version 2 of the new one (ABA).
-  ASSERT_TRUE(store_.Remove("ms").ok());
-  ASSERT_TRUE(store_.RegisterBytes("ms", CorpusBytes()).ok());
+  ASSERT_TRUE(service.pipeline().SubmitRemove("ms").get().ok());
+  auto doc = storage::Load(CorpusBytes());
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  EditResponse registered =
+      service.pipeline().SubmitRegister("ms", std::move(doc).value()).get();
+  ASSERT_TRUE(registered.ok()) << registered.status;
+  EXPECT_EQ(registered.version, 1u);
 
-  auto published = txn->Commit();
-  EXPECT_EQ(published.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(txn->committed());
+  EditResponse published = Commit(service, std::move(txn).value());
+  EXPECT_EQ(published.status.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(store_.GetVersion("ms").value_or(0), 1u);
 }
 
@@ -355,7 +368,7 @@ TEST_F(ServiceTest, ConcurrentReadersWhileEditing) {
 
   // One writer publishes versions while the readers hammer the service.
   for (int c = 0; c < kCommits; ++c) {
-    CommitAnnotation(static_cast<size_t>(200 + 50 * c));
+    CommitAnnotation(service, static_cast<size_t>(200 + 50 * c));
   }
   for (std::thread& t : readers) t.join();
 
@@ -463,7 +476,7 @@ TEST_F(ServiceTest, CheapReadDoesNotWaitForSlowReadOnSameDocument) {
 TEST_F(ServiceTest, RacingFirstQueriesBuildTheIndexOnce) {
   QueryService service(&store_, {2, 64});
   ASSERT_TRUE(service.Execute({"ms", "count(//w)", QueryKind::kXPath}).ok());
-  uint64_t version = CommitAnnotation(100);
+  uint64_t version = CommitAnnotation(service, 100);
   obs::Counter* patches =
       service.registry()->GetCounter("cxml_index_patch_total");
   obs::Counter* rebuilds =
@@ -607,16 +620,14 @@ TEST_F(ServiceTest, TrafficGeneratorDrivesService) {
   for (const workload::TrafficOp& op : *ops) {
     if (op.kind == workload::TrafficOp::Kind::kEdit) {
       ++writes;
-      auto txn = store_.BeginEdit("ms");
-      ASSERT_TRUE(txn.ok()) << txn.status();
-      if (!txn->session().Select(op.edit_chars).ok()) continue;
       // Prevalidation may reject ranges colliding with earlier writes in
       // the same hierarchy; rejected edits simply don't commit.
-      if (!txn->session().Apply(op.edit_hierarchy, op.edit_tag).ok()) {
-        continue;
-      }
-      ASSERT_TRUE(txn->Commit().ok());
-      ++commits;
+      EditResponse response = service.ExecuteEdit(
+          "ms", [&op](edit::EditSession& session) -> Status {
+            CXML_RETURN_IF_ERROR(session.Select(op.edit_chars));
+            return session.Apply(op.edit_hierarchy, op.edit_tag).status();
+          });
+      if (response.ok()) ++commits;
     } else {
       ++reads;
       QueryKind kind = op.kind == workload::TrafficOp::Kind::kXQuery

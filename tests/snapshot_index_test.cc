@@ -24,6 +24,7 @@
 #include "ingest/ingest.h"
 #include "sacx/goddag_handler.h"
 #include "service/document_store.h"
+#include "service/query_service.h"
 #include "storage/binary.h"
 #include "test_util.h"
 #include "workload/generator.h"
@@ -284,7 +285,13 @@ TEST(DocumentSnapshotMemo, OneIndexPerVersion) {
   ASSERT_TRUE(txn.ok()) << txn.status();
   ASSERT_TRUE(txn->session().Select(Interval(10, 30)).ok());
   ASSERT_TRUE(txn->session().Apply(2, "a0").ok());
-  ASSERT_TRUE(txn->Commit().ok());
+  service::QueryService service(&store);
+  service::EditResponse committed =
+      service
+          .SubmitCommit("doc", std::make_unique<service::EditTransaction>(
+                                   std::move(txn).value()))
+          .get();
+  ASSERT_TRUE(committed.ok()) << committed.status;
   auto snap2 = store.GetSnapshot("doc");
   ASSERT_TRUE(snap2.ok());
   ASSERT_NE((*snap2).get(), (*snap).get());

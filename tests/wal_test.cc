@@ -244,27 +244,43 @@ class WalManagerTest : public ::testing::Test {
     store_.reset();
   }
 
+  /// Registers "ms" through the pipeline: acked once its checkpoint
+  /// is on disk.
   void RegisterMs() {
-    ASSERT_TRUE(store_->RegisterBytes("ms", CorpusBytes()).ok());
-    ASSERT_TRUE(wal_->EnsureRegistered("ms").ok());
+    auto doc = storage::Load(CorpusBytes());
+    ASSERT_TRUE(doc.ok()) << doc.status();
+    service::EditResponse registered =
+        service_->pipeline().SubmitRegister("ms", std::move(doc).value())
+            .get();
+    ASSERT_TRUE(registered.ok()) << registered.status;
   }
 
   /// One replayable pipeline commit: a fresh a0 annotation in a free
   /// gap, its op lines riding along as the WAL payload.
-  uint64_t CommitOne() {
+  service::EditResponse TryCommitOne() {
     auto snap = store_->GetSnapshot("ms");
     EXPECT_TRUE(snap.ok());
     size_t offset = FindFreeA0Gap(*(*snap)->goddag, 0, 30);
     std::vector<net::EditOp> ops = {net::EditOp::Select(offset, offset + 30),
                                     net::EditOp::Apply(2, "a0")};
-    service::EditResponse response = service_->ExecuteEdit(
+    return service_->ExecuteEdit(
         "ms",
         [ops](edit::EditSession& session) {
           return ApplyWireOps(session, ops);
         },
         {net::RenderOps(ops)});
+  }
+
+  uint64_t CommitOne() {
+    service::EditResponse response = TryCommitOne();
     EXPECT_TRUE(response.ok()) << response.status;
     return response.version;
+  }
+
+  uint64_t SnapshotRecords() {
+    return wal_->registry()
+        ->GetCounter("cxml_wal_snapshot_records_total")
+        ->Value();
   }
 
   std::string SaveBytes() {
@@ -425,41 +441,50 @@ TEST_F(WalManagerTest, TornAppendFailsTheAckAndRecoversCleanly) {
   // commit ack — the caller is never told a non-durable commit
   // succeeded — and (b) leave the segment repaired so both later
   // commits and a cold restart see the pre-tear state byte-for-byte.
-  StartWorld();
-  RegisterMs();
-  EXPECT_EQ(CommitOne(), 2u);
-  std::string bytes_before = SaveBytes();
-  StopWorld();
-
   for (size_t cut : {size_t{0}, size_t{3}, size_t{8}, size_t{21},
                      size_t{40}, size_t{1000000}}) {
+    SCOPED_TRACE("cut " + std::to_string(cut));
+    // A fresh log holding one acked commit.
+    StopWorld();
+    ASSERT_TRUE(RemoveDirRecursive(data_dir_).ok());
+    StartWorld();
+    RegisterMs();
+    EXPECT_EQ(CommitOne(), 2u);
+    std::string bytes_before = SaveBytes();
+
+    // The tear fails the ack; a cold restart recovers only the acked
+    // commit.
     fault::Injector injector(/*seed=*/1);
     ASSERT_TRUE(
         injector.Arm("wal.append_torn", "once:" + std::to_string(cut))
             .ok());
     StartWorld(/*fsync_every_ms=*/0, &injector);
-
-    auto snap = store_->GetSnapshot("ms");
-    ASSERT_TRUE(snap.ok());
-    size_t offset = FindFreeA0Gap(*(*snap)->goddag, 0, 30);
-    std::vector<net::EditOp> ops = {
-        net::EditOp::Select(offset, offset + 30),
-        net::EditOp::Apply(2, "a0")};
-    service::EditResponse response = service_->ExecuteEdit(
-        "ms",
-        [ops](edit::EditSession& session) {
-          return ApplyWireOps(session, ops);
-        },
-        {net::RenderOps(ops)});
-    EXPECT_FALSE(response.ok()) << "cut " << cut;
-    EXPECT_EQ(response.status.code(), StatusCode::kInternal);
-
-    // Cold restart: only the acked commit survives, byte-identically.
+    service::EditResponse torn = TryCommitOne();
+    EXPECT_FALSE(torn.ok());
+    EXPECT_EQ(torn.status.code(), StatusCode::kInternal);
     StartWorld();
     auto version = store_->GetVersion("ms");
     ASSERT_TRUE(version.ok());
-    EXPECT_EQ(*version, 2u) << "cut " << cut;
-    EXPECT_EQ(SaveBytes(), bytes_before) << "cut " << cut;
+    EXPECT_EQ(*version, 2u);
+    EXPECT_EQ(SaveBytes(), bytes_before);
+
+    // The same tear, then one more commit in the same world: the
+    // failed append left version 3 in memory but not in the log, so
+    // the next record rebases the log with exactly one kSnapshot.
+    fault::Injector again(/*seed=*/1);
+    ASSERT_TRUE(
+        again.Arm("wal.append_torn", "once:" + std::to_string(cut)).ok());
+    StartWorld(/*fsync_every_ms=*/0, &again);
+    EXPECT_FALSE(TryCommitOne().ok());
+    uint64_t snapshots = SnapshotRecords();
+    EXPECT_EQ(CommitOne(), 4u);
+    EXPECT_EQ(SnapshotRecords(), snapshots + 1);
+    std::string bytes_after = SaveBytes();
+    StartWorld();
+    version = store_->GetVersion("ms");
+    ASSERT_TRUE(version.ok());
+    EXPECT_EQ(*version, 4u);
+    EXPECT_EQ(SaveBytes(), bytes_after);
   }
 }
 
@@ -472,17 +497,7 @@ TEST_F(WalManagerTest, FsyncFaultFailsTheAckAndCountsErrors) {
   fault::Injector injector(/*seed=*/1);
   ASSERT_TRUE(injector.Arm("wal.fsync", "once").ok());
   StartWorld(/*fsync_every_ms=*/0, &injector);
-  auto snap = store_->GetSnapshot("ms");
-  ASSERT_TRUE(snap.ok());
-  size_t offset = FindFreeA0Gap(*(*snap)->goddag, 0, 30);
-  std::vector<net::EditOp> ops = {net::EditOp::Select(offset, offset + 30),
-                                  net::EditOp::Apply(2, "a0")};
-  service::EditResponse response = service_->ExecuteEdit(
-      "ms",
-      [ops](edit::EditSession& session) {
-        return ApplyWireOps(session, ops);
-      },
-      {net::RenderOps(ops)});
+  service::EditResponse response = TryCommitOne();
   EXPECT_FALSE(response.ok());
   EXPECT_NE(response.status.message().find("not durable"),
             std::string::npos)
@@ -560,7 +575,7 @@ TEST_F(WalManagerTest, RemoveDropsTheDocumentDirectory) {
   RegisterMs();
   EXPECT_EQ(CommitOne(), 2u);
   ASSERT_TRUE(ListDir(DocDir()).ok());
-  ASSERT_TRUE(store_->Remove("ms").ok());
+  ASSERT_TRUE(service_->pipeline().SubmitRemove("ms").get().ok());
   EXPECT_FALSE(ListDir(DocDir()).ok()) << "directory must be gone";
 
   RecoveryStats stats = StartWorld();
@@ -646,7 +661,7 @@ TEST_F(WalManagerTest, FollowerTailsAPrimaryOverCxp) {
   EXPECT_EQ(*primary_bytes, *replica_bytes);
 
   // A removed document disappears from the replica too.
-  ASSERT_TRUE(store_->Remove("ms").ok());
+  ASSERT_TRUE(service_->pipeline().SubmitRemove("ms").get().ok());
   for (int i = 0; i < 500 && replica_store.GetVersion("ms").ok(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
@@ -657,6 +672,156 @@ TEST_F(WalManagerTest, FollowerTailsAPrimaryOverCxp) {
   EXPECT_GE(stats.snapshot_loads, 1u);
   follower.Stop();
   server.Stop();
+}
+
+/// A follower with its own WAL, as serverd runs one with --follow and
+/// --data-dir; members are torn down in reverse-dependency order.
+struct DurableReplica {
+  explicit DurableReplica(const std::string& dir) {
+    store = std::make_unique<service::DocumentStore>();
+    service = std::make_unique<service::QueryService>(
+        store.get(), service::QueryServiceOptions{/*num_threads=*/2,
+                                                  /*cache_capacity=*/64});
+    WalOptions options;
+    options.data_dir = dir;
+    options.fsync_every_ms = 0;
+    wal = std::make_unique<WalManager>(options);
+    EXPECT_TRUE(wal->Open().ok());
+    EXPECT_TRUE(wal->RecoverAll(store.get(), &recovery).ok());
+    wal->Attach(store.get(), &service->pipeline());
+  }
+
+  std::string SaveBytes() {
+    auto snap = store->GetSnapshot("ms");
+    EXPECT_TRUE(snap.ok()) << snap.status();
+    if (!snap.ok()) return "";
+    auto bytes = storage::Save(*(*snap)->goddag);
+    EXPECT_TRUE(bytes.ok());
+    return std::move(bytes).value();
+  }
+
+  std::unique_ptr<service::DocumentStore> store;
+  std::unique_ptr<service::QueryService> service;
+  std::unique_ptr<WalManager> wal;
+  RecoveryStats recovery;
+};
+
+TEST_F(WalManagerTest, DurableFollowerLogsItsSnapshotBootstrap) {
+  // The primary reaches version 3 before the follower starts, so the
+  // follower bootstraps from one kSnapshot record at version 3.
+  StartWorld();
+  RegisterMs();
+  EXPECT_EQ(CommitOne(), 2u);
+  EXPECT_EQ(CommitOne(), 3u);
+  std::string primary_v3 = SaveBytes();
+
+  net::ServerOptions server_options;
+  server_options.num_workers = 2;
+  server_options.sync_source = wal_.get();
+  net::Server server(store_.get(), service_.get(), server_options);
+  ASSERT_TRUE(server.Start().ok());
+  FollowerOptions follower_options;
+  follower_options.port = server.port();
+  follower_options.poll_interval_ms = 10;
+
+  const std::string follower_dir = data_dir_ + "_follower";
+  (void)RemoveDirRecursive(follower_dir + "/" + EncodeDocDir("ms"));
+  (void)RemoveDirRecursive(follower_dir);
+  {
+    DurableReplica replica(follower_dir);
+    Follower follower(replica.store.get(), replica.service.get(),
+                      follower_options);
+    follower.Start();
+    ASSERT_EQ(follower.WaitForVersion("ms", 3, /*timeout_ms=*/5000), 3u);
+    auto frontier = follower.Promote();
+    ASSERT_TRUE(frontier.ok()) << frontier.status();
+    EXPECT_EQ(*frontier, 3u);
+    EXPECT_GE(follower.stats().snapshot_loads, 1u);
+    ASSERT_TRUE(replica.wal->SealForPromotion().ok());
+    ASSERT_TRUE(replica.wal->Flush().ok());
+  }
+
+  // Restarted from its data dir alone, the follower holds the
+  // bootstrap it acked.
+  {
+    DurableReplica reborn(follower_dir);
+    EXPECT_EQ(reborn.recovery.docs_recovered, 1u);
+    auto version = reborn.store->GetVersion("ms");
+    ASSERT_TRUE(version.ok()) << version.status();
+    EXPECT_EQ(*version, 3u);
+    EXPECT_EQ(reborn.SaveBytes(), primary_v3);
+  }
+
+  // Tailing the primary again from that log: the primary's next
+  // commit continues the follower's log as an ops record, with no
+  // snapshot rebase.
+  {
+    DurableReplica replica(follower_dir);
+    Follower follower(replica.store.get(), replica.service.get(),
+                      follower_options);
+    follower.Start();
+    EXPECT_EQ(CommitOne(), 4u);
+    ASSERT_EQ(follower.WaitForVersion("ms", 4, /*timeout_ms=*/5000), 4u);
+    // Stop joins the tailer, whose apply waits for the log's ack.
+    follower.Stop();
+    obs::Registry* registry = replica.wal->registry();
+    EXPECT_GE(registry->GetCounter("cxml_wal_records_total")->Value(), 1u);
+    EXPECT_EQ(
+        registry->GetCounter("cxml_wal_snapshot_records_total")->Value(),
+        0u);
+  }
+  {
+    DurableReplica reborn(follower_dir);
+    auto version = reborn.store->GetVersion("ms");
+    ASSERT_TRUE(version.ok()) << version.status();
+    EXPECT_EQ(*version, 4u);
+    EXPECT_EQ(reborn.SaveBytes(), SaveBytes());
+  }
+  server.Stop();
+}
+
+TEST_F(WalManagerTest, UnwritableLogFailsRegisterImportAndEditAcks) {
+  (void)std::remove(data_dir_.c_str());  // an earlier run's stand-in file
+  StartWorld();
+  net::ServerOptions server_options;
+  server_options.num_workers = 2;
+  server_options.sync_source = wal_.get();
+  net::Server server(store_.get(), service_.get(), server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  // The log can no longer write: its data dir is now a regular file.
+  ASSERT_TRUE(RemoveDirRecursive(data_dir_).ok());
+  ASSERT_TRUE(WriteFileDurable(data_dir_, "not a directory").ok());
+
+  auto client = net::Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status();
+  auto registered = client->Register("up", CorpusBytes());
+  ASSERT_FALSE(registered.ok());
+  EXPECT_NE(registered.status().message().find("not durable"),
+            std::string::npos)
+      << registered.status();
+  auto imported = client->Import(
+      "tei", "tei", "<TEI><text><pb n=\"1\"/><p>One.</p></text></TEI>");
+  ASSERT_FALSE(imported.ok());
+  EXPECT_NE(imported.status().message().find("not durable"),
+            std::string::npos)
+      << imported.status();
+
+  // Both documents exist in memory, but the log holds neither, so an
+  // edit on one cannot be acked either.
+  auto snap = store_->GetSnapshot("up");
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  size_t offset = FindFreeA0Gap(*(*snap)->goddag, 0, 30);
+  auto edited = client->Edit(
+      "up", {net::EditOp::Select(offset, offset + 30),
+             net::EditOp::Apply(2, "a0")});
+  ASSERT_FALSE(edited.ok());
+  EXPECT_NE(edited.status().message().find("not durable"),
+            std::string::npos)
+      << edited.status();
+  server.Stop();
+  StopWorld();
+  EXPECT_EQ(std::remove(data_dir_.c_str()), 0);
 }
 
 TEST_F(WalManagerTest, SyncVerbRequiresASyncSource) {
