@@ -272,8 +272,10 @@ void WritePipeline::RunExclusive(const std::string& document,
                                    entry->initial_version);
       break;
     case CommitBatch::Kind::kRemove:
-      if (Status removed = store_->Remove(document); !removed.ok()) {
-        published = removed;
+      // Removed below, once the sink dropped its log: a retry after a
+      // failed drop reaches the sink again.
+      if (auto live = store_->GetVersion(document); !live.ok()) {
+        published = live.status();
       }
       break;
   }
@@ -286,14 +288,22 @@ void WritePipeline::RunExclusive(const std::string& document,
   }
   batch.snapshot = std::move(published).value();
   if (batch.snapshot != nullptr) batch.version = batch.snapshot->version;
-  Ack(entry, RunCommitSink(batch), batch.version, 1);
+  CommitSinkResult sunk = RunCommitSink(batch);
+  // A removal happens once its log is gone, and a registration the log
+  // rejected is undone: a failed ack leaves the store as it was.
+  if (entry->kind == CommitBatch::Kind::kRemove
+          ? sunk.status.ok()
+          : entry->kind == CommitBatch::Kind::kRegister && !sunk.status.ok()) {
+    (void)store_->Remove(document);
+  }
+  Ack(entry, sunk, batch.version, 1);
 }
 
 void WritePipeline::Ack(PendingWrite* entry, const CommitSinkResult& sunk,
                         uint64_t version, size_t batch_size) {
   if (!sunk.status.ok()) {
-    // The event landed in memory but the log rejected it: the write
-    // must not be acknowledged as committed.
+    // The log rejected the event: the write must not be acknowledged
+    // as committed.
     Fail(entry, sunk.status.WithContext("commit not durable"));
     return;
   }

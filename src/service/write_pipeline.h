@@ -63,19 +63,17 @@ struct CommitBatch {
 
 /// What the sink spent making the event durable (reported back to each
 /// participant's EditResponse), and whether it succeeded. A non-OK
-/// status means the event is visible in memory but NOT on disk — the
-/// pipeline fails every participant's ack with it, so a client never
-/// holds an acknowledgement the log cannot honour.
+/// status fails every participant's ack, so a client never holds an
+/// acknowledgement the log cannot honour.
 struct CommitSinkResult {
   Status status;
   double append_us = 0;
   double fsync_us = 0;
 };
 
-/// Durability hook: invoked synchronously after every successful
-/// publish, registration and removal, before the participants' futures
-/// resolve — when the sink blocks on fsync, an acked write is a durable
-/// write.
+/// Durability hook: invoked synchronously for every event, before the
+/// participants' futures resolve — when the sink blocks on fsync, an
+/// acked write is a durable write.
 using CommitSink = std::function<CommitSinkResult(const CommitBatch&)>;
 
 struct WriteStats {
@@ -118,8 +116,7 @@ struct WriteStats {
 /// transactions (net EBEGIN..ECOMMIT) carry their own clone, so they
 /// cannot join a group; SubmitCommit publishes one with the optimistic
 /// first-committer-wins check, so a transaction whose base went stale
-/// loses deterministically. SubmitRegister and SubmitRemove add and
-/// drop whole documents.
+/// loses deterministically.
 class WritePipeline {
  public:
   /// `store` and `pool` must outlive the pipeline; the owner
@@ -153,13 +150,15 @@ class WritePipeline {
 
   /// Queues a registration (DocumentStore::Register semantics: version
   /// `initial_version`, AlreadyExists for a live name). Acks with the
-  /// registered version.
+  /// registered version; if the sink fails, the document is removed
+  /// again before the ack fails.
   std::future<EditResponse> SubmitRegister(std::string document,
                                            storage::LoadedGoddag doc,
                                            uint64_t initial_version = 1);
 
   /// Queues a removal (DocumentStore::Remove semantics: NotFound for an
-  /// unknown name).
+  /// unknown name). The sink drops the document's log first; if it
+  /// fails, the document stays registered.
   std::future<EditResponse> SubmitRemove(std::string document);
 
   /// Installs (or clears, with nullptr) the durability sink. Blocks

@@ -179,8 +179,8 @@ bool Follower::SyncRound(net::Client* client) {
 }
 
 void Follower::RemoveLocal(const std::string& name) {
-  // A removal the local log could not make durable still happened in
-  // memory; the next round bootstraps over it either way.
+  // A removal the local log could not make durable leaves the document
+  // in place; the next round retries it.
   if (!service_->pipeline().SubmitRemove(name).get().ok()) errors_->Add();
 }
 

@@ -53,10 +53,9 @@ struct FollowerStats {
 /// records register/replace the document at the record's version; ops
 /// records replay as one grouped submission, reproducing the primary's
 /// version sequence exactly), and lets the local server answer CXP/1
-/// reads from its own DocumentStore. Because every change goes through
-/// the pipeline, a follower with its own WalManager logs what it
-/// applies: a bootstrap is a checkpoint at the primary's version, and
-/// the ops records after it log as ops records. Any divergence — a
+/// reads from its own DocumentStore. A follower with its own WalManager
+/// logs what it applies: a bootstrap as a checkpoint at the primary's
+/// version, ops records as ops records. Any divergence — a
 /// base-version mismatch, a version that lands wrong — drops the local
 /// copy and re-bootstraps from a snapshot record on the next round, so
 /// the follower converges instead of wedging.

@@ -332,17 +332,21 @@ Status WalManager::CreateDoc(const std::string& name,
                              const service::DocumentSnapshot& snap) {
   // Stale files from a previous same-name document would pollute the
   // fresh log.
-  CXML_RETURN_IF_ERROR(DropDoc(name));
+  CloseDoc(name);
   std::string dir = StrCat(options_.data_dir, "/", EncodeDocDir(name));
+  CXML_RETURN_IF_ERROR(RemoveDirRecursive(dir));
   CXML_RETURN_IF_ERROR(EnsureDir(dir));
+  // One data-dir fsync covers both the removal and the creation.
   CXML_RETURN_IF_ERROR(FsyncDirOf(dir));
-  CXML_ASSIGN_OR_RETURN(std::string bytes, storage::Save(*snap.goddag));
-  CXML_RETURN_IF_ERROR(WriteFileDurable(
-      StrCat(dir, "/", CheckpointFileName(snap.version)), bytes));
   CXML_ASSIGN_OR_RETURN(
       std::unique_ptr<SegmentWriter> segment,
       SegmentWriter::Create(StrCat(dir, "/", SegmentFileName(snap.version)),
                             snap.version));
+  // The checkpoint goes last: a directory without one recovers nothing,
+  // so a registration that fails its ack does not come back on restart.
+  CXML_ASSIGN_OR_RETURN(std::string bytes, storage::Save(*snap.goddag));
+  CXML_RETURN_IF_ERROR(WriteFileDurable(
+      StrCat(dir, "/", CheckpointFileName(snap.version)), bytes));
   segment->set_injector(options_.injector);
   auto state = std::make_shared<DocState>();
   state->name = name;
@@ -356,30 +360,29 @@ Status WalManager::CreateDoc(const std::string& name,
   return Status::Ok();
 }
 
-Status WalManager::DropDoc(const std::string& name) {
-  DocPtr state;
+void WalManager::CloseDoc(const std::string& name) {
+  DocPtr state = FindDoc(name);
+  if (state == nullptr) return;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = docs_.find(name);
-    if (it != docs_.end()) {
-      state = it->second;
-      docs_.erase(it);
-    }
+    std::lock_guard<std::mutex> lock(state->mu);
+    state->dropped = true;
+    state->segment.reset();
+    state->ring.clear();
+    state->ring_bytes = 0;
   }
-  if (state != nullptr) {
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      state->dropped = true;
-      state->segment.reset();
-      state->ring.clear();
-      state->ring_bytes = 0;
-    }
-    std::lock_guard<std::mutex> lock(sync_mu_);
-    dirty_.erase(state);
-  }
+  std::lock_guard<std::mutex> lock(sync_mu_);
+  dirty_.erase(state);
+}
+
+Status WalManager::DropDoc(const std::string& name) {
+  // Closed first, so no append lands in a half-removed directory.
+  CloseDoc(name);
   std::string dir = StrCat(options_.data_dir, "/", EncodeDocDir(name));
   CXML_RETURN_IF_ERROR(RemoveDirRecursive(dir));
-  return FsyncDirOf(dir);
+  CXML_RETURN_IF_ERROR(FsyncDirOf(dir));
+  std::lock_guard<std::mutex> lock(mu_);
+  docs_.erase(name);
+  return Status::Ok();
 }
 
 // --------------------------------------------------------- appending
@@ -399,9 +402,8 @@ service::CommitSinkResult WalManager::OnCommit(
   }
 
   // Every document's log is created by its registration, so a publish
-  // for a document the log does not hold (its registration was not
-  // durable, or the store changed outside the pipeline) cannot be made
-  // durable here.
+  // for a document with no open log (a failed removal closed it, or the
+  // store changed outside the pipeline) cannot be made durable here.
   auto no_log = [&] {
     errors_->Add();
     result.status = status::FailedPrecondition(

@@ -188,7 +188,11 @@ class WalManager : public net::SyncSource {
   /// durable checkpoint and an empty segment based at its version.
   Status CreateDoc(const std::string& name,
                    const service::DocumentSnapshot& snap);
-  /// Drops the document's log state and, durably, its directory.
+  /// Closes `name`'s log in memory: no append, fsync or sync read
+  /// touches its files afterwards. Its docs_ entry stays until
+  /// CreateDoc replaces it or DropDoc erases it.
+  void CloseDoc(const std::string& name);
+  /// Removes the document's directory durably, then its log state.
   Status DropDoc(const std::string& name);
   Status RecoverDoc(const std::string& dir_name,
                     service::DocumentStore* store, RecoveryStats* stats);

@@ -620,14 +620,17 @@ TEST_F(ServiceTest, TrafficGeneratorDrivesService) {
   for (const workload::TrafficOp& op : *ops) {
     if (op.kind == workload::TrafficOp::Kind::kEdit) {
       ++writes;
+      auto txn = store_.BeginEdit("ms");
+      ASSERT_TRUE(txn.ok()) << txn.status();
+      if (!txn->session().Select(op.edit_chars).ok()) continue;
       // Prevalidation may reject ranges colliding with earlier writes in
       // the same hierarchy; rejected edits simply don't commit.
-      EditResponse response = service.ExecuteEdit(
-          "ms", [&op](edit::EditSession& session) -> Status {
-            CXML_RETURN_IF_ERROR(session.Select(op.edit_chars));
-            return session.Apply(op.edit_hierarchy, op.edit_tag).status();
-          });
-      if (response.ok()) ++commits;
+      if (!txn->session().Apply(op.edit_hierarchy, op.edit_tag).ok()) {
+        continue;
+      }
+      EditResponse committed = Commit(service, std::move(txn).value());
+      ASSERT_TRUE(committed.ok()) << committed.status;
+      ++commits;
     } else {
       ++reads;
       QueryKind kind = op.kind == workload::TrafficOp::Kind::kXQuery

@@ -783,6 +783,7 @@ TEST_F(WalManagerTest, DurableFollowerLogsItsSnapshotBootstrap) {
 TEST_F(WalManagerTest, UnwritableLogFailsRegisterImportAndEditAcks) {
   (void)std::remove(data_dir_.c_str());  // an earlier run's stand-in file
   StartWorld();
+  RegisterMs();
   net::ServerOptions server_options;
   server_options.num_workers = 2;
   server_options.sync_source = wal_.get();
@@ -807,21 +808,34 @@ TEST_F(WalManagerTest, UnwritableLogFailsRegisterImportAndEditAcks) {
             std::string::npos)
       << imported.status();
 
-  // Both documents exist in memory, but the log holds neither, so an
-  // edit on one cannot be acked either.
-  auto snap = store_->GetSnapshot("up");
-  ASSERT_TRUE(snap.ok()) << snap.status();
-  size_t offset = FindFreeA0Gap(*(*snap)->goddag, 0, 30);
+  // A failed registration is undone: neither document exists, so an
+  // edit on one is not acked either.
+  EXPECT_EQ(store_->ListDocuments(), std::vector<std::string>{"ms"});
   auto edited = client->Edit(
-      "up", {net::EditOp::Select(offset, offset + 30),
-             net::EditOp::Apply(2, "a0")});
-  ASSERT_FALSE(edited.ok());
-  EXPECT_NE(edited.status().message().find("not durable"),
-            std::string::npos)
+      "up", {net::EditOp::Select(0, 30), net::EditOp::Apply(2, "a0")});
+  EXPECT_EQ(edited.status().code(), StatusCode::kNotFound)
       << edited.status();
+
+  // A removal the log cannot make durable does not happen; the log it
+  // closed acks no further edit.
+  Status removed = client->Remove("ms");
+  ASSERT_FALSE(removed.ok());
+  EXPECT_NE(removed.message().find("not durable"), std::string::npos)
+      << removed;
+  EXPECT_EQ(store_->ListDocuments(), std::vector<std::string>{"ms"});
+  EXPECT_FALSE(TryCommitOne().ok());
+
+  // Once the log can write again, both retries succeed and survive a
+  // restart.
+  ASSERT_EQ(std::remove(data_dir_.c_str()), 0);
+  ASSERT_TRUE(EnsureDir(data_dir_).ok());
+  auto retried = client->Register("up", CorpusBytes());
+  ASSERT_TRUE(retried.ok()) << retried.status();
+  EXPECT_EQ(*retried, 1u);
+  ASSERT_TRUE(client->Remove("ms").ok());
   server.Stop();
-  StopWorld();
-  EXPECT_EQ(std::remove(data_dir_.c_str()), 0);
+  StartWorld();
+  EXPECT_EQ(store_->ListDocuments(), std::vector<std::string>{"up"});
 }
 
 TEST_F(WalManagerTest, SyncVerbRequiresASyncSource) {
