@@ -18,6 +18,12 @@
 //   descendant_*            — //line//w, indexed vs naive-scan
 //   ancestor_*              — //w/ancestor::line, indexed vs naive-scan
 //   overlap_*               — //w[overlapping::line], indexed vs naive
+//   semijoin_ancestor_*     — count(//w[ancestor::s[@n='k']]), indexed
+//                             vs naive (the existential step answered
+//                             from a restricted s pool)
+//   semijoin_overlap_*      — count(//w[overlapping::line[@n='k']])
+//   attr_range_*            — count(//line[@n >= k and @n < k+10]) (a
+//                             compiled attribute filter)
 //   overlap_baseline_join_us— the fragmentation-DOM comparator, which
 //                             must reassemble logical elements by
 //                             joining fragments before extents compare
@@ -27,7 +33,8 @@
 //   cold_after_commit_p50_us— patch + first query (what a reader pays
 //                             right after a commit), vs cold_fresh_p50_us
 //
-// The run aborts when indexed and naive answers disagree (the bench is
+// Each axis series records indexed (cold_*) and naive p50/p99. The run
+// aborts when indexed and naive answers disagree (the bench is
 // also an equivalence check), when patched and rebuilt indexes answer
 // differently, or — at >= 20k chars — when the indexed descendant axis
 // is not >= 10x faster than the naive scan (PR 4), positional pushdown
@@ -42,6 +49,7 @@
 #include <vector>
 
 #include "baseline/fragment_join.h"
+#include "common/strings.h"
 #include "bench_util.h"
 #include "dom/document.h"
 #include "drivers/fragmentation.h"
@@ -71,10 +79,11 @@ double MicrosSince(Clock::time_point start) {
 
 struct AxisSeries {
   const char* name;
-  const char* query;
+  std::string query;
   double cold_p50_us = 0;
   double cold_p99_us = 0;
   double naive_p50_us = 0;
+  double naive_p99_us = 0;
   double answers = 0;
 
   double speedup() const {
@@ -85,7 +94,7 @@ struct AxisSeries {
 /// Evaluates `query` `reps` times on `engine`, returning per-rep
 /// latencies (µs) and checking every rep agrees on the numeric answer.
 std::vector<double> TimeQuery(xpath::XPathEngine* engine,
-                              const char* query, int reps,
+                              const std::string& query, int reps,
                               const goddag::Goddag& g, double* answer) {
   std::vector<double> samples;
   samples.reserve(static_cast<size_t>(reps));
@@ -136,10 +145,28 @@ int Run(size_t content_chars) {
 
   const int indexed_reps = 30;
   const int naive_reps = content_chars >= 20000 ? 5 : 10;
+  // The predicate series pick a middle sentence, and the first line
+  // from the middle on that some w straddles, so every answer is
+  // non-zero.
+  const size_t k_s = g.ElementsByTag("s").size() / 2 + 1;
+  const size_t lines = g.ElementsByTag("line").size();
+  size_t k_line = lines / 2 + 1;
+  for (; k_line < lines; ++k_line) {
+    auto straddling = indexed.Evaluate(
+        StrFormat("count(//line[@n='%zu']/overlapping::w)", k_line));
+    BENCH_CHECK(straddling.ok());
+    if (straddling->ToNumber(g) > 0) break;
+  }
   AxisSeries series[] = {
       {"descendant", "count(//line//w)"},
       {"ancestor", "count(//w/ancestor::line)"},
       {"overlap", "count(//w[overlapping::line])"},
+      {"semijoin_ancestor",
+       StrFormat("count(//w[ancestor::s[@n='%zu']])", k_s)},
+      {"semijoin_overlap",
+       StrFormat("count(//w[overlapping::line[@n='%zu']])", k_line)},
+      {"attr_range", StrFormat("count(//line[@n >= %zu and @n < %zu])",
+                               k_line, k_line + 10)},
   };
   std::vector<double> cold_all;
   for (AxisSeries& s : series) {
@@ -156,6 +183,7 @@ int Run(size_t content_chars) {
     s.cold_p50_us = Percentile(&cold, 0.5);
     s.cold_p99_us = Percentile(&cold, 0.99);
     s.naive_p50_us = Percentile(&slow, 0.5);
+    s.naive_p99_us = Percentile(&slow, 0.99);
   }
 
   // The PR 4 acceptance bar: the indexed descendant axis must beat the
@@ -296,6 +324,12 @@ int Run(size_t content_chars) {
         ->Add(indexed_axes.naive_axes + naive_axes.naive_axes);
     registry.GetCounter("cxml_axis_pool_nodes_total")
         ->Add(indexed_axes.pool_nodes + naive_axes.pool_nodes);
+    registry.GetCounter("cxml_axis_filter_preds_total")
+        ->Add(indexed_axes.filter_preds);
+    registry.GetCounter("cxml_axis_exists_preds_total")
+        ->Add(indexed_axes.exists_preds);
+    registry.GetCounter("cxml_axis_restricted_pools_total")
+        ->Add(indexed_axes.restricted_pools);
     registry.GetCounter("cxml_index_patch_total")->Add(patch_total);
     registry.GetCounter("cxml_index_rebuild_total")->Add(rebuild_total);
     registry.GetCounter("cxml_index_pool_reuse_total")
@@ -422,10 +456,11 @@ int Run(size_t content_chars) {
     for (const AxisSeries& s : series) {
       std::fprintf(f,
                    "  \"%s_cold_p50_us\": %.1f, \"%s_cold_p99_us\": %.1f, "
-                   "\"%s_naive_p50_us\": %.1f, \"%s_speedup\": %.1f, "
-                   "\"%s_answers\": %.0f,\n",
+                   "\"%s_naive_p50_us\": %.1f, \"%s_naive_p99_us\": %.1f, "
+                   "\"%s_speedup\": %.1f, \"%s_answers\": %.0f,\n",
                    s.name, s.cold_p50_us, s.name, s.cold_p99_us, s.name,
-                   s.naive_p50_us, s.name, s.speedup(), s.name, s.answers);
+                   s.naive_p50_us, s.name, s.naive_p99_us, s.name,
+                   s.speedup(), s.name, s.answers);
     }
     std::fprintf(f,
                  "  \"prepared_p50_us\": %.2f, \"adhoc_p50_us\": %.2f, "

@@ -803,6 +803,32 @@ void SnapshotIndex::FinishPool(const Goddag& g, Pool* pool) {
   }
 }
 
+SnapshotIndex::Pool SnapshotIndex::Subset(const Pool& pool,
+                                          const std::vector<char>& keep) {
+  Pool sub;
+  size_t running = 0;
+  for (size_t i = 0; i < pool.nodes.size(); ++i) {
+    if (!keep[i]) continue;
+    sub.nodes.push_back(pool.nodes[i]);
+    sub.begins.push_back(pool.begins[i]);
+    sub.ends.push_back(pool.ends[i]);
+    running = std::max(running, pool.ends[i]);
+    sub.max_end.push_back(running);
+  }
+  // The same stable end order FinishPool gives a pool built from these
+  // nodes.
+  std::vector<size_t> by_end(sub.nodes.size());
+  for (size_t i = 0; i < by_end.size(); ++i) by_end[i] = i;
+  std::stable_sort(by_end.begin(), by_end.end(), [&sub](size_t a, size_t b) {
+    return sub.ends[a] < sub.ends[b];
+  });
+  for (size_t i : by_end) {
+    sub.by_end.push_back(sub.nodes[i]);
+    sub.end_keys.push_back(sub.ends[i]);
+  }
+  return sub;
+}
+
 const SnapshotIndex::Pool& SnapshotIndex::Elements(
     HierarchyId hq, std::string_view tag) const {
   static const Pool kEmpty;

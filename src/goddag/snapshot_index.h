@@ -136,6 +136,14 @@ class SnapshotIndex {
   /// The shared leaf layer (content order == document order).
   const Pool& Leaves() const;
 
+  /// The members of `pool` whose flag in `keep` (parallel to
+  /// pool.nodes) is set, as a pool of their own: document order kept,
+  /// extent arrays copied, prefix-max-end and end order rebuilt over
+  /// the subset. Every collector runs on it unchanged and returns the
+  /// full pool's answer restricted to those members — how the
+  /// evaluator answers `[ancestor::s[@n='206']]` as a semi-join.
+  static Pool Subset(const Pool& pool, const std::vector<char>& keep);
+
   // ------------------------------------------------------ O(1) relations
   /// Document-order position of an attached node (root, element, leaf);
   /// kUnranked for detached nodes.

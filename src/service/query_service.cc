@@ -75,6 +75,10 @@ QueryService::QueryService(DocumentStore* store, QueryServiceOptions options)
   axis_naive_ = registry_->GetCounter("cxml_axis_naive_total");
   axis_pushdown_ = registry_->GetCounter("cxml_axis_pushdown_total");
   axis_pool_nodes_ = registry_->GetCounter("cxml_axis_pool_nodes_total");
+  axis_filter_preds_ = registry_->GetCounter("cxml_axis_filter_preds_total");
+  axis_exists_preds_ = registry_->GetCounter("cxml_axis_exists_preds_total");
+  axis_restricted_pools_ =
+      registry_->GetCounter("cxml_axis_restricted_pools_total");
   listener_id_ = store_->AddVersionListener(
       [this](const std::string& name, uint64_t version) {
         cache_.InvalidateBelow(name, version);
@@ -336,6 +340,11 @@ QueryResponse QueryService::Evaluate(const DocumentSnapshot& snap,
   if (axes.naive_axes > 0) axis_naive_->Add(axes.naive_axes);
   if (axes.pushdown_axes > 0) axis_pushdown_->Add(axes.pushdown_axes);
   if (axes.pool_nodes > 0) axis_pool_nodes_->Add(axes.pool_nodes);
+  if (axes.filter_preds > 0) axis_filter_preds_->Add(axes.filter_preds);
+  if (axes.exists_preds > 0) axis_exists_preds_->Add(axes.exists_preds);
+  if (axes.restricted_pools > 0) {
+    axis_restricted_pools_->Add(axes.restricted_pools);
+  }
 
   if (!items.ok()) {
     response.status = items.status().WithContext(

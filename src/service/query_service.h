@@ -266,11 +266,15 @@ class QueryService {
   obs::Counter* index_pool_reuse_total_ = nullptr;
   obs::Histogram* index_patch_us_ = nullptr;
   /// Evaluator strategy tallies (see xpath::AxisStats) — the per-axis
-  /// selectivity feed for the planned cost-based planner.
+  /// selectivity feed for the planned cost-based planner — and which
+  /// predicate plans ran.
   obs::Counter* axis_indexed_ = nullptr;
   obs::Counter* axis_naive_ = nullptr;
   obs::Counter* axis_pushdown_ = nullptr;
   obs::Counter* axis_pool_nodes_ = nullptr;
+  obs::Counter* axis_filter_preds_ = nullptr;
+  obs::Counter* axis_exists_preds_ = nullptr;
+  obs::Counter* axis_restricted_pools_ = nullptr;
 
   /// Prepared-handle state: the raw-text LRU keeps hot string
   /// submissions parse-free; the canonical registry dedupes handles so

@@ -55,6 +55,54 @@ struct NodeTest {
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
 
+/// A step predicate compiled to a test of the candidate element's own
+/// attributes: `@a op literal` (op one of = != < <= > >=, the literal a
+/// string or a number on either side), a bare `@a`, and `and`/`or`/
+/// `not()` of these. Checked against Goddag::attributes without
+/// building a Value, a NodeSet or a string. XPath 1.0 §3.4 gives the
+/// rules: `=`/`!=` against a string literal compare strings, every
+/// other comparison compares numbers, and a comparison is true when
+/// some attribute named `name` satisfies it, so a missing attribute
+/// makes every comparison false.
+struct AttrFilter {
+  enum class Kind : uint8_t { kExists, kCompare, kAnd, kOr, kNot };
+  /// The comparison with the attribute on the left: `5 < @n` is
+  /// compiled as `@n > 5`.
+  enum class Op : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
+
+  Kind kind = Kind::kExists;
+  /// kExists / kCompare: the attribute name.
+  std::string name;
+  Op op = Op::kEq;
+  /// kCompare: string comparison against `text` (= and != with a string
+  /// literal); otherwise number(value) is compared with `number`.
+  bool by_string = false;
+  std::string text;
+  double number = 0;
+  /// kAnd / kOr: two operands; kNot: one.
+  std::vector<AttrFilter> operands;
+};
+
+/// How the indexed evaluator answers one step predicate. kNaiveScan
+/// ignores plans and stays the literal oracle.
+struct PredicatePlan {
+  enum class Kind : uint8_t {
+    /// Evaluated per candidate through the generic expression loop:
+    /// positional and numeric predicates, boolean operands, variables,
+    /// functions, multi-step paths.
+    kGeneric,
+    /// `filter` is checked on the candidate (AttrFilter).
+    kAttributeFilter,
+    /// A one-step relative path `axis(h)::T[f]...` with a pool-backed
+    /// axis, T a name or `*`, and only attribute filters as its own
+    /// predicates: true when the filtered axis window is non-empty,
+    /// answered from the SnapshotIndex collector with no NodeSet.
+    kExists,
+  };
+  Kind kind = Kind::kGeneric;
+  AttrFilter filter;
+};
+
 /// Static per-step plan, filled in by xpath::Compile's analysis pass
 /// (compiled.h) after parsing. Default-constructed steps carry no plan
 /// and evaluate exactly as before — the plan only ever *narrows* work
@@ -85,6 +133,13 @@ struct StepPlan {
   /// walking each one's children. node()/text() tests stay unfused:
   /// a leaf has one parent per hierarchy.
   bool fuse_with_child = false;
+  /// One plan per Step::predicates entry (empty: all generic). Attribute
+  /// filters and existential steps do not depend on the candidate's
+  /// position, so under AxisStrategy::kIndexed they run without
+  /// EvalExpr on element and root candidates; attribute, document and
+  /// leaf candidates take the generic loop, whose answer for these
+  /// predicates is the same.
+  std::vector<PredicatePlan> predicates;
 };
 
 /// One location step: axis(hierarchy)::test[pred]...

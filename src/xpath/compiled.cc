@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "xpath/parser.h"
+#include "xpath/value.h"
 
 namespace cxml::xpath {
 
@@ -62,6 +63,123 @@ bool FusesWithChild(const Step& step, const Step& next) {
           next.test.kind == NodeTest::Kind::kAnyName);
 }
 
+/// The attribute name of a bare `@a`: one relative attribute-axis step
+/// with a name test and no qualifier or predicates (a qualifier could
+/// name an unknown hierarchy, which must still error). nullptr
+/// otherwise.
+const std::string* BareAttribute(const Expr& e) {
+  if (e.kind != Expr::Kind::kPath || e.path.absolute ||
+      e.path.steps.size() != 1) {
+    return nullptr;
+  }
+  const Step& step = e.path.steps.front();
+  if (step.axis != AxisKind::kAttribute || !step.hierarchy.empty() ||
+      step.test.kind != NodeTest::Kind::kName || !step.predicates.empty()) {
+    return nullptr;
+  }
+  return &step.test.name;
+}
+
+/// The comparison operator of `kind`, mirrored when the attribute is on
+/// the right (`5 < @n` tests `@n > 5`); false for other kinds.
+bool CompareOp(Expr::Kind kind, bool mirrored, AttrFilter::Op* op) {
+  using Op = AttrFilter::Op;
+  switch (kind) {
+    case Expr::Kind::kEquals:
+      *op = Op::kEq;
+      return true;
+    case Expr::Kind::kNotEquals:
+      *op = Op::kNe;
+      return true;
+    case Expr::Kind::kLess:
+      *op = mirrored ? Op::kGt : Op::kLt;
+      return true;
+    case Expr::Kind::kLessEq:
+      *op = mirrored ? Op::kGe : Op::kLe;
+      return true;
+    case Expr::Kind::kGreater:
+      *op = mirrored ? Op::kLt : Op::kGt;
+      return true;
+    case Expr::Kind::kGreaterEq:
+      *op = mirrored ? Op::kLe : Op::kGe;
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Compiles `e` as an attribute filter (AttrFilter in ast.h); false when
+/// it is anything else, which then stays on the generic loop.
+bool CompileAttrFilter(const Expr& e, AttrFilter* out) {
+  switch (e.kind) {
+    case Expr::Kind::kAnd:
+    case Expr::Kind::kOr:
+      out->kind = e.kind == Expr::Kind::kAnd ? AttrFilter::Kind::kAnd
+                                             : AttrFilter::Kind::kOr;
+      out->operands.resize(2);
+      return CompileAttrFilter(*e.children[0], &out->operands[0]) &&
+             CompileAttrFilter(*e.children[1], &out->operands[1]);
+    case Expr::Kind::kFunction:
+      if (e.string_value != "not" || e.children.size() != 1) return false;
+      out->kind = AttrFilter::Kind::kNot;
+      out->operands.resize(1);
+      return CompileAttrFilter(*e.children[0], &out->operands[0]);
+    case Expr::Kind::kPath: {
+      const std::string* name = BareAttribute(e);
+      if (name == nullptr) return false;
+      out->kind = AttrFilter::Kind::kExists;
+      out->name = *name;
+      return true;
+    }
+    default:
+      break;
+  }
+  if (e.children.size() != 2) return false;
+  const bool mirrored = BareAttribute(*e.children[0]) == nullptr;
+  const std::string* name = BareAttribute(*e.children[mirrored ? 1 : 0]);
+  const Expr& literal = *e.children[mirrored ? 0 : 1];
+  if (name == nullptr || !CompareOp(e.kind, mirrored, &out->op)) return false;
+  out->kind = AttrFilter::Kind::kCompare;
+  out->name = *name;
+  if (literal.kind == Expr::Kind::kNumber) {
+    out->number = literal.number_value;
+  } else if (literal.kind == Expr::Kind::kLiteral) {
+    out->by_string =
+        out->op == AttrFilter::Op::kEq || out->op == AttrFilter::Op::kNe;
+    out->text = literal.string_value;
+    out->number = ParseXPathNumber(literal.string_value);
+  } else {
+    return false;
+  }
+  return true;
+}
+
+/// Classifies one step predicate (PredicatePlan in ast.h).
+PredicatePlan PlanPredicate(const Expr& pred) {
+  PredicatePlan plan;
+  if (CompileAttrFilter(pred, &plan.filter)) {
+    plan.kind = PredicatePlan::Kind::kAttributeFilter;
+    return plan;
+  }
+  plan.filter = AttrFilter();
+  if (pred.kind != Expr::Kind::kPath || pred.path.absolute ||
+      pred.path.steps.size() != 1) {
+    return plan;
+  }
+  const Step& step = pred.path.steps.front();
+  if (!AxisUsesPools(step.axis) ||
+      (step.test.kind != NodeTest::Kind::kName &&
+       step.test.kind != NodeTest::Kind::kAnyName)) {
+    return plan;
+  }
+  for (const ExprPtr& inner : step.predicates) {
+    AttrFilter unused;
+    if (!CompileAttrFilter(*inner, &unused)) return plan;
+  }
+  plan.kind = PredicatePlan::Kind::kExists;
+  return plan;
+}
+
 struct Analysis {
   std::vector<std::string>* hierarchies;
   std::vector<std::string>* tags;
@@ -91,6 +209,16 @@ void AnalyzePath(LocationPath* path, const Analysis& a) {
       a.tags->push_back(step.test.name);
     }
     for (ExprPtr& pred : step.predicates) AnalyzeExpr(pred.get(), a);
+    step.plan.predicates.clear();
+    for (const ExprPtr& pred : step.predicates) {
+      step.plan.predicates.push_back(PlanPredicate(*pred));
+    }
+    if (std::all_of(step.plan.predicates.begin(), step.plan.predicates.end(),
+                    [](const PredicatePlan& p) {
+                      return p.kind == PredicatePlan::Kind::kGeneric;
+                    })) {
+      step.plan.predicates.clear();
+    }
   }
 }
 

@@ -25,11 +25,16 @@ const goddag::SnapshotIndex& Evaluator::index() {
 }
 
 std::string AxisStats::Summary() const {
-  return StrFormat("indexed=%llu naive=%llu pushdown=%llu pool_nodes=%llu",
-                   static_cast<unsigned long long>(indexed_axes),
-                   static_cast<unsigned long long>(naive_axes),
-                   static_cast<unsigned long long>(pushdown_axes),
-                   static_cast<unsigned long long>(pool_nodes));
+  return StrFormat(
+      "indexed=%llu naive=%llu pushdown=%llu pool_nodes=%llu filter=%llu "
+      "exists=%llu restricted=%llu",
+      static_cast<unsigned long long>(indexed_axes),
+      static_cast<unsigned long long>(naive_axes),
+      static_cast<unsigned long long>(pushdown_axes),
+      static_cast<unsigned long long>(pool_nodes),
+      static_cast<unsigned long long>(filter_preds),
+      static_cast<unsigned long long>(exists_preds),
+      static_cast<unsigned long long>(restricted_pools));
 }
 
 const goddag::SnapshotIndex::Pool& Evaluator::ElementPoolFor(
@@ -75,7 +80,9 @@ void Evaluator::NormalizeSet(NodeSet* set) {
 Result<Value> Evaluator::Evaluate(const Expr& expr, NodeEntry context) {
   Context ctx;
   ctx.node = context;
-  return EvalExpr(expr, ctx);
+  Result<Value> value = EvalExpr(expr, ctx);
+  exists_.clear();
+  return value;
 }
 
 Result<HierarchyId> Evaluator::ResolveHierarchy(
@@ -562,24 +569,212 @@ Result<NodeSet> Evaluator::AxisNodes(const Step& step, const NodeEntry& ctx) {
 }
 
 Status Evaluator::FilterByPredicates(const std::vector<ExprPtr>& predicates,
+                                     const std::vector<PredicatePlan>& plans,
+                                     size_t begin, size_t end,
                                      NodeSet* nodes) {
-  for (const ExprPtr& pred : predicates) {
+  const bool planned = strategy_ == AxisStrategy::kIndexed && !plans.empty();
+  for (size_t p = begin; p < end; ++p) {
+    const PredicatePlan::Kind plan =
+        planned ? plans[p].kind : PredicatePlan::Kind::kGeneric;
+    ExistsState* exists = nullptr;  // at the first planned candidate
     NodeSet filtered;
     for (size_t i = 0; i < nodes->size(); ++i) {
-      Context pctx;
-      pctx.node = (*nodes)[i];
-      pctx.position = i + 1;
-      pctx.size = nodes->size();
-      CXML_ASSIGN_OR_RETURN(Value v, EvalExpr(*pred, pctx));
-      bool keep =
-          (v.type() == Value::Type::kNumber)
-              ? (v.ToNumber(*g_) == static_cast<double>(pctx.position))
-              : v.ToBoolean();
-      if (keep) filtered.push_back((*nodes)[i]);
+      const NodeEntry& entry = (*nodes)[i];
+      bool keep = false;
+      if (plan != PredicatePlan::Kind::kGeneric && !entry.is_attribute() &&
+          !entry.is_document() && !g_->is_leaf(entry.node)) {
+        if (plan == PredicatePlan::Kind::kAttributeFilter) {
+          ++stats_.filter_preds;
+          keep = PassesFilter(plans[p].filter, entry.node);
+        } else {
+          if (exists == nullptr) {
+            CXML_ASSIGN_OR_RETURN(
+                exists, ExistsStateFor(predicates[p]->path.steps.front()));
+          }
+          ++stats_.exists_preds;
+          keep = StepNonEmpty(exists, entry.node);
+        }
+      } else {
+        Context pctx;
+        pctx.node = entry;
+        pctx.position = i + 1;
+        pctx.size = nodes->size();
+        CXML_ASSIGN_OR_RETURN(Value v, EvalExpr(*predicates[p], pctx));
+        keep = (v.type() == Value::Type::kNumber)
+                   ? (v.ToNumber(*g_) == static_cast<double>(pctx.position))
+                   : v.ToBoolean();
+      }
+      if (keep) filtered.push_back(entry);
     }
     *nodes = std::move(filtered);
   }
   return Status::Ok();
+}
+
+size_t Evaluator::LeadingPlanned(const Step& step) const {
+  if (strategy_ != AxisStrategy::kIndexed) return 0;
+  size_t n = 0;
+  while (n < step.plan.predicates.size() &&
+         step.plan.predicates[n].kind != PredicatePlan::Kind::kGeneric) {
+    ++n;
+  }
+  return n;
+}
+
+namespace {
+
+/// One attribute value against a kCompare filter (the attribute is the
+/// left operand).
+bool AttrCompare(const AttrFilter& filter, const std::string& value) {
+  using Op = AttrFilter::Op;
+  if (filter.by_string) return (value == filter.text) == (filter.op == Op::kEq);
+  const double v = ParseXPathNumber(value);
+  switch (filter.op) {
+    case Op::kEq:
+      return v == filter.number;
+    case Op::kNe:
+      return v != filter.number;
+    case Op::kLt:
+      return v < filter.number;
+    case Op::kLe:
+      return v <= filter.number;
+    case Op::kGt:
+      return v > filter.number;
+    case Op::kGe:
+      return v >= filter.number;
+  }
+  return false;
+}
+
+}  // namespace
+
+bool Evaluator::PassesFilter(const AttrFilter& filter, NodeId node) const {
+  switch (filter.kind) {
+    case AttrFilter::Kind::kAnd:
+      return PassesFilter(filter.operands[0], node) &&
+             PassesFilter(filter.operands[1], node);
+    case AttrFilter::Kind::kOr:
+      return PassesFilter(filter.operands[0], node) ||
+             PassesFilter(filter.operands[1], node);
+    case AttrFilter::Kind::kNot:
+      return !PassesFilter(filter.operands[0], node);
+    case AttrFilter::Kind::kExists:
+    case AttrFilter::Kind::kCompare:
+      break;
+  }
+  // `@a` is every attribute named a, and a comparison holds when one of
+  // them satisfies it.
+  for (const xml::Attribute& attr : g_->attributes(node)) {
+    if (attr.name != filter.name) continue;
+    if (filter.kind == AttrFilter::Kind::kExists ||
+        AttrCompare(filter, attr.value)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool Evaluator::PassesFilters(const Step& step, NodeId node) const {
+  for (const PredicatePlan& plan : step.plan.predicates) {
+    if (!PassesFilter(plan.filter, node)) return false;
+  }
+  return true;
+}
+
+Result<Evaluator::ExistsState*> Evaluator::ExistsStateFor(const Step& step) {
+  for (const std::unique_ptr<ExistsState>& st : exists_) {
+    if (st->step == &step) return st.get();
+  }
+  CXML_ASSIGN_OR_RETURN(HierarchyId hq, ResolveHierarchy(step.hierarchy));
+  auto st = std::make_unique<ExistsState>();
+  st->step = &step;
+  st->pool = &index().Elements(hq, step.test.kind == NodeTest::Kind::kName
+                                       ? std::string_view(step.test.name)
+                                       : std::string_view());
+  // AxisNodes ends every ancestor window with the root (whatever the
+  // hierarchy qualifier) and the document node, which no name or `*`
+  // test matches.
+  st->root_hit = (step.axis == AxisKind::kAncestor ||
+                  step.axis == AxisKind::kAncestorOrSelf) &&
+                 MatchesTest(step.test, NodeEntry::Of(g_->root()), false) &&
+                 PassesFilters(step, g_->root());
+  exists_.push_back(std::move(st));
+  return exists_.back().get();
+}
+
+bool Evaluator::StepNonEmpty(ExistsState* st, NodeId ctx) {
+  const Step& step = *st->step;
+  const bool filtered = !step.predicates.empty();
+  auto passes = [&](NodeId n) {
+    if (!filtered) return true;
+    ++st->checks;
+    return PassesFilters(step, n);
+  };
+  // The -or-self axes add the context whatever the hierarchy qualifier.
+  if ((step.axis == AxisKind::kDescendantOrSelf ||
+       step.axis == AxisKind::kAncestorOrSelf) &&
+      MatchesTest(step.test, NodeEntry::Of(ctx), false) && passes(ctx)) {
+    return true;
+  }
+  if (step.axis == AxisKind::kAncestor ||
+      step.axis == AxisKind::kAncestorOrSelf) {
+    // The root's only ancestor is the document node.
+    if (g_->is_root(ctx)) return false;
+    if (st->root_hit) return true;
+  }
+
+  if (filtered && st->restricted == nullptr && !st->pool->empty() &&
+      st->checks >= st->pool->size()) {
+    std::vector<char> keep(st->pool->size());
+    for (size_t i = 0; i < keep.size(); ++i) {
+      keep[i] = PassesFilters(step, st->pool->nodes[i]) ? 1 : 0;
+    }
+    st->restricted = std::make_unique<const goddag::SnapshotIndex::Pool>(
+        goddag::SnapshotIndex::Subset(*st->pool, keep));
+    ++stats_.restricted_pools;
+  }
+  // Restricted-pool members passed the filters when it was built.
+  const bool restricted = st->restricted != nullptr;
+  const goddag::SnapshotIndex::Pool& pool =
+      restricted ? *st->restricted : *st->pool;
+  const goddag::SnapshotIndex& idx = *index_;  // ExistsStateFor built it
+  ++stats_.indexed_axes;
+  stats_.pool_nodes += pool.size();
+  scratch_.clear();
+  switch (step.axis) {
+    case AxisKind::kDescendant:
+    case AxisKind::kDescendantOrSelf:
+      idx.Dominated(pool, ctx, &scratch_);
+      break;
+    case AxisKind::kAncestor:
+    case AxisKind::kAncestorOrSelf:
+      idx.Dominating(pool, ctx, &scratch_);
+      break;
+    case AxisKind::kFollowing:
+      idx.FollowingOf(pool, ctx, &scratch_);
+      break;
+    case AxisKind::kPreceding:
+      idx.PrecedingOf(pool, ctx, &scratch_);
+      break;
+    default: {  // the overlapping family (PlanPredicate admits no other)
+      const Interval span = g_->char_range(ctx);
+      idx.OverlappingOf(pool, span, ctx, &scratch_);
+      for (NodeId n : scratch_) {
+        const Interval o = g_->char_range(n);
+        if (step.axis == AxisKind::kOverlappingStart
+                ? span.OverlapsRight(o)
+                : step.axis != AxisKind::kOverlappingEnd ||
+                      span.OverlapsLeft(o)) {
+          if (restricted || passes(n)) return true;
+        }
+      }
+      return false;
+    }
+  }
+  for (NodeId n : scratch_) {
+    if (restricted || passes(n)) return true;
+  }
+  return false;
 }
 
 Result<NodeSet> Evaluator::EvalStep(const Step& step, NodeSet input) {
@@ -589,7 +784,10 @@ Result<NodeSet> Evaluator::EvalStep(const Step& step, NodeSet input) {
     if (IsReverseAxis(step.axis)) {
       std::reverse(candidates.begin(), candidates.end());
     }
-    CXML_RETURN_IF_ERROR(FilterByPredicates(step.predicates, &candidates));
+    CXML_RETURN_IF_ERROR(FilterByPredicates(step.predicates,
+                                            step.plan.predicates, 0,
+                                            step.predicates.size(),
+                                            &candidates));
     result.insert(result.end(), candidates.begin(), candidates.end());
   }
   NormalizeSet(&result);
@@ -617,6 +815,7 @@ Result<NodeSet> Evaluator::EvalDescendantChild(const Step& child,
       // Every attached element is a child of the root or of another
       // element, all of which descend from the document node; the root
       // itself is the document node's child.
+      result.reserve(result.size() + pool->size() + 1);
       if (MatchesTest(child.test, NodeEntry::Of(g_->root()), false)) {
         result.push_back(NodeEntry::Of(g_->root()));
       }
@@ -628,7 +827,13 @@ Result<NodeSet> Evaluator::EvalDescendantChild(const Step& child,
     for (NodeId n : scratch_) result.push_back(NodeEntry::Of(n));
   }
   NormalizeSet(&result);
-  if (child.predicates.empty()) return result;
+  // Attribute-filter and existential predicates do not depend on
+  // position: the leading ones run once over every candidate, and only
+  // the survivors are regrouped.
+  const size_t planned = LeadingPlanned(child);
+  CXML_RETURN_IF_ERROR(FilterByPredicates(
+      child.predicates, child.plan.predicates, 0, planned, &result));
+  if (planned == child.predicates.size()) return result;
 
   // XPath positions on a child step count among one parent's children.
   // Every child of a parent that qualified is in `result`, so stably
@@ -647,7 +852,10 @@ Result<NodeSet> Evaluator::EvalDescendantChild(const Step& child,
     }
     NodeSet siblings(result.begin() + static_cast<ptrdiff_t>(begin),
                      result.begin() + static_cast<ptrdiff_t>(end));
-    CXML_RETURN_IF_ERROR(FilterByPredicates(child.predicates, &siblings));
+    CXML_RETURN_IF_ERROR(FilterByPredicates(child.predicates,
+                                            child.plan.predicates, planned,
+                                            child.predicates.size(),
+                                            &siblings));
     kept.insert(kept.end(), siblings.begin(), siblings.end());
     begin = end;
   }
@@ -679,7 +887,8 @@ Result<Value> Evaluator::EvalFilter(const Expr& expr, const Context& ctx) {
   }
   NodeSet nodes = std::move(primary.nodes());
   NormalizeSet(&nodes);
-  CXML_RETURN_IF_ERROR(FilterByPredicates(expr.predicates, &nodes));
+  CXML_RETURN_IF_ERROR(FilterByPredicates(expr.predicates, {}, 0,
+                                          expr.predicates.size(), &nodes));
   CXML_ASSIGN_OR_RETURN(nodes, EvalSteps(expr.path.steps, std::move(nodes)));
   return Value(std::move(nodes));
 }
@@ -730,11 +939,13 @@ Result<Value> Evaluator::Compare(Expr::Kind op, const Value& lhs,
     const Value& set = lhs.is_node_set() ? lhs : rhs;
     const Value& other = lhs.is_node_set() ? rhs : lhs;
     const bool set_on_left = lhs.is_node_set();
-    // Per XPath: comparing a node-set with a boolean compares boolean().
-    if (equality && other_is_boolean(other)) {
-      return Value(op == Expr::Kind::kEquals
-                       ? set.ToBoolean() == other.ToBoolean()
-                       : set.ToBoolean() != other.ToBoolean());
+    // XPath 1.0 §3.4: a node-set compared with a boolean compares
+    // boolean(node-set) with it, for every operator; <, <=, > and >=
+    // then compare the two booleans as numbers.
+    if (other_is_boolean(other)) {
+      const double a = set.ToBoolean() ? 1.0 : 0.0;
+      const double b = other.ToBoolean() ? 1.0 : 0.0;
+      return Value(set_on_left ? num_cmp(a, b) : num_cmp(b, a));
     }
     for (const NodeEntry& e : set.nodes()) {
       bool match;

@@ -45,10 +45,21 @@ struct AxisStats {
   /// Steps short-circuited by the compiled [1]/[last()] pushdown.
   uint64_t pushdown_axes = 0;
   /// Total size of the (hierarchy, tag) pools touched via
-  /// ElementPoolFor — the window the indexed strategies search in.
+  /// ElementPoolFor — the window the indexed strategies search in. An
+  /// existential step answered from a restricted pool tallies the
+  /// restricted pool's size.
   uint64_t pool_nodes = 0;
+  /// Step predicates answered by a compiled attribute filter, one per
+  /// candidate (PredicatePlan::Kind::kAttributeFilter).
+  uint64_t filter_preds = 0;
+  /// Step predicates answered by an existential check, one per
+  /// candidate (PredicatePlan::Kind::kExists).
+  uint64_t exists_preds = 0;
+  /// Restricted pools built for existential steps (the semi-join).
+  uint64_t restricted_pools = 0;
 
-  /// "indexed=N naive=N pushdown=N pool_nodes=N"
+  /// "indexed=N naive=N pushdown=N pool_nodes=N filter=N exists=N
+  /// restricted=N"
   std::string Summary() const;
 };
 
@@ -72,9 +83,32 @@ struct AxisStats {
 ///    (StepPlan::fuse_with_child); kNaiveScan evaluates both steps
 ///    literally and stays the oracle.
 ///
+/// Step predicates run through the generic expression loop, once per
+/// candidate, except under kIndexed on compiled steps, where two kinds
+/// take a plan (StepPlan::predicates) on element and root candidates:
+///  * an attribute filter (`[@n='206']`, `[@n >= 3 and @n < 9]`,
+///    `[not(@a)]`) is checked against Goddag::attributes directly;
+///  * an existential step (`[ancestor::s[@n='206']]`,
+///    `[overlapping::line]`) asks the SnapshotIndex collector for the
+///    axis window and stops at the first node passing the step's
+///    attribute filters. Once one Evaluate call has spent as many
+///    filter checks on that step as its (hierarchy, T) pool has nodes,
+///    it keeps the pool's passing members as a restricted pool
+///    (SnapshotIndex::Subset) and answers the remaining candidates from
+///    it — a semi-join that never costs more than about twice the
+///    checks of the literal loop.
+/// Neither depends on the candidate's position, so the fused `//T`
+/// step runs leading ones over all candidates before regrouping by
+/// parent. Everything else (positional and numeric predicates, boolean
+/// operands, variables, functions, multi-step paths) and attribute,
+/// document and leaf candidates stay on the generic loop. kNaiveScan
+/// takes no plan at all: it is the literal evaluation the plans are
+/// checked against.
+///
 /// The evaluator is deliberately stateless across calls except for a
 /// lazily built (or externally shared, see SetSnapshotIndex) snapshot
-/// index — invalidated by Reset() — and variable bindings.
+/// index — invalidated by Reset() — and variable bindings. Restricted
+/// pools live for one Evaluate call.
 class Evaluator {
  public:
   /// `g` must outlive the evaluator.
@@ -146,10 +180,44 @@ class Evaluator {
   /// Predicates run per parent, so positions keep their child-axis
   /// meaning.
   Result<NodeSet> EvalDescendantChild(const Step& child, NodeSet input);
-  /// Filters `nodes` through `predicates` in turn, each with proximity
-  /// positions over what the previous one kept.
+  /// Filters `nodes` through predicates [begin, end) in turn, each with
+  /// proximity positions over what the previous one kept. `plans` is
+  /// StepPlan::predicates (empty for filter expressions); a planned
+  /// predicate skips EvalExpr on element and root candidates under
+  /// kIndexed.
   Status FilterByPredicates(const std::vector<ExprPtr>& predicates,
-                            NodeSet* nodes);
+                            const std::vector<PredicatePlan>& plans,
+                            size_t begin, size_t end, NodeSet* nodes);
+  /// The number of leading predicates of `step` that take a plan (and
+  /// so do not depend on position) under the current strategy.
+  size_t LeadingPlanned(const Step& step) const;
+  /// True when `filter` holds on `node`'s attributes.
+  bool PassesFilter(const AttrFilter& filter, goddag::NodeId node) const;
+  /// True when `node` passes every predicate of `step` (all attribute
+  /// filters, see PredicatePlan::Kind::kExists).
+  bool PassesFilters(const Step& step, goddag::NodeId node) const;
+  /// One existential step's state within one Evaluate call: its
+  /// (hierarchy, T) pool, the filter checks spent on it so far, and the
+  /// restricted pool once those reached the pool's size.
+  struct ExistsState {
+    const Step* step = nullptr;
+    const goddag::SnapshotIndex::Pool* pool = nullptr;
+    /// Ancestor axes: the root matches T and passes the filters, so
+    /// every context but the root itself has a hit.
+    bool root_hit = false;
+    uint64_t checks = 0;
+    std::unique_ptr<const goddag::SnapshotIndex::Pool> restricted;
+  };
+  /// The state of existential step `step` in this Evaluate call. The
+  /// first use resolves the step's hierarchy, as the literal step's
+  /// AxisNodes would at its first context, so an unknown hierarchy
+  /// errors exactly when the literal form does.
+  Result<ExistsState*> ExistsStateFor(const Step& step);
+  /// A kExists predicate on element or root `ctx`: is the filtered
+  /// axis window of the state's step non-empty? Mirrors AxisNodes for
+  /// the step's axis, including the root that ancestor axes add and the
+  /// context that -or-self axes add.
+  bool StepNonEmpty(ExistsState* st, goddag::NodeId ctx);
   Result<NodeSet> AxisNodes(const Step& step, const NodeEntry& ctx);
   Result<Value> CallFunction(const Expr& call, const Context& ctx);
   Result<Value> Compare(Expr::Kind op, const Value& lhs, const Value& rhs);
@@ -187,6 +255,10 @@ class Evaluator {
   AxisStats stats_;
   /// Reused axis-result buffer (AxisNodes never recurses while filling).
   std::vector<goddag::NodeId> scratch_;
+  /// Cleared when Evaluate returns, so a restricted pool never outlives
+  /// the call (and the expression) it was built for. Held by pointer: a
+  /// generic evaluation nested in one step's filter pass may add states.
+  std::vector<std::unique_ptr<ExistsState>> exists_;
 };
 
 }  // namespace cxml::xpath

@@ -103,6 +103,15 @@ double ParseXPathNumber(std::string_view s) {
     }
   }
   if (!any_digit || i != stripped.size()) return std::nan("");
+  // Correctly rounded like strtod in the C locale, without copying the
+  // text (attribute filters parse every candidate's value). Past
+  // double's range strtod's infinity or zero stands.
+  double value = 0;
+  if (std::from_chars(stripped.data(), stripped.data() + stripped.size(),
+                      value)
+          .ec == std::errc()) {
+    return value;
+  }
   return std::strtod(std::string(stripped).c_str(), nullptr);
 }
 

@@ -947,5 +947,43 @@ TEST_F(ServiceTest, SubmittedTraceCollectsServiceStages) {
   EXPECT_NE(rendered.find("indexed="), std::string::npos) << rendered;
 }
 
+/// The eval stage's trace note and the METRICS counters name the
+/// predicate plans an evaluation ran: the semi-join shows as an
+/// existential check per w and one restricted pool.
+TEST_F(ServiceTest, EvalTraceNoteNamesPredicatePlans) {
+  obs::Registry registry;
+  QueryServiceOptions options;
+  options.num_threads = 2;
+  options.registry = &registry;
+  QueryService service(&store_, options);
+  auto handle = service.Prepare("count(//w[ancestor::s[@n = '3']])",
+                                QueryKind::kXPath);
+  ASSERT_TRUE(handle.ok()) << handle.status();
+
+  obs::TracePtr trace = service.tracer().Start();
+  ASSERT_NE(trace, nullptr);
+  int parent = trace->StartStage("service");
+  QueryResponse response =
+      service.Submit("ms", *handle, trace, parent).get();
+  trace->EndStage(parent);
+  ASSERT_TRUE(response.ok()) << response.status;
+  service.tracer().Finish(trace);
+
+  std::vector<std::string> recent = service.tracer().Recent(1);
+  ASSERT_EQ(recent.size(), 1u);
+  EXPECT_NE(recent[0].find("filter=0 exists="), std::string::npos)
+      << recent[0];
+  EXPECT_NE(recent[0].find("restricted=1"), std::string::npos) << recent[0];
+  EXPECT_GT(registry.GetCounter("cxml_axis_exists_preds_total")->Value(), 0u);
+  EXPECT_EQ(registry.GetCounter("cxml_axis_restricted_pools_total")->Value(),
+            1u);
+  EXPECT_EQ(registry.GetCounter("cxml_axis_filter_preds_total")->Value(), 0u);
+
+  auto filter = service.Prepare("count(//s[@n > 2])", QueryKind::kXPath);
+  ASSERT_TRUE(filter.ok()) << filter.status();
+  ASSERT_TRUE(service.Submit("ms", *filter).get().ok());
+  EXPECT_GT(registry.GetCounter("cxml_axis_filter_preds_total")->Value(), 0u);
+}
+
 }  // namespace
 }  // namespace cxml::service

@@ -426,7 +426,8 @@ void ExpectFusedMatchesNaive(const goddag::Goddag& g,
                              const std::vector<std::string>& absolute,
                              const std::vector<std::string>& relative,
                              const std::vector<NodeId>& contexts,
-                             const std::vector<std::string>& xqueries) {
+                             const std::vector<std::string>& xqueries,
+                             xpath::AxisStats* indexed_stats = nullptr) {
   auto index = std::make_shared<const SnapshotIndex>(g);
   xpath::XPathEngine indexed(g);
   indexed.UseSnapshotIndex(index);
@@ -463,6 +464,13 @@ void ExpectFusedMatchesNaive(const goddag::Goddag& g,
     ASSERT_TRUE(a.ok()) << query << ": " << a.status();
     ASSERT_TRUE(b.ok()) << query << ": " << b.status();
     EXPECT_EQ(*a, *b) << query;
+  }
+  if (indexed_stats != nullptr) {
+    const xpath::AxisStats& x = indexed.axis_stats();
+    const xpath::AxisStats& y = xq_indexed.axis_stats();
+    indexed_stats->filter_preds = x.filter_preds + y.filter_preds;
+    indexed_stats->exists_preds = x.exists_preds + y.exists_preds;
+    indexed_stats->restricted_pools = x.restricted_pools + y.restricted_pools;
   }
 }
 
@@ -600,6 +608,338 @@ TEST(FusedDescendantChild, UnknownHierarchyErrorsOnlyOnNonEmptyInput) {
     EXPECT_FALSE(xq.Run("let $v := //s return {count($v//child(nosuch)::w)}")
                      .ok());
   }
+}
+
+
+// ------------------------------------------------- compiled predicates
+//
+// Under kIndexed a compiled step predicate that is an attribute filter
+// or an existential step (xpath::PredicatePlan) runs without EvalExpr on
+// element and root candidates; an existential step's window comes from
+// the SnapshotIndex collector, and once an Evaluate call has spent as
+// many filter checks on the step as its pool has nodes, from a
+// restricted pool (SnapshotIndex::Subset). The naive engine takes no
+// plan and is the oracle.
+
+TEST(PredicatePlans, CompilerClassifiesPredicates) {
+  using Kind = xpath::PredicatePlan::Kind;
+  // The plan of the last step's only predicate.
+  auto plan = [](const std::string& query) {
+    auto compiled = xpath::Compile(query);
+    EXPECT_TRUE(compiled.ok()) << query << ": " << compiled.status();
+    const xpath::Step& step = (*compiled)->expr().path.steps.back();
+    EXPECT_EQ(step.predicates.size(), 1u) << query;
+    return step.plan.predicates.empty() ? Kind::kGeneric
+                                        : step.plan.predicates[0].kind;
+  };
+  for (const char* query :
+       {"//s[@n='3']", "//s['3' = @n]", "//s[@n != 3]", "//s[3 < @n]",
+        "//s[@n <= '3']", "//s[@n > 2.5]", "//s[@n >= 3]", "//s[@n]",
+        "//s[not(@n)]", "//s[@n > 2 and @n < 9 or not(@x = 'y')]",
+        "//s[attribute::n = '3']", "/descendant::s[@n='3']",
+        "//line/overlapping::s[@n]"}) {
+    EXPECT_EQ(plan(query), Kind::kAttributeFilter) << query;
+  }
+  for (const char* query :
+       {"//w[ancestor::s[@n='3']]", "//w[overlapping::line]",
+        "//w[overlapping-start(physical)::*[@n > 3]]",
+        "//w[overlapping-end::line]", "//w[descendant::a0]",
+        "//w[descendant-or-self::*]", "//w[ancestor-or-self::s[@n][not(@x)]]",
+        "//w[following::line[@n='3']]", "//w[preceding::s]"}) {
+    EXPECT_EQ(plan(query), Kind::kExists) << query;
+  }
+  for (const char* query :
+       {"//w[1]", "//w[last()]", "//w[position() >= 3]", "//s[@n = true()]",
+        "//s[@n = $v]", "//w[contains(., 'a')]", "//w[ancestor::s/w]",
+        "//w[ancestor::s[1]]", "//w[ancestor::s[@n = $v]]",
+        "//w[ancestor::node()]", "//w[ancestor::text()]",
+        "//w[child::line]", "//w[parent::s[@n]]", "//w[self::w]",
+        "//w[/descendant::s]", "//s[@n = @m]", "//s[@n = -3]",
+        "//s[not(@n, @m)]", "//s[attribute(physical)::n = '3']",
+        "//s[@*]", "//s[@n[. = '3']]", "//s[./@n]", "//s[@n + 1 = 4]"}) {
+    EXPECT_EQ(plan(query), Kind::kGeneric) << query;
+  }
+  // Literals on the left are mirrored; string literals compare as
+  // strings only for = and !=.
+  auto filter = [](const std::string& query) {
+    auto compiled = xpath::Compile(query);
+    EXPECT_TRUE(compiled.ok()) << compiled.status();
+    return (*compiled)->expr().path.steps.back().plan.predicates.at(0).filter;
+  };
+  xpath::AttrFilter mirrored = filter("//s['3' < @n]");
+  EXPECT_EQ(mirrored.kind, xpath::AttrFilter::Kind::kCompare);
+  EXPECT_EQ(mirrored.op, xpath::AttrFilter::Op::kGt);
+  EXPECT_FALSE(mirrored.by_string);
+  EXPECT_EQ(mirrored.number, 3);
+  xpath::AttrFilter by_string = filter("//s['3' != @n]");
+  EXPECT_EQ(by_string.op, xpath::AttrFilter::Op::kNe);
+  EXPECT_TRUE(by_string.by_string);
+  EXPECT_EQ(by_string.text, "3");
+  // Plans leave the canonical text (the cache identity) alone.
+  auto planned = xpath::Compile("//w[ancestor::s[@n='3']][2]");
+  ASSERT_TRUE(planned.ok());
+  EXPECT_EQ((*planned)->canonical(),
+            xpath::ToString((*planned)->expr()));
+}
+
+// A restricted pool answers every collector as the full pool does,
+// minus the members it dropped.
+TEST(PredicatePlans, SubsetPoolCollectorsMatchFilteredPool) {
+  Manuscript ms = MakeManuscript20k();
+  const goddag::Goddag& g = *ms.g;
+  SnapshotIndex index(g);
+  std::mt19937 rng(17);
+  std::vector<NodeId> contexts = SweepContexts(g, {"page", "line", "s", "w"});
+  for (const char* tag : {"s", "line", "page", ""}) {
+    const SnapshotIndex::Pool& pool = index.Elements(goddag::kInvalidHierarchy,
+                                                     tag);
+    ASSERT_FALSE(pool.empty()) << tag;
+    for (int density : {0, 1, 4, 100}) {
+      std::vector<char> keep(pool.size());
+      for (char& k : keep) {
+        k = static_cast<int>(rng() % 100) < density ? 1 : 0;
+      }
+      SnapshotIndex::Pool sub = SnapshotIndex::Subset(pool, keep);
+      std::vector<NodeId> kept;
+      for (size_t i = 0; i < keep.size(); ++i) {
+        if (keep[i]) kept.push_back(pool.nodes[i]);
+      }
+      ASSERT_EQ(sub.nodes, kept);
+      auto only_kept = [&](std::vector<NodeId> v) {
+        v.erase(std::remove_if(v.begin(), v.end(),
+                               [&](NodeId n) {
+                                 return !std::binary_search(
+                                     kept.begin(), kept.end(), n,
+                                     [&](NodeId a, NodeId b) {
+                                       return index.Before(a, b);
+                                     });
+                               }),
+                v.end());
+        return v;
+      };
+      for (NodeId ctx : contexts) {
+        using Collector = void (SnapshotIndex::*)(
+            const SnapshotIndex::Pool&, NodeId, std::vector<NodeId>*) const;
+        for (Collector collect :
+             {&SnapshotIndex::Dominated, &SnapshotIndex::Dominating,
+              &SnapshotIndex::Contained, &SnapshotIndex::FollowingOf,
+              &SnapshotIndex::PrecedingOf,
+              &SnapshotIndex::ChildrenOfDominated}) {
+          std::vector<NodeId> full, part;
+          (index.*collect)(pool, ctx, &full);
+          (index.*collect)(sub, ctx, &part);
+          EXPECT_EQ(part, only_kept(full)) << tag << " ctx " << ctx;
+        }
+        std::vector<NodeId> full, part;
+        index.OverlappingOf(pool, g.char_range(ctx), ctx, &full);
+        index.OverlappingOf(sub, g.char_range(ctx), ctx, &part);
+        EXPECT_EQ(part, only_kept(full)) << tag << " ctx " << ctx;
+      }
+    }
+  }
+}
+
+TEST(PredicatePlans, ManuscriptMatchesNaive) {
+  Manuscript ms = MakeManuscript20k();
+  const goddag::Goddag& g = *ms.g;
+  // Candidates are mostly lines and sentences: the naive oracle scans
+  // every element per candidate. FusedDescendantChild covers `//w`.
+  std::vector<std::string> absolute = {
+      // Every operator, string and number literals on either side.
+      "//line[@n = '40']", "//line['40' = @n]", "//line[@n != '40']",
+      "//line['40' != @n]", "//line[@n = 40]", "//line[40 = @n]",
+      "//line[@n != 40]", "//line[40 != @n]", "//line[@n < 40]",
+      "//line[40 < @n]", "//line[@n <= '40']", "//line['40' <= @n]",
+      "//line[@n > 300]", "//line[300 > @n]", "//line[@n >= '300']",
+      "//line['300' >= @n]", "//line[@n < 'x']", "//line[@n != 'x']",
+      "//line[@n = '040']", "//line[@n = 40.0]", "//line[@n = '40.0']",
+      "count(//*[@n = '3'])", "count(//*[@n > 330])",
+      // Missing attributes make every comparison false.
+      "count(//w[@n = '1'])", "count(//w[@n != '1'])", "count(//w[@n < 1])",
+      "count(//w[not(@n)])", "//s[@missing]", "count(//line[@n and @missing])",
+      // and / or / not.
+      "//line[@n > 10 and @n < 20 or @n = '300']",
+      "//line[not(@n > 10) and not(@n = '1')]",
+      "//line[(@n = '1' or @n = '2') and not(@n = '2')]",
+      "//page[not(not(@n = '2'))]", "//line[@n > 5][@n < 9]",
+      // Existential steps on every pool-backed axis; the following and
+      // preceding ones outgrow their budget and build restricted pools.
+      "//page[descendant::line[@n = '45']]",
+      "//s[descendant-or-self::s[@n = '5']]",
+      "//line[ancestor::page[@n = '2']]",
+      "//line[ancestor-or-self::line[@n = '7']]",
+      "//s[overlapping::line[@n = '40']]",
+      "//s[overlapping-start::line[@n >= 40]]",
+      "//s[overlapping-end::line[@n <= 40]]", "count(//s[overlapping::line])",
+      "//line[following::s[@n = '3']]", "//line[preceding::s[@n = '250']]",
+      // Hierarchy qualifiers, `*`, and a root that matches T.
+      "//line[overlapping(linguistic)::s[@n > 100]]",
+      "//s[ancestor(physical)::page[@n = '3']]",
+      "//line[ancestor-or-self::*[@n = '7']]",
+      "//page[descendant::*[not(@n)]]", "count(//s[ancestor::*])",
+      "count(//s[ancestor::r])", "/r[descendant::line[@n = '5']]",
+      "//r[descendant::s[@n = '3']]", "//r[@n]", "//r[not(@n)]",
+      "//r[ancestor-or-self::*[not(@n)]]", "//r[ancestor::*]",
+      "count(/r/*[overlapping::s[@n = '3']])",
+      // Attribute candidates keep the generic loop.
+      "count(//line/@n[ancestor::page[@n = '2']])",
+      "count(//page/@n[@x])", "count(//page/@n[. = '4'])",
+      "count(//page/@n[descendant-or-self::*])",
+      // Planned predicates followed by positional ones, in `//T` (per
+      // parent) and in /descendant::T.
+      "//line[ancestor::page[@n > 1]][2]",
+      "//line[overlapping::s[@n > 50]][last()]",
+      "/descendant::line[overlapping::s[@n > 50]][position() < 3]",
+      "//line[@n > 100][1]", "//line[@n > 300][last()]",
+      "/descendant::s[@n = '7']/descendant::w[1]",
+      "//s[@n > 250][position() = 2]",
+      "//page[@n = '2']/line[overlapping::s][3]",
+      "//line[position() > 300][@n < 305]"};
+  xpath::AxisStats stats;
+  ExpectFusedMatchesNaive(
+      g, absolute,
+      {"ancestor-or-self::*[@n]", "self::node()[ancestor::s[@n = '3']]",
+       "self::*[overlapping::line]", "self::node()[@n]",
+       "ancestor::*[overlapping::line[@n = '4']]",
+       "following-sibling::*[@n > 3]", "parent::*[descendant::w]",
+       "count(preceding::line[@n < 10])",
+       "self::*[following::line[@n = '300']]"},
+      SweepContexts(g, {"page", "line", "s", "w"}),
+      {"for $s in //s[@n >= 3 and @n < 6] "
+       "return {count($s/descendant::w[ancestor::s[@n = '4']])}",
+       "for $l in //line[overlapping::s[@n = '10']] return {string($l/@n)}",
+       "let $v := //page[@n = '2'] "
+       "return {count($v/line[overlapping::s[@n > 20]][2])}"},
+      &stats);
+  // The sweep ran every plan, the semi-join included.
+  EXPECT_GT(stats.filter_preds, 0u);
+  EXPECT_GT(stats.exists_preds, 0u);
+  EXPECT_GT(stats.restricted_pools, 0u);
+}
+
+TEST(PredicatePlans, TeiImportMatchesNaive) {
+  auto imported = ingest::Import(MakeTeiSample(), {ingest::Format::kTei});
+  ASSERT_TRUE(imported.ok()) << imported.status();
+  const goddag::Goddag& g = *imported->doc.g;
+  const std::string root = g.root_tag();
+  xpath::AxisStats stats;
+  ExpectFusedMatchesNaive(
+      g,
+      {"//s[@n = '10']", "//p[@n != '2']", "//s['5' < @n]", "//s[@n >= 50]",
+       "//q[@part = 'M']", "//q[not(@part = 'I')]", "//said[@next]",
+       "//said[not(@prev)]", "//line[@n <= 3 or @n > 30]",
+       "//q[overlapping::s[@n = '10']]",
+       "//s[overlapping-start::line[@n > 3]]", "//s[overlapping-end::line]",
+       "//s[ancestor::p[@n = '2']]", "//s[ancestor-or-self::*[@n = '2']]",
+       "//p[descendant::said[@next]]", "//s[following::q[@part = 'F']]",
+       "//s[preceding::said]", "//span[overlapping::s[@n <= 4]]",
+       "//line[overlapping(text)::s[@n = '7']]",
+       "count(//s[ancestor::" + root + "])",
+       "//" + root + "[descendant::q[@part = 'F']]",
+       "//s[ancestor::p[@n = '2']][2]",
+       "/descendant::s[overlapping::line[@n = '4']][last()]",
+       "count(//*[overlapping::said])", "count(//s/@n[ancestor::p])"},
+      {"ancestor-or-self::*[@n]", "self::*[overlapping::line]",
+       "ancestor::*[descendant::said]", "self::node()[@n > 2]"},
+      SweepContexts(g, {"div", "p", "s", "line"}),
+      {"for $p in //p[@n = '2'] "
+       "return {count($p/descendant::s[overlapping::line])}"},
+      &stats);
+  EXPECT_GT(stats.filter_preds, 0u);
+  EXPECT_GT(stats.exists_preds, 0u);
+}
+
+// An unknown hierarchy inside a predicate errors exactly when the
+// literal evaluation would: when some candidate reaches the step, and
+// never on empty input.
+TEST(PredicatePlans, UnknownHierarchyErrorsOnlyOnNonEmptyInput) {
+  Manuscript ms = MakeManuscript20k();
+  auto index = std::make_shared<const SnapshotIndex>(*ms.g);
+  for (auto strategy :
+       {xpath::AxisStrategy::kIndexed, xpath::AxisStrategy::kNaiveScan}) {
+    xpath::XPathEngine engine(*ms.g);
+    engine.UseSnapshotIndex(index);
+    engine.SetAxisStrategy(strategy);
+    for (const char* query :
+         {"//line[overlapping(nosuch)::s]",
+          "count(//line[ancestor(nosuch)::page[@n = '1']])",
+          "//s[@n = '3'][following(nosuch)::line]",
+          "count(//line/@n[ancestor(nosuch)::page])"}) {
+      auto v = engine.Evaluate(query);
+      ASSERT_FALSE(v.ok()) << query;
+      EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument) << query;
+      EXPECT_NE(v.status().message().find("nosuch"), std::string::npos)
+          << v.status();
+    }
+    for (const char* query :
+         {"count(//nosuchtag[overlapping(nosuch)::s])",
+          "count(//line[@n = '99999'][ancestor(nosuch)::page])"}) {
+      auto v = engine.Evaluate(query);
+      ASSERT_TRUE(v.ok()) << query << ": " << v.status();
+      EXPECT_EQ(v->ToNumber(*ms.g), 0) << query;
+    }
+    xquery::XQueryEngine xq(*ms.g);
+    xq.UseSnapshotIndex(index);
+    xq.SetAxisStrategy(strategy);
+    auto empty = xq.Run(
+        "let $v := //nosuchtag return {count($v[overlapping(nosuch)::s])}");
+    ASSERT_TRUE(empty.ok()) << empty.status();
+    EXPECT_EQ(*empty, std::vector<std::string>{"0"});
+    EXPECT_FALSE(xq.Run("for $s in //s[@n = '1'] "
+                        "return {count($s/self::*[overlapping(nosuch)::line])}")
+                     .ok());
+  }
+}
+
+// The semi-join's budget: `//w[ancestor::s[@n='k']]` spends one filter
+// check per w until the checks reach the s pool's size, then builds the
+// restricted pool once per evaluation; a one-candidate query over the w
+// pool never does.
+TEST(PredicatePlans, RestrictedPoolCounts) {
+  Manuscript ms = MakeManuscript20k();
+  const goddag::Goddag& g = *ms.g;
+  auto index = std::make_shared<const SnapshotIndex>(g);
+  const uint64_t words = g.ElementsByTag("w").size();
+  const uint64_t sentences = g.ElementsByTag("s").size();
+  const uint64_t lines = g.ElementsByTag("line").size();
+  ASSERT_GT(words, sentences);
+
+  xpath::XPathEngine engine(g);
+  engine.UseSnapshotIndex(index);
+  auto semijoin = xpath::Compile("count(//w[ancestor::s[@n = '171']])");
+  ASSERT_TRUE(semijoin.ok());
+  for (uint64_t round = 1; round <= 2; ++round) {
+    auto v = engine.Evaluate(**semijoin);
+    ASSERT_TRUE(v.ok()) << v.status();
+    EXPECT_GT(v->ToNumber(g), 0);
+    EXPECT_EQ(engine.axis_stats().restricted_pools, round);
+    EXPECT_EQ(engine.axis_stats().exists_preds, round * words);
+  }
+  // Every w lies in exactly one s, so the build comes after `sentences`
+  // candidates searched the whole s pool; the rest searched the
+  // one-sentence restricted pool, which tallies its own size.
+  engine.ResetAxisStats();
+  ASSERT_TRUE(engine.Evaluate(**semijoin).ok());
+  EXPECT_EQ(engine.axis_stats().indexed_axes, 1 + words);
+  EXPECT_EQ(engine.axis_stats().pool_nodes,
+            words + sentences * sentences + (words - sentences));
+  EXPECT_EQ(engine.axis_stats().filter_preds, 0u);
+
+  engine.ResetAxisStats();
+  auto single = engine.Evaluate("count(//line[@n = '38'][overlapping::w[@n]])");
+  ASSERT_TRUE(single.ok()) << single.status();
+  EXPECT_EQ(single->ToNumber(g), 0);
+  EXPECT_EQ(engine.axis_stats().filter_preds, lines);
+  EXPECT_EQ(engine.axis_stats().exists_preds, 1u);
+  EXPECT_EQ(engine.axis_stats().restricted_pools, 0u);
+
+  // The naive oracle takes no plan.
+  xpath::XPathEngine naive(g);
+  naive.SetAxisStrategy(xpath::AxisStrategy::kNaiveScan);
+  ASSERT_TRUE(naive.Evaluate("count(//line[@n = '38'][overlapping::w])").ok());
+  EXPECT_EQ(naive.axis_stats().filter_preds, 0u);
+  EXPECT_EQ(naive.axis_stats().exists_preds, 0u);
+  EXPECT_EQ(naive.axis_stats().restricted_pools, 0u);
 }
 
 }  // namespace

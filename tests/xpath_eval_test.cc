@@ -2,7 +2,9 @@
 
 #include <set>
 
+#include "goddag/builder.h"
 #include "test_util.h"
+#include "workload/generator.h"
 #include "xpath/engine.h"
 
 namespace cxml::xpath {
@@ -334,6 +336,52 @@ TEST_F(XPathEvalTest, NodeSetComparisons) {
   // Mixed number comparison.
   EXPECT_TRUE(Boolean("//line/@n > 1"));
   EXPECT_FALSE(Boolean("//line/@n > 2"));
+}
+
+// XPath 1.0 §3.4: a node-set compared with a boolean compares
+// boolean(node-set) with it for every operator; <, <=, > and >= then
+// compare the two booleans as numbers. Both strategies share Compare,
+// so the counts are written out rather than checked against the naive
+// engine.
+TEST_F(XPathEvalTest, NodeSetBooleanComparisonsUseEveryOperator) {
+  for (AxisStrategy strategy :
+       {AxisStrategy::kIndexed, AxisStrategy::kNaiveScan}) {
+    engine_->SetAxisStrategy(strategy);
+    // No w has @n, so boolean(@n) is false (0); both lines have one (1).
+    EXPECT_EQ(Number("count(//w[@n < true()])"), 13);
+    EXPECT_EQ(Number("count(//w[@n <= false()])"), 13);
+    EXPECT_EQ(Number("count(//w[@n > false()])"), 0);
+    EXPECT_EQ(Number("count(//line[@n < true()])"), 0);
+    EXPECT_EQ(Number("count(//line[@n <= true()])"), 2);
+    EXPECT_EQ(Number("count(//line[@n >= true()])"), 2);
+    EXPECT_EQ(Number("count(//line[@n > false()])"), 2);
+    // The boolean on the left: false() < @n is 0 < 1.
+    EXPECT_EQ(Number("count(//line[false() < @n])"), 2);
+    EXPECT_EQ(Number("count(//line[true() > @n])"), 0);
+    EXPECT_EQ(Number("count(//w[true() > @n])"), 13);
+    EXPECT_EQ(Number("count(//line[@n = true()])"), 2);
+    EXPECT_EQ(Number("count(//w[@n != false()])"), 0);
+  }
+
+  // The benchmark manuscript: 20k chars, seed 3, 3319 w and no w @n.
+  workload::GeneratorParams params;
+  params.content_chars = 20'000;
+  params.seed = 3;
+  auto corpus = workload::GenerateManuscript(params);
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  auto g = goddag::Builder::Build(*corpus->doc);
+  ASSERT_TRUE(g.ok()) << g.status();
+  for (AxisStrategy strategy :
+       {AxisStrategy::kIndexed, AxisStrategy::kNaiveScan}) {
+    XPathEngine engine(*g);
+    engine.SetAxisStrategy(strategy);
+    for (const char* query :
+         {"count(//w[@n < true()])", "count(//w[@n <= false()])"}) {
+      auto v = engine.Evaluate(query);
+      ASSERT_TRUE(v.ok()) << query << ": " << v.status();
+      EXPECT_EQ(v->ToNumber(*g), 3319) << query;
+    }
+  }
 }
 
 TEST_F(XPathEvalTest, UnionOperator) {

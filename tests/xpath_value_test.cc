@@ -100,6 +100,14 @@ TEST(XPathNumberTest, Parsing) {
   EXPECT_TRUE(std::isnan(ParseXPathNumber("+5")));  // no leading plus
   EXPECT_TRUE(std::isnan(ParseXPathNumber(".")));
   EXPECT_TRUE(std::isnan(ParseXPathNumber("-")));
+  EXPECT_EQ(ParseXPathNumber(".5"), 0.5);
+  EXPECT_EQ(ParseXPathNumber("-.25"), -0.25);
+  EXPECT_EQ(ParseXPathNumber("0.1"), 0.1);  // correctly rounded
+  EXPECT_EQ(ParseXPathNumber("12345678901234567890"), 12345678901234567890.0);
+  // Past double's range: infinity and zero, as strtod gives.
+  EXPECT_EQ(ParseXPathNumber("1" + std::string(400, '0')), HUGE_VAL);
+  EXPECT_EQ(ParseXPathNumber("-1" + std::string(400, '0')), -HUGE_VAL);
+  EXPECT_EQ(ParseXPathNumber("0." + std::string(400, '0') + "1"), 0.0);
 }
 
 TEST(XPathNumberTest, Formatting) {
