@@ -38,7 +38,10 @@ Result<NodeId> Goddag::SplitLeafAt(size_t offset) {
   chars_[right] = Interval(offset, old.end);
   leaf_parents_[right] = leaf_parents_[left];
   leaves_.insert(leaves_.begin() + static_cast<ptrdiff_t>(i) + 1, right);
-  RenumberLeaves();
+  // Only the leaves from the new one on moved. Loading a snapshot splits
+  // once per element boundary, mostly near the end of the leaf layer, so
+  // renumbering every leaf made it quadratic.
+  for (size_t j = i + 1; j < leaves_.size(); ++j) leaf_index_[leaves_[j]] = j;
 
   // Register the right leaf as a sibling immediately after the left one
   // in every hierarchy's parent.
