@@ -132,6 +132,11 @@ bool Injector::Disarm(const std::string& point) {
   return true;
 }
 
+bool Injector::HasSchedule(const std::string& point) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return points_.count(point) > 0;
+}
+
 void Injector::DisarmAll() {
   std::lock_guard<std::mutex> lock(mu_);
   points_.clear();

@@ -83,6 +83,16 @@ class Injector {
 
   static const std::vector<std::string>& KnownPoints();
 
+  /// Whether `point` has a schedule, read without evaluating it (no
+  /// draw, no eval count): lets a site route work to where the fault
+  /// may act before the work reaches the point itself. The same
+  /// lock-free gate as Check when nothing is armed.
+  static bool Armed(Injector* injector, const char* point) {
+    return injector != nullptr &&
+           injector->armed_.load(std::memory_order_relaxed) != 0 &&
+           injector->HasSchedule(point);
+  }
+
   /// The hot-path gate every instrumented site goes through. When no
   /// injector is attached or nothing is armed this is a null check
   /// plus one relaxed load — no lock, no allocation, no string work.
@@ -108,6 +118,7 @@ class Injector {
   };
 
   static Status ParseSpec(const std::string& spec, Schedule* out);
+  bool HasSchedule(const std::string& point) const;
 
   mutable std::mutex mu_;
   std::mt19937_64 rng_;

@@ -1,5 +1,6 @@
 #include "net/frame.h"
 
+#include <charconv>
 #include <utility>
 
 #include "common/strings.h"
@@ -15,7 +16,10 @@ std::string EncodeFrame(std::string_view payload) {
 void AppendFrame(std::string* out, std::string_view payload) {
   out->reserve(out->size() + kFrameMagic.size() + 24 + payload.size());
   out->append(kFrameMagic);
-  out->append(StrFormat("%zu", payload.size()));
+  char digits[20];
+  out->append(digits,
+              std::to_chars(digits, digits + sizeof(digits), payload.size())
+                  .ptr);
   out->push_back('\n');
   out->append(payload);
 }

@@ -1,5 +1,7 @@
 #include "net/protocol.h"
 
+#include <charconv>
+#include <cstring>
 #include <utility>
 
 #include "common/strings.h"
@@ -462,18 +464,30 @@ Result<std::vector<EditOp>> ParseOps(std::string_view body) {
 
 std::string RenderItems(const std::vector<std::string>& items,
                         uint64_t version, bool cache_hit) {
-  size_t total = 32;
-  for (const std::string& item : items) total += item.size() + 24;
-  std::string out;
-  out.reserve(total);
-  out += StrFormat("OK %zu %llu %d\n", items.size(),
-                   static_cast<unsigned long long>(version),
-                   cache_hit ? 1 : 0);
+  // Sized once for the worst case, then written in place: each length
+  // prefix is one to_chars, each item one memcpy (a per-item StrFormat
+  // used to cost more than the copy of a large cached answer).
+  constexpr size_t kU64Digits = 20;
+  size_t bound = 3 * kU64Digits + 6;  // "OK <n> <version> <hit>\n"
+  for (const std::string& item : items) bound += kU64Digits + 2 + item.size();
+  std::string out(bound, '\0');
+  char* p = out.data();
+  char* const end = p + bound;
+  std::memcpy(p, "OK ", 3);
+  p = std::to_chars(p + 3, end, items.size()).ptr;
+  *p++ = ' ';
+  p = std::to_chars(p, end, version).ptr;
+  *p++ = ' ';
+  *p++ = cache_hit ? '1' : '0';
+  *p++ = '\n';
   for (const std::string& item : items) {
-    out += StrFormat("%zu ", item.size());
-    out += item;
-    out.push_back('\n');
+    p = std::to_chars(p, end, item.size()).ptr;
+    *p++ = ' ';
+    std::memcpy(p, item.data(), item.size());
+    p += item.size();
+    *p++ = '\n';
   }
+  out.resize(static_cast<size_t>(p - out.data()));
   return out;
 }
 

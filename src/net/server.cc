@@ -32,11 +32,22 @@ Result<std::string> AwaitWrite(std::future<service::EditResponse> write) {
   return RenderVersion(response.version);
 }
 
+/// A QRUN's trace label: the canonical hash is the result-cache
+/// identity and the join key against the slow-query log.
+std::string QueryRunLabel(const Request& request,
+                          const service::PreparedQuery& query) {
+  return StrFormat("QRUN %s qid=%llu hash=%016llx", request.document.c_str(),
+                   static_cast<unsigned long long>(request.qid),
+                   static_cast<unsigned long long>(query.canonical_hash));
+}
+
 }  // namespace
 
-/// Per-connection state. The socket and the FrameDecoder belong to the
-/// poll thread alone; `mu` guards the request queue and the outbox,
-/// which are the only seams shared with worker threads.
+/// Per-connection state. The FrameDecoder and the read side belong to
+/// the poll thread alone. `mu` guards the request queue and the outbox,
+/// the seams shared with worker threads, and the socket's life: a
+/// worker sends on `fd` only under `mu` and while not `dead`, and the
+/// poll thread (the socket's only closer) closes it only under `mu`.
 struct Server::Conn {
   Conn(Fd socket, size_t max_frame_bytes)
       : fd(std::move(socket)), fd_number(fd.get()),
@@ -65,14 +76,18 @@ struct Server::Conn {
   /// Decoded request payloads awaiting a worker (FIFO per connection:
   /// pipelined requests are answered in order).
   std::deque<Pending> requests;
-  /// At most one worker drains `requests` at a time.
+  /// At most one worker drains `requests` at a time. Set by the poll
+  /// thread when it starts one; cleared under `mu` by that worker in the
+  /// same critical section in which it finds the queue empty.
   bool worker_active = false;
-  /// Set (under `mu`) each time a worker finishes a request; the idle
-  /// sweep converts it into an activity refresh, so the deadline clock
-  /// measurably restarts when in-flight work completes — even though
-  /// the sweep runs before that work's response is flushed.
-  bool completed_work = false;
-  /// Rendered response frames awaiting POLLOUT, from `out_offset` on.
+  /// When a worker last finished a request (under `mu`). The idle sweep
+  /// folds it into `last_activity`, so the deadline clock restarts when
+  /// in-flight work completes, even when the worker sent the response
+  /// itself and the poll thread saw nothing of it.
+  std::chrono::steady_clock::time_point completed_at{};
+  /// Rendered response frames not yet taken by the socket, from
+  /// `out_offset` on. Whoever finds it empty sends what it appends;
+  /// bytes left over are flushed by the poll thread under POLLOUT.
   std::string outbox;
   size_t out_offset = 0;
   /// Set after a framing violation: one ERR frame goes out, then the
@@ -82,9 +97,10 @@ struct Server::Conn {
   bool dead = false;
 
   /// The EBEGIN'd transaction, if any — cross-frame protocol state.
-  /// Only the connection's single active worker touches it (requests
-  /// are served strictly in order), so it needs no lock; dropping the
-  /// connection discards it, which aborts the edit.
+  /// Only the connection's one active worker touches it, while
+  /// `worker_active` is set (requests are served strictly in order), so
+  /// it needs no lock; dropping the connection discards it, which
+  /// aborts the edit.
   std::unique_ptr<service::EditTransaction> txn;
   /// Every op the open transaction applied successfully, across EOP
   /// frames, in order. ECOMMIT renders them into the commit's WAL
@@ -92,15 +108,47 @@ struct Server::Conn {
   /// Same single-worker discipline (and no lock) as `txn`.
   std::vector<EditOp> txn_ops;
 
-  /// The QPREPARE handle table: qid → prepared query, same cross-frame
-  /// single-worker discipline (and no lock) as `txn`. Dropped with the
-  /// connection; bounded by ServerOptions::max_prepared_per_conn.
+  /// The QPREPARE handle table: qid → prepared query. The active worker
+  /// reads and writes it as it does `txn`. The poll thread also reads
+  /// it, to answer a cached QRUN, but only after seeing under `mu` that
+  /// no worker is active and nothing is queued; only the poll thread
+  /// starts a worker, so none can start while it reads. Dropped with
+  /// the connection; bounded by ServerOptions::max_prepared_per_conn.
   std::map<uint64_t, service::QueryHandle> prepared;
   uint64_t next_qid = 1;
 
+  /// Response bytes still waiting for the socket. Reads `fd` under
+  /// `mu`, so it is safe off the poll thread (Stop's drain loop).
   bool HasOutput() {
     std::lock_guard<std::mutex> lock(mu);
-    return out_offset < outbox.size();
+    return fd.valid() && out_offset < outbox.size();
+  }
+
+  /// Sends the outbox until it drains or the socket would block; the
+  /// caller holds `mu` and has checked `dead`. Returns false when the
+  /// peer is gone; `*progress`, if given, is set when any byte went out.
+  bool SendOutbox(bool* progress = nullptr) {
+    while (out_offset < outbox.size()) {
+      ssize_t n = send(fd.get(), outbox.data() + out_offset,
+                       outbox.size() - out_offset, MSG_NOSIGNAL);
+      if (n > 0) {
+        out_offset += static_cast<size_t>(n);
+        if (progress != nullptr) *progress = true;
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      return false;  // peer vanished mid-response
+    }
+    if (out_offset == outbox.size()) {
+      outbox.clear();
+      out_offset = 0;
+    } else if (out_offset > (1u << 20)) {
+      // Keep a slow reader's backlog from pinning flushed bytes.
+      outbox.erase(0, out_offset);
+      out_offset = 0;
+    }
+    return true;
   }
 };
 
@@ -124,6 +172,7 @@ Server::Server(service::DocumentStore* store,
   import_us_ = registry->GetHistogram("cxml_ingest_import_us");
   open_conns_ = registry->GetGauge("cxml_server_open_conns");
   request_us_ = registry->GetHistogram("cxml_server_request_us");
+  inline_responses_ = registry->GetCounter("cxml_server_inline_total");
   read_only_.store(options_.read_only);
   if (options_.slow_query_us > 0) {
     service_->tracer().set_slow_query_us(options_.slow_query_us);
@@ -176,7 +225,7 @@ void Server::Stop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (auto& [fd, conn] : conns_) {
-        if (conn->fd.valid() && conn->HasOutput()) {
+        if (conn->HasOutput()) {
           pending = true;
           break;
         }
@@ -268,11 +317,10 @@ void Server::PollLoop() {
         continue;
       }
       if (!draining && (revents & (POLLIN | POLLHUP)) != 0) ReadFrom(conn);
-      // ReadFrom may have closed the connection (EOF / recv error).
-      if (!conn->fd.valid()) continue;
-      // Workers signalled output through the wake pipe; flushing every
-      // pending outbox here (not only on POLLOUT) saves a poll round
-      // per response.
+      // Flushing every pending outbox here, not only on POLLOUT, sends
+      // what ReadFrom answered from the cache and what a worker could
+      // not send (it woke this loop) without another poll round.
+      // HasOutput is false once ReadFrom closed the connection.
       if (conn->HasOutput()) FlushTo(conn);
     }
   }
@@ -295,19 +343,18 @@ int Server::SweepIdle() {
         // the clock on real drain progress, so a peer that stops
         // reading its response still times out (slowloris guard).
         busy = conn->worker_active || !conn->requests.empty();
-        if (conn->completed_work) {
-          // Work finished since the last sweep (possibly with its
-          // response not yet flushed): that was activity, even though
-          // the worker can't touch the poll-thread-owned clock itself.
-          conn->completed_work = false;
-          conn->last_activity = now;
-        }
+        // A request finished since the last sweep was activity, even
+        // though the worker can't touch the poll-thread-owned clock.
+        conn->last_activity =
+            std::max(conn->last_activity, conn->completed_at);
       }
       if (busy) {
         // A client waiting on a slow in-flight request is not idle —
-        // the deadline clock restarts when the work finishes.
+        // the deadline clock restarts when the work finishes. Nothing
+        // need wake this loop then (a worker that sends its whole
+        // response does not), so the next sweep comes within a
+        // deadline of now.
         conn->last_activity = now;
-        continue;
       }
       auto idle = now - conn->last_activity;
       if (idle >= deadline) {
@@ -391,6 +438,7 @@ void Server::ReadFrom(const std::shared_ptr<Conn>& conn) {
         close_now = true;
         break;
       }
+      if (AnswerFromCache(conn.get(), payload)) continue;
       std::lock_guard<std::mutex> lock(conn->mu);
       // Admission control: over either queue bound the request is
       // remembered only as a shed marker (payload dropped — bounded
@@ -450,33 +498,15 @@ void Server::ReadFrom(const std::shared_ptr<Conn>& conn) {
 }
 
 void Server::FlushTo(const std::shared_ptr<Conn>& conn) {
-  bool close_now = false;
+  bool close_now;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
-    while (conn->out_offset < conn->outbox.size()) {
-      ssize_t n = send(conn->fd.get(), conn->outbox.data() + conn->out_offset,
-                       conn->outbox.size() - conn->out_offset, MSG_NOSIGNAL);
-      if (n > 0) {
-        conn->out_offset += static_cast<size_t>(n);
-        // A peer actively draining a large response is not idle, even
-        // if it has nothing new to ask yet.
-        conn->last_activity = std::chrono::steady_clock::now();
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      close_now = true;  // peer vanished mid-response
-      break;
-    }
-    if (conn->out_offset == conn->outbox.size()) {
-      conn->outbox.clear();
-      conn->out_offset = 0;
-      if (conn->close_after_flush) close_now = true;
-    } else if (conn->out_offset > (1u << 20)) {
-      // Keep a slow reader's backlog from pinning flushed bytes.
-      conn->outbox.erase(0, conn->out_offset);
-      conn->out_offset = 0;
-    }
+    bool progress = false;
+    close_now = !conn->SendOutbox(&progress) ||
+                (conn->outbox.empty() && conn->close_after_flush);
+    // A peer actively draining a large response is not idle, even if it
+    // has nothing new to ask yet.
+    if (progress) conn->last_activity = std::chrono::steady_clock::now();
   }
   if (close_now) CloseConn(conn);
 }
@@ -495,8 +525,9 @@ void Server::CloseConn(const std::shared_ptr<Conn>& conn) {
       queued_total_.fetch_sub(admitted, std::memory_order_relaxed);
     }
     conn->requests.clear();
+    // Under `mu`: a worker may be sending on this socket.
+    conn->fd.Close();
   }
-  conn->fd.Close();
   std::lock_guard<std::mutex> lock(mu_);
   // erase() is what decides whether *this* call closed the connection
   // — CloseConn can race nothing (poll thread only), but it can be
@@ -520,40 +551,24 @@ void Server::ServeConnection(std::shared_ptr<Conn> conn) {
     if (!pending.shed) {
       queued_total_.fetch_sub(1, std::memory_order_relaxed);
     }
-    std::string response;
-    if (pending.shed) {
-      // Refused admission under overload: answer without executing.
-      response = RenderError(status::Unavailable(StrFormat(
-          "server overloaded; retry_after_ms=%d",
-          options_.shed_retry_after_ms)));
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        if (!conn->dead && !conn->close_after_flush) {
-          AppendFrame(&conn->outbox, response);
-        }
-        conn->completed_work = true;
-      }
+    // Every response is accounted before Respond, which may put it on
+    // the wire at once: a METRICS or TRACE the client sends next must
+    // already see this request.
+    if (pending.shed || draining_.load(std::memory_order_relaxed)) {
+      // Refused admission under overload, or queued but never started
+      // when Stop() began: answered without executing, so rejecting it
+      // leaves no half-done state — unlike the request a worker is
+      // mid-way through, which runs to completion and acks.
+      if (!pending.shed) shed_total_->Add();
       responses_sent_->Add();
-      Wake();
-      continue;
-    }
-    if (draining_.load(std::memory_order_relaxed)) {
-      // Stop() in progress: this request was queued but never started,
-      // so rejecting it leaves no half-done state — unlike the request
-      // a worker is mid-way through, which runs to completion and acks.
-      shed_total_->Add();
-      response = RenderError(status::Unavailable(StrFormat(
-          "server shutting down; retry_after_ms=%d",
-          options_.shed_retry_after_ms)));
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        if (!conn->dead && !conn->close_after_flush) {
-          AppendFrame(&conn->outbox, response);
-        }
-        conn->completed_work = true;
+      if (!Respond(conn.get(),
+                   RenderError(status::Unavailable(StrFormat(
+                       "%s; retry_after_ms=%d",
+                       pending.shed ? "server overloaded"
+                                    : "server shutting down",
+                       options_.shed_retry_after_ms))))) {
+        return;
       }
-      responses_sent_->Add();
-      Wake();
       continue;
     }
     // One trace per request, opened before decode so its start is the
@@ -561,7 +576,7 @@ void Server::ServeConnection(std::shared_ptr<Conn> conn) {
     // threshold, and samples it into the TRACE ring.
     obs::Trace::Clock::time_point started = obs::Trace::Clock::now();
     obs::TracePtr trace = service_->tracer().Start();
-    response = HandleRequest(conn.get(), pending.payload, trace);
+    std::string response = HandleRequest(conn.get(), pending.payload, trace);
     if (auto stall =
             fault::Injector::Check(options_.injector, "net.write_stall_ms")) {
       // Injected response stall: the worker (not the poll thread)
@@ -569,23 +584,92 @@ void Server::ServeConnection(std::shared_ptr<Conn> conn) {
       // freezing every connection.
       std::this_thread::sleep_for(std::chrono::milliseconds(stall.value));
     }
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      // close_after_flush means the connection was poisoned by a
-      // framing error: nothing may follow the ERR frame.
-      if (!conn->dead && !conn->close_after_flush) {
-        AppendFrame(&conn->outbox, response);
-      }
-      conn->completed_work = true;
-    }
     service_->tracer().Finish(trace);
     request_us_->Observe(
         std::chrono::duration<double, std::micro>(
             obs::Trace::Clock::now() - started)
             .count());
     responses_sent_->Add();
-    Wake();
+    if (!Respond(conn.get(), response)) return;
   }
+}
+
+bool Server::Respond(Conn* conn, std::string_view response) {
+  bool wake = false;
+  bool more;
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    conn->completed_at = std::chrono::steady_clock::now();
+    // close_after_flush means the connection was poisoned by a framing
+    // error: nothing may follow the ERR frame.
+    if (!conn->dead && !conn->close_after_flush) {
+      const bool was_empty = conn->outbox.empty();
+      AppendFrame(&conn->outbox, response);
+      // A non-empty outbox already has a flush pending on the poll
+      // thread, which takes this frame along.
+      if (was_empty) wake = !conn->SendOutbox() || !conn->outbox.empty();
+    }
+    // With nothing queued the worker gives the connection back in this
+    // same critical section, so a client that has read this response
+    // finds the connection idle when its next request arrives.
+    more = !conn->dead && !conn->requests.empty();
+    if (!more) conn->worker_active = false;
+  }
+  if (wake) Wake();
+  return more;
+}
+
+bool Server::AnswerFromCache(Conn* conn, std::string_view payload) {
+  // Screens, cheapest first. Only a QRUN can be answered here, and only
+  // one that is next in line — no worker running, nothing queued —
+  // which keeps pipeline order and leaves `prepared` no other reader.
+  // An armed write stall sleeps before the response goes out, and that
+  // sleep belongs on a worker.
+  if (payload.substr(0, 5) != "QRUN ") return false;
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    if (conn->worker_active || !conn->requests.empty() ||
+        conn->close_after_flush) {
+      return false;
+    }
+  }
+  if (fault::Injector::Armed(options_.injector, "net.write_stall_ms")) {
+    return false;
+  }
+  // From here on the request is traced as the worker would trace it; a
+  // miss drops the unfinished trace, and the worker starts its own.
+  obs::Trace::Clock::time_point started = obs::Trace::Clock::now();
+  obs::TracePtr trace = service_->tracer().Start();
+  obs::TraceSpan decode(trace, "decode");
+  Result<Request> request = ParseRequest(payload);
+  if (!request.ok()) return false;
+  auto it = conn->prepared.find(request->qid);
+  if (it == conn->prepared.end()) return false;
+  decode.End();
+  obs::TraceSpan service_span(trace, "service");
+  service::QueryResponse response;
+  if (!service_->ExecuteCached(request->document, it->second, trace,
+                               service_span.index(), &response)) {
+    return false;
+  }
+  service_span.End();
+  if (trace != nullptr) trace->set_label(QueryRunLabel(*request, *it->second));
+  std::string rendered;
+  {
+    obs::TraceSpan respond(trace, "respond");
+    rendered = RenderItems(*response.items, response.version,
+                           response.cache_hit);
+  }
+  service_->tracer().Finish(trace);
+  request_us_->Observe(std::chrono::duration<double, std::micro>(
+                           obs::Trace::Clock::now() - started)
+                           .count());
+  responses_sent_->Add();
+  inline_responses_->Add();
+  // The poll loop flushes it right after this ReadFrom.
+  std::lock_guard<std::mutex> lock(conn->mu);
+  AppendFrame(&conn->outbox, rendered);
+  return true;
 }
 
 std::string Server::HandleRequest(Conn* conn, std::string_view payload,
@@ -748,12 +832,7 @@ Result<std::string> Server::DoQueryRun(Conn* conn, const Request& request,
         "unknown prepared query id %llu on this connection",
         static_cast<unsigned long long>(request.qid)));
   }
-  if (trace != nullptr) {
-    trace->set_label(StrFormat(
-        "QRUN %s qid=%llu hash=%016llx", request.document.c_str(),
-        static_cast<unsigned long long>(request.qid),
-        static_cast<unsigned long long>(it->second->canonical_hash)));
-  }
+  if (trace != nullptr) trace->set_label(QueryRunLabel(request, *it->second));
   return RunPrepared(request.document, it->second, trace);
 }
 

@@ -28,8 +28,10 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 picks an ephemeral port; read it back with port() after Start.
   uint16_t port = 0;
-  /// Workers handling decoded requests (QUERY additionally rides the
-  /// QueryService's own pool; these threads mostly block on it).
+  /// Workers executing decoded requests. QUERY and QRUN evaluate on the
+  /// worker itself; QCOLL fans out over the QueryService's pool and the
+  /// writes wait on its writer lane, blocking their worker meanwhile. A
+  /// QRUN the result cache answers never needs one (see Server).
   size_t num_workers = 4;
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// When false, REGISTER/IMPORT/REMOVE answer ERR Unimplemented — a
@@ -112,10 +114,9 @@ struct ServerStats {
   uint64_t sheds = 0;
 };
 
-/// The CXP/1 network front-end: one poll(2) loop owns every socket
-/// (accept, read, write — all non-blocking), a ThreadPool executes
-/// decoded requests against DocumentStore/QueryService, and a self-
-/// pipe lets workers hand finished responses back to the poll loop.
+/// The CXP/1 network front-end: one poll(2) loop accepts, reads and
+/// closes every socket (all non-blocking), and a ThreadPool executes
+/// decoded requests against DocumentStore/QueryService.
 ///
 /// Per connection the receive side is a FrameDecoder state machine;
 /// decoded payloads queue per connection and at most one worker
@@ -141,10 +142,21 @@ struct ServerStats {
 /// document's pending writes — FIFO per document, with stale bases
 /// still losing deterministically as ERR FailedPrecondition.
 ///
-/// Workers never touch sockets: they append rendered frames
-/// to the connection's outbox and wake the poll loop, which flushes
-/// under POLLOUT. A malformed frame gets one ERR frame and a close —
-/// framing is unrecoverable once the length prefix is untrustworthy.
+/// A QRUN decoded on a connection with no worker running and nothing
+/// queued is looked up in the result cache by the poll thread itself
+/// (QueryService::ExecuteCached); a hit is rendered and sent from
+/// there, with no hand-off to a worker. Misses and every other verb go
+/// to a worker. The poll thread never compiles, evaluates, waits on a
+/// future or sleeps.
+///
+/// Responses go out through the connection's outbox. Whoever appends
+/// to an empty outbox sends at once: a worker sends its own frame
+/// under the connection's lock, the lock the poll thread closes the
+/// socket under, and wakes the poll loop (self-pipe) only when the
+/// socket would not take it all or the send failed; the poll loop
+/// flushes the rest under POLLOUT. A malformed frame gets one ERR
+/// frame and a close — framing is unrecoverable once the length
+/// prefix is untrustworthy.
 /// An optional read/idle deadline (ServerOptions::idle_timeout_ms)
 /// closes connections that neither deliver bytes nor drain responses.
 class Server {
@@ -188,6 +200,16 @@ class Server {
   void CloseConn(const std::shared_ptr<Conn>& conn);
   /// Worker entry: drains `conn`'s request queue, one frame at a time.
   void ServeConnection(std::shared_ptr<Conn> conn);
+  /// Worker side of the outbox: appends one response frame and, when
+  /// the outbox was empty, sends it; wakes the poll loop only for what
+  /// the socket would not take, or after a failed send. Returns whether
+  /// more requests wait; when none do, the worker is done with `conn`.
+  bool Respond(Conn* conn, std::string_view response);
+  /// Poll thread: answers `payload` from the result cache when it is a
+  /// QRUN hit next in line on `conn`, appending the response to the
+  /// outbox; false (nothing counted, nothing traced) sends it to a
+  /// worker as usual.
+  bool AnswerFromCache(Conn* conn, std::string_view payload);
   /// Wakes the poll loop (self-pipe write; callable from any thread).
   void Wake();
 
@@ -266,9 +288,11 @@ class Server {
   obs::Histogram* import_us_ = nullptr;
   /// Currently open connections (accepted − closed).
   obs::Gauge* open_conns_ = nullptr;
-  /// End-to-end request latency as the worker sees it: decode →
+  /// End-to-end request latency as the server sees it: decode →
   /// response rendered (socket write time excluded).
   obs::Histogram* request_us_ = nullptr;
+  /// Responses the poll thread answered from the result cache itself.
+  obs::Counter* inline_responses_ = nullptr;
 
   /// Declared last so workers stop before the state above dies.
   std::unique_ptr<service::ThreadPool> workers_;

@@ -14,11 +14,11 @@ const char* QueryKindToString(QueryKind kind) {
   return "?";
 }
 
-CachedResult QueryCache::Get(const QueryKey& key) {
+CachedResult QueryCache::Get(const QueryKey& key, bool count_miss) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
-    misses_->Add();
+    if (count_miss) misses_->Add();
     return nullptr;
   }
   hits_->Add();

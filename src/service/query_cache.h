@@ -108,8 +108,10 @@ class QueryCache {
   QueryCache(const QueryCache&) = delete;
   QueryCache& operator=(const QueryCache&) = delete;
 
-  /// nullptr on miss; a hit refreshes recency.
-  CachedResult Get(const QueryKey& key);
+  /// nullptr on miss; a hit refreshes recency. `count_miss` false
+  /// makes a miss leave no tally, for a probe whose miss is asked
+  /// again (and counted) by the full read path.
+  CachedResult Get(const QueryKey& key, bool count_miss = true);
   void Put(const QueryKey& key, CachedResult result);
 
   /// Drops every entry of `document` with version < `current_version`

@@ -215,6 +215,20 @@ QueryResponse QueryService::Execute(std::string document,
   return response;
 }
 
+bool QueryService::ExecuteCached(const std::string& document,
+                                 const QueryHandle& handle,
+                                 const obs::TracePtr& trace,
+                                 int trace_parent, QueryResponse* response) {
+  TraceClock::time_point start = TraceClock::now();
+  Result<SnapshotPtr> snap = store_->GetSnapshot(document);
+  if (!snap.ok() || !CacheHit(**snap, *handle, trace, trace_parent, response,
+                              /*count_miss=*/false)) {
+    return false;
+  }
+  Finish(*response, Micros(start, TraceClock::now()));
+  return true;
+}
+
 std::future<QueryResponse> QueryService::Submit(std::string document,
                                                 QueryHandle handle,
                                                 obs::TracePtr trace,
@@ -275,14 +289,18 @@ std::future<QueryResponse> QueryService::Dispatch(
 bool QueryService::CacheHit(const DocumentSnapshot& snap,
                             const PreparedQuery& query,
                             const obs::TracePtr& trace, int trace_parent,
-                            QueryResponse* response) {
-  obs::TraceSpan cache_span(trace, "cache", trace_parent);
-  CachedResult cached = cache_.Get(KeyFor(snap, query));
-  if (cached == nullptr) {
-    cache_span.EndWithNote("miss");
-    return false;
+                            QueryResponse* response, bool count_miss) {
+  // The stage is recorded once the outcome is known, so an uncounted
+  // miss leaves none behind.
+  TraceClock::time_point begin =
+      trace != nullptr ? TraceClock::now() : TraceClock::time_point();
+  CachedResult cached = cache_.Get(KeyFor(snap, query), count_miss);
+  if (trace != nullptr && (cached != nullptr || count_miss)) {
+    trace->SetStageNote(
+        trace->AddStageAbs("cache", begin, TraceClock::now(), trace_parent),
+        cached != nullptr ? "hit" : "miss");
   }
-  cache_span.EndWithNote("hit");
+  if (cached == nullptr) return false;
   response->items = std::move(cached);
   response->version = snap.version;
   response->cache_hit = true;

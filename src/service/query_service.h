@@ -167,6 +167,16 @@ class QueryService {
   QueryResponse Execute(std::string document, QueryHandle handle,
                         obs::TracePtr trace = nullptr,
                         int trace_parent = -1);
+  /// The result-cache half of Execute alone, for a caller that must
+  /// never evaluate (the server's poll thread). A hit is answered into
+  /// `response` and booked exactly as Execute books it — one request,
+  /// one cache hit, a `cache` stage under `trace_parent` — and returns
+  /// true. A miss or a missing document returns false and leaves no
+  /// counted lookup and no stage: the Execute the caller falls back to
+  /// makes the request's one counted lookup.
+  bool ExecuteCached(const std::string& document, const QueryHandle& handle,
+                     const obs::TracePtr& trace, int trace_parent,
+                     QueryResponse* response);
 
   /// Asynchronous form of Execute: the snapshot and cache lookup run
   /// on the calling thread, so a hit (or a missing document) comes back
@@ -214,10 +224,11 @@ class QueryService {
   obs::Tracer& tracer() { return tracer_; }
 
  private:
-  /// The result-cache lookup: a hit is answered into `response`.
+  /// The result-cache lookup: a hit is answered into `response`. With
+  /// `count_miss` false a miss is neither tallied nor traced.
   bool CacheHit(const DocumentSnapshot& snap, const PreparedQuery& query,
                 const obs::TracePtr& trace, int trace_parent,
-                QueryResponse* response);
+                QueryResponse* response, bool count_miss = true);
   /// Submit once the snapshot is pinned: a hit comes back ready, a miss
   /// is posted to the pool. `start` opens the request's read path time.
   std::future<QueryResponse> Dispatch(obs::Trace::Clock::time_point start,

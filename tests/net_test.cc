@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -10,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/strings.h"
+#include "fault/injector.h"
 #include "goddag/builder.h"
 #include "net/client.h"
 #include "net/frame.h"
@@ -225,6 +228,38 @@ TEST(ProtocolTest, ResponseRoundTrips) {
   EXPECT_FALSE(ParseResponse("OK 1000000000 0 0\n").ok());
 }
 
+/// RenderItems writes its decimals in place; the wire bytes must hold
+/// across every digit-count boundary an item length or the header can
+/// cross.
+TEST(ProtocolTest, RenderItemsGoldenBytes) {
+  EXPECT_EQ(RenderItems({}, 0, false), "OK 0 0 0\n");
+  EXPECT_EQ(RenderItems({}, 18446744073709551615ull, true),
+            "OK 0 18446744073709551615 1\n");
+
+  const std::vector<std::string> items = {
+      "",
+      std::string(9, 'a'),
+      std::string(10, 'b'),
+      std::string(99, 'c'),
+      std::string(100, 'd'),
+      std::string(65536, 'e'),
+  };
+  const std::string golden = "OK 6 42 1\n"
+                             "0 \n"
+                             "9 " + items[1] + "\n"
+                             "10 " + items[2] + "\n"
+                             "99 " + items[3] + "\n"
+                             "100 " + items[4] + "\n"
+                             "65536 " + items[5] + "\n";
+  EXPECT_EQ(RenderItems(items, 42, true), golden);
+  // Item bytes are opaque: newlines and NULs travel as they are.
+  const std::string binary("x\n\0y", 4);
+  EXPECT_EQ(RenderItems({binary}, 7, false), "OK 1 7 0\n4 " + binary + "\n");
+
+  EXPECT_EQ(EncodeFrame(""), "CXP1 0\n");
+  EXPECT_EQ(EncodeFrame(golden), "CXP1 65790\n" + golden);
+}
+
 TEST(ProtocolTest, RejectsInjectionProneTags) {
   // A newline inside a tag would smuggle an extra op line; whitespace
   // would change the APPLY arity. Both are refused before rendering...
@@ -318,10 +353,70 @@ class NetTest : public ::testing::Test {
     return Interval(offset, offset + len);
   }
 
+  /// Responses the poll thread answered from the result cache.
+  uint64_t InlineResponses() {
+    return service_->registry()->GetCounter("cxml_server_inline_total")
+        ->Value();
+  }
+
   service::DocumentStore store_;
   std::unique_ptr<service::QueryService> service_;
   std::unique_ptr<Server> server_;
 };
+
+std::string Frame(const Request& request) {
+  return EncodeFrame(RenderRequest(request));
+}
+
+Request PrepareRequest(service::QueryKind kind, std::string expression) {
+  Request request;
+  request.verb = Verb::kQueryPrepare;
+  request.kind = kind;
+  request.body = std::move(expression);
+  return request;
+}
+
+Request RunRequest(std::string document, uint64_t qid) {
+  Request request;
+  request.verb = Verb::kQueryRun;
+  request.document = std::move(document);
+  request.qid = qid;
+  return request;
+}
+
+/// Reads from a raw connection until `n` responses parsed or the peer
+/// closed.
+std::vector<Response> ReadResponses(const Fd& fd, FrameDecoder* decoder,
+                                    size_t n) {
+  std::vector<Response> responses;
+  std::string buffer(64 * 1024, '\0');
+  std::string payload;
+  for (;;) {
+    while (responses.size() < n && decoder->Next(&payload)) {
+      auto parsed = ParseResponse(payload);
+      EXPECT_TRUE(parsed.ok()) << parsed.status();
+      if (parsed.ok()) responses.push_back(std::move(parsed).value());
+    }
+    if (responses.size() >= n) break;
+    auto got = RecvSome(fd, buffer.data(), buffer.size());
+    if (!got.ok() || *got == 0) break;
+    EXPECT_TRUE(decoder->Feed(std::string_view(buffer.data(), *got)).ok());
+  }
+  return responses;
+}
+
+/// One sample line ("<name> <value>") of a METRICS exposition.
+uint64_t MetricValue(const std::string& exposition, const std::string& name) {
+  std::istringstream in(exposition);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.compare(0, name.size() + 1, name + " ") == 0) {
+      return std::strtoull(line.c_str() + name.size() + 1, nullptr, 10);
+    }
+  }
+  ADD_FAILURE() << "no sample line for " << name;
+  return 0;
+}
 
 // -------------------------------------------------------- end to end
 
@@ -519,6 +614,230 @@ TEST_F(NetTest, TraceShowsStagesSummingToTotal) {
   ASSERT_EQ(capped->size(), 1u);
   EXPECT_NE((*capped)[0].find("TRACE"), std::string::npos)
       << (*capped)[0];
+}
+
+/// Pipeline order across both response paths: the first QRUN is a
+/// cache hit the poll thread answers itself, and everything from the
+/// queued miss on goes to a worker in order — the second QRUN too,
+/// although its answer was cached when it arrived: it must see the
+/// EDIT ahead of it.
+TEST_F(NetTest, PipelinedHitMissEditHitPingAnswerInOrder) {
+  auto connected = ConnectTcp("127.0.0.1", server_->port());
+  ASSERT_TRUE(connected.ok()) << connected.status();
+  Fd fd = std::move(connected).value();
+  FrameDecoder decoder;
+  ASSERT_TRUE(
+      SendAll(fd, Frame(PrepareRequest(service::QueryKind::kXPath,
+                                       "count(//a0)")) +
+                      Frame(PrepareRequest(service::QueryKind::kXPath,
+                                           "count(//w)")))
+          .ok());
+  std::vector<Response> prepared = ReadResponses(fd, &decoder, 2);
+  ASSERT_EQ(prepared.size(), 2u);
+  const uint64_t a0_qid = prepared[0].version;
+  const uint64_t w_qid = prepared[1].version;
+  ASSERT_TRUE(SendAll(fd, Frame(RunRequest("ms", a0_qid))).ok());
+  std::vector<Response> warm = ReadResponses(fd, &decoder, 1);
+  ASSERT_EQ(warm.size(), 1u);
+  ASSERT_TRUE(warm[0].ok()) << warm[0].status;
+  const int a0_before = std::stoi(warm[0].items[0]);
+
+  const uint64_t inline_before = InlineResponses();
+  Interval gap = FreeGap(0);
+  Request edit;
+  edit.verb = Verb::kEdit;
+  edit.document = "ms";
+  edit.ops = {EditOp::Select(gap.begin, gap.end), EditOp::Apply(2, "a0")};
+  Request ping;
+  ping.verb = Verb::kPing;
+  ASSERT_TRUE(SendAll(fd, Frame(RunRequest("ms", a0_qid)) +
+                              Frame(RunRequest("ms", w_qid)) + Frame(edit) +
+                              Frame(RunRequest("ms", a0_qid)) + Frame(ping))
+                  .ok());
+  std::vector<Response> r = ReadResponses(fd, &decoder, 5);
+  ASSERT_EQ(r.size(), 5u);
+  ASSERT_TRUE(r[0].ok()) << r[0].status;
+  EXPECT_TRUE(r[0].cache_hit);
+  EXPECT_EQ(r[0].version, 1u);
+  EXPECT_EQ(r[0].items, warm[0].items);
+  ASSERT_TRUE(r[1].ok()) << r[1].status;
+  EXPECT_FALSE(r[1].cache_hit);
+  EXPECT_EQ(r[1].version, 1u);
+  ASSERT_EQ(r[1].items.size(), 1u);
+  EXPECT_GT(std::stoi(r[1].items[0]), 0);
+  ASSERT_TRUE(r[2].ok()) << r[2].status;
+  EXPECT_EQ(r[2].version, 2u);
+  ASSERT_TRUE(r[3].ok()) << r[3].status;
+  EXPECT_FALSE(r[3].cache_hit);
+  EXPECT_EQ(r[3].version, 2u);
+  ASSERT_EQ(r[3].items.size(), 1u);
+  EXPECT_EQ(std::stoi(r[3].items[0]), a0_before + 1);
+  EXPECT_TRUE(r[4].ok()) << r[4].status;
+  EXPECT_TRUE(r[4].items.empty());
+  // The second a0 count could not be a poll-thread hit: by the time its
+  // connection was idle, the EDIT had moved the document past the
+  // cached version.
+  EXPECT_EQ(InlineResponses() - inline_before, 1u);
+}
+
+/// A hit answered on the poll thread is accounted exactly like a
+/// worker's request, and before its bytes leave: the METRICS sent right
+/// after it already counts it.
+TEST_F(NetTest, PollThreadHitMovesMetricsByExactlyOneRequest) {
+  Client client = Connect();
+  auto qid = client.Prepare(service::QueryKind::kXPath, "count(//w)");
+  ASSERT_TRUE(qid.ok()) << qid.status();
+  ASSERT_TRUE(client.Run("ms", *qid).ok());  // the miss fills the cache
+
+  // A METRICS frame is accounted after it renders its own snapshot, so
+  // the next snapshot also counts it; the control pair measures that
+  // share, and the hit's moves are what the pair around it adds.
+  auto m0 = client.Metrics();
+  auto m1 = client.Metrics();
+  ASSERT_TRUE(m0.ok() && m1.ok());
+  auto hit = client.Run("ms", *qid);
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_TRUE(hit->cache_hit);
+  auto m2 = client.Metrics();
+  ASSERT_TRUE(m2.ok()) << m2.status();
+  auto moved = [&](const std::string& name) {
+    return static_cast<int64_t>(MetricValue(*m2, name) -
+                                MetricValue(*m1, name)) -
+           static_cast<int64_t>(MetricValue(*m1, name) -
+                                MetricValue(*m0, name));
+  };
+  EXPECT_EQ(moved("cxml_service_requests_total"), 1);
+  EXPECT_EQ(moved("cxml_cache_hits_total"), 1);
+  EXPECT_EQ(moved("cxml_cache_misses_total"), 0);
+  EXPECT_EQ(moved("cxml_server_request_us_count"), 1);
+  EXPECT_EQ(moved("cxml_server_responses_total"), 1);
+  EXPECT_EQ(moved("cxml_server_frames_total"), 1);
+  EXPECT_EQ(moved("cxml_server_inline_total"), 1);
+}
+
+/// The poll thread's cache probe leaves nothing behind on a miss (the
+/// worker makes the one counted lookup and the one trace), and a hit's
+/// trace carries the same label and stages a worker's would.
+TEST_F(NetTest, QrunHitTracesItsStagesAndAMissCountsOneLookup) {
+  Client client = Connect();
+  auto qid =
+      client.Prepare(service::QueryKind::kXPath, "count(//w[overlapping::line])");
+  ASSERT_TRUE(qid.ok()) << qid.status();
+
+  const service::CacheStats before = service_->stats().cache;
+  auto miss = client.Run("ms", *qid);
+  ASSERT_TRUE(miss.ok()) << miss.status();
+  EXPECT_FALSE(miss->cache_hit);
+  const service::CacheStats after_miss = service_->stats().cache;
+  EXPECT_EQ(after_miss.misses - before.misses, 1u);
+  EXPECT_EQ(after_miss.hits - before.hits, 0u);
+
+  auto hit = client.Run("ms", *qid);
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_TRUE(hit->cache_hit);
+  EXPECT_EQ(hit->items, miss->items);
+  const service::CacheStats after_hit = service_->stats().cache;
+  EXPECT_EQ(after_hit.misses - after_miss.misses, 0u);
+  EXPECT_EQ(after_hit.hits - after_miss.hits, 1u);
+
+  // Newest first: the hit, the miss, the QPREPARE. The probe that
+  // missed finished no trace of its own.
+  auto traces = client.Traces(10);
+  ASSERT_TRUE(traces.ok()) << traces.status();
+  ASSERT_EQ(traces->size(), 3u);
+  auto stages = [](const std::string& trace) {
+    std::vector<std::string> lines;
+    std::istringstream in(trace);
+    std::string line;
+    std::getline(in, line);  // header
+    while (std::getline(in, line)) {
+      size_t begin = line.find_first_not_of(' ');
+      lines.push_back(line.substr(begin));
+    }
+    return lines;
+  };
+  const std::string label = StrFormat(
+      "QRUN ms qid=%llu hash=", static_cast<unsigned long long>(*qid));
+  const std::string& hit_trace = (*traces)[0];
+  EXPECT_NE(hit_trace.find(label), std::string::npos) << hit_trace;
+  std::vector<std::string> hit_stages = stages(hit_trace);
+  ASSERT_EQ(hit_stages.size(), 4u) << hit_trace;
+  EXPECT_EQ(hit_stages[0].rfind("decode ", 0), 0u) << hit_trace;
+  EXPECT_EQ(hit_stages[1].rfind("service ", 0), 0u) << hit_trace;
+  EXPECT_EQ(hit_stages[2].rfind("cache ", 0), 0u) << hit_trace;
+  EXPECT_NE(hit_stages[2].find("(hit)"), std::string::npos) << hit_trace;
+  EXPECT_EQ(hit_stages[3].rfind("respond ", 0), 0u) << hit_trace;
+  // The cache stage nests under service.
+  EXPECT_NE(hit_trace.find("\n    cache "), std::string::npos) << hit_trace;
+
+  const std::string& miss_trace = (*traces)[1];
+  EXPECT_NE(miss_trace.find(label), std::string::npos) << miss_trace;
+  size_t caches = 0;
+  for (const std::string& stage : stages(miss_trace)) {
+    if (stage.rfind("cache ", 0) == 0) {
+      ++caches;
+      EXPECT_NE(stage.find("(miss)"), std::string::npos) << miss_trace;
+    }
+  }
+  EXPECT_EQ(caches, 1u) << miss_trace;
+}
+
+/// A response far bigger than a socket's send buffer, to a client that
+/// lets it pile up before reading, arrives whole on both paths: sent
+/// by the worker that evaluated it (a miss), and by the poll thread
+/// (the hit). The poll thread flushes what the socket would not take
+/// under POLLOUT.
+TEST_F(NetTest, ResponsesBiggerThanTheSocketBufferReachASlowReaderWhole) {
+  Client client = Connect();
+  auto text = client.Query("ms", "string(/)", service::QueryKind::kXPath);
+  auto lines = client.Query("ms", "count(//line)", service::QueryKind::kXPath);
+  ASSERT_TRUE(text.ok() && lines.ok());
+  ASSERT_EQ(text->items.size(), 1u);
+  const size_t n = std::stoul(lines->items[0]);
+  const std::string item = text->items[0] + text->items[0];
+  // At least 8 MB: twice the 4 MB ceiling Linux autotunes a TCP send
+  // buffer to by default, with the reader's buffer shrunk below.
+  ASSERT_GE(n * n * item.size(), size_t{8} << 20)
+      << "the fixture document is too small for this test";
+
+  auto connected = ConnectTcp("127.0.0.1", server_->port());
+  ASSERT_TRUE(connected.ok()) << connected.status();
+  Fd fd = std::move(connected).value();
+  int rcvbuf = 16 * 1024;
+  ASSERT_EQ(setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                       sizeof(rcvbuf)),
+            0);
+  FrameDecoder decoder;
+  ASSERT_TRUE(SendAll(fd, Frame(PrepareRequest(
+                              service::QueryKind::kXQuery,
+                              "for $a in //line for $b in //line "
+                              "return {concat(string(/), string(/))}")))
+                  .ok());
+  std::vector<Response> prepared = ReadResponses(fd, &decoder, 1);
+  ASSERT_EQ(prepared.size(), 1u);
+  ASSERT_TRUE(prepared[0].ok()) << prepared[0].status;
+
+  for (bool expect_hit : {false, true}) {
+    const uint64_t inline_before = InlineResponses();
+    ASSERT_TRUE(SendAll(fd, Frame(RunRequest("ms", prepared[0].version))).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    std::vector<Response> got = ReadResponses(fd, &decoder, 1);
+    ASSERT_EQ(got.size(), 1u);
+    ASSERT_TRUE(got[0].ok()) << got[0].status;
+    EXPECT_EQ(got[0].cache_hit, expect_hit);
+    EXPECT_EQ(InlineResponses() - inline_before, expect_hit ? 1u : 0u);
+    ASSERT_EQ(got[0].items.size(), n * n);
+    for (const std::string& got_item : got[0].items) {
+      ASSERT_EQ(got_item, item);
+    }
+  }
+  // The connection is still in sync: a small request answers normally.
+  Request ping;
+  ping.verb = Verb::kPing;
+  ASSERT_TRUE(SendAll(fd, Frame(ping)).ok());
+  std::vector<Response> pong = ReadResponses(fd, &decoder, 1);
+  ASSERT_EQ(pong.size(), 1u);
+  EXPECT_TRUE(pong[0].ok());
 }
 
 TEST_F(NetTest, MalformedFrameGetsErrAndClose) {
@@ -802,6 +1121,166 @@ TEST_F(NetTest, IdleConnectionsAreClosedActiveOnesSurvive) {
   // The survivor is still healthy after the reap.
   EXPECT_TRUE(active->Ping().ok());
   server.Stop();
+}
+
+/// With the idle deadline on, a connection whose last event was a
+/// response its worker sent itself (no poll-loop wake-up) is still
+/// reaped one deadline after that response, not never.
+TEST(ServerEdgeTest, IdleConnectionReapedOnTimeAfterWorkerSentResponse) {
+  service::DocumentStore store;
+  service::QueryService service(&store, {2, 64});
+  fault::Injector faults(1);
+  ServerOptions options;
+  options.idle_timeout_ms = 400;
+  options.injector = &faults;
+  Server server(&store, &service, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  // The stall keeps the PING in flight while the poll loop sweeps, so
+  // the connection is busy then; the worker sends the whole small
+  // response itself.
+  ASSERT_TRUE(faults.Arm("net.write_stall_ms", "once:100").ok());
+  auto connected = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(connected.ok()) << connected.status();
+  Fd fd = std::move(connected).value();
+  ASSERT_TRUE(SetRecvTimeout(fd, 3000).ok());
+  Request ping;
+  ping.verb = Verb::kPing;
+  ASSERT_TRUE(SendAll(fd, Frame(ping)).ok());
+  FrameDecoder decoder;
+  std::vector<Response> pong = ReadResponses(fd, &decoder, 1);
+  ASSERT_EQ(pong.size(), 1u);
+  const auto answered = std::chrono::steady_clock::now();
+
+  char buffer[64];
+  auto n = RecvSome(fd, buffer, sizeof(buffer));
+  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - answered);
+  ASSERT_TRUE(n.ok()) << n.status() << " (no close within 3 s)";
+  EXPECT_EQ(*n, 0u);
+  EXPECT_GE(waited.count(), 300) << "reaped before the deadline";
+  EXPECT_LT(waited.count(), 700) << "reaped late";
+  EXPECT_EQ(server.stats().idle_disconnects, 1u);
+  server.Stop();
+}
+
+/// An armed write stall still delays a QRUN the cache could answer,
+/// but the sleep runs on a worker: the poll thread keeps answering
+/// other connections meanwhile.
+TEST(ServerEdgeTest, WriteStallDelaysCachedQrunOnAWorkerOnly) {
+  service::DocumentStore store;
+  ASSERT_TRUE(store.RegisterBytes("ms", CorpusBytes()).ok());
+  service::QueryService service(&store, {2, 64});
+  fault::Injector faults(1);
+  ServerOptions options;
+  options.num_workers = 2;
+  options.injector = &faults;
+  Server server(&store, &service, options);
+  ASSERT_TRUE(server.Start().ok());
+  obs::Counter* inline_total =
+      service.registry()->GetCounter("cxml_server_inline_total");
+
+  auto stalled = Client::Connect("127.0.0.1", server.port());
+  auto other = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(stalled.ok() && other.ok());
+  auto stalled_qid = stalled->Prepare(service::QueryKind::kXPath, "count(//w)");
+  auto other_qid = other->Prepare(service::QueryKind::kXPath, "count(//w)");
+  ASSERT_TRUE(stalled_qid.ok() && other_qid.ok());
+  ASSERT_TRUE(stalled->Run("ms", *stalled_qid).ok());  // fills the cache
+  ASSERT_TRUE(other->Run("ms", *other_qid).ok());
+  const uint64_t inline_before = inline_total->Value();
+  ASSERT_EQ(inline_before, 1u) << "the warm repeat was a poll-thread hit";
+
+  ASSERT_TRUE(faults.Arm("net.write_stall_ms", "once:400").ok());
+  const auto started = std::chrono::steady_clock::now();
+  std::thread slow([&] {
+    auto answer = stalled->Run("ms", *stalled_qid);
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    EXPECT_TRUE(answer->cache_hit);
+    EXPECT_GE(std::chrono::steady_clock::now() - started,
+              std::chrono::milliseconds(400));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // The stall's one firing is spent on the first QRUN; this one, also
+  // routed to a worker while the point is armed, answers at once.
+  auto quick = other->Run("ms", *other_qid);
+  const auto quick_done = std::chrono::steady_clock::now();
+  slow.join();
+  ASSERT_TRUE(quick.ok()) << quick.status();
+  EXPECT_TRUE(quick->cache_hit);
+  EXPECT_LT(quick_done - started, std::chrono::milliseconds(350))
+      << "the poll thread slept through the stall";
+  EXPECT_EQ(inline_total->Value(), inline_before);
+
+  // Disarmed, the poll thread answers hits itself again.
+  faults.DisarmAll();
+  ASSERT_TRUE(other->Run("ms", *other_qid).ok());
+  EXPECT_EQ(inline_total->Value(), inline_before + 1);
+  server.Stop();
+}
+
+/// Clients that vanish while Stop() drains: the poll thread closes
+/// their connections while Stop's drain loop polls every connection for
+/// pending output (both read the socket, under the connection's lock),
+/// and a slow reader's response still arrives whole.
+TEST(ServerEdgeTest, StopDrainsWhileClientsDisconnect) {
+  service::DocumentStore store;
+  ASSERT_TRUE(store.RegisterBytes("ms", CorpusBytes()).ok());
+  service::QueryService service(&store, {2, 64});
+  Server server(&store, &service, ServerOptions());
+  ASSERT_TRUE(server.Start().ok());
+
+  // Connected and served once, so each is a live server-side connection.
+  constexpr int kLeavers = 128;
+  std::vector<Fd> leavers;
+  Request ping;
+  ping.verb = Verb::kPing;
+  for (int i = 0; i < kLeavers; ++i) {
+    auto fd = ConnectTcp("127.0.0.1", server.port());
+    ASSERT_TRUE(fd.ok()) << fd.status();
+    ASSERT_TRUE(SendAll(*fd, Frame(ping)).ok());
+    FrameDecoder decoder;
+    ASSERT_EQ(ReadResponses(*fd, &decoder, 1).size(), 1u);
+    leavers.push_back(std::move(fd).value());
+  }
+  // The reader's answer is big and unread, so Stop's drain loop keeps
+  // polling for its pending output while the leavers go.
+  auto reader_fd = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(reader_fd.ok()) << reader_fd.status();
+  Fd reader = std::move(reader_fd).value();
+  int rcvbuf = 16 * 1024;
+  ASSERT_EQ(setsockopt(reader.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                       sizeof(rcvbuf)),
+            0);
+  Request query;
+  query.verb = Verb::kQuery;
+  query.document = "ms";
+  query.kind = service::QueryKind::kXQuery;
+  query.body = "for $a in //line for $b in //line return {string(/)}";
+  ASSERT_TRUE(SendAll(reader, Frame(query)).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::thread stopper([&server] { server.Stop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  // Resets (SO_LINGER 0), spread over the drain window: the poll thread
+  // sees each as POLLERR and closes that connection.
+  for (Fd& fd : leavers) {
+    struct linger abort_close = {1, 0};
+    setsockopt(fd.get(), SOL_SOCKET, SO_LINGER, &abort_close,
+               sizeof(abort_close));
+    fd.Close();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  FrameDecoder decoder;
+  std::vector<Response> answer = ReadResponses(reader, &decoder, 1);
+  stopper.join();
+  ASSERT_EQ(answer.size(), 1u);
+  ASSERT_TRUE(answer[0].ok()) << answer[0].status;
+  ASSERT_FALSE(answer[0].items.empty());
+  for (const std::string& item : answer[0].items) {
+    ASSERT_EQ(item, answer[0].items[0]);
+  }
+  EXPECT_FALSE(server.running());
 }
 
 /// A follower-style server (read_only): every mutating verb answers

@@ -182,6 +182,51 @@ TEST_F(ServiceTest, CacheHitMissAccounting) {
   EXPECT_EQ(service.cache().stats().size, 3u);
 }
 
+/// ExecuteCached is the cache-only probe: a miss (or a missing
+/// document) counts and traces nothing, so the Execute that follows
+/// makes the one counted lookup; a hit is booked exactly like an
+/// Execute hit.
+TEST_F(ServiceTest, ExecuteCachedProbeCountsOnlyHits) {
+  QueryService service(&store_, {2, 64});
+  auto handle = service.Prepare("//line", QueryKind::kXPath);
+  ASSERT_TRUE(handle.ok()) << handle.status();
+
+  obs::TracePtr probe_trace = service.tracer().Start();
+  QueryResponse probed;
+  EXPECT_FALSE(
+      service.ExecuteCached("ms", *handle, probe_trace, -1, &probed));
+  EXPECT_FALSE(
+      service.ExecuteCached("ghost", *handle, probe_trace, -1, &probed));
+  service.tracer().Finish(probe_trace);
+  EXPECT_EQ(service.stats().requests, 0u);
+  EXPECT_EQ(service.cache().stats().misses, 0u);
+  std::vector<std::string> recent = service.tracer().Recent(1);
+  ASSERT_EQ(recent.size(), 1u);
+  EXPECT_EQ(recent[0].find('\n'), recent[0].size() - 1)
+      << "a missed probe left a stage:\n" << recent[0];
+
+  QueryResponse cold = service.Execute("ms", *handle);
+  ASSERT_TRUE(cold.ok()) << cold.status;
+  EXPECT_EQ(service.cache().stats().misses, 1u);
+
+  obs::TracePtr hit_trace = service.tracer().Start();
+  QueryResponse warm;
+  ASSERT_TRUE(service.ExecuteCached("ms", *handle, hit_trace, -1, &warm));
+  service.tracer().Finish(hit_trace);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_EQ(warm.items.get(), cold.items.get());
+  EXPECT_EQ(warm.version, cold.version);
+  EXPECT_EQ(service.stats().requests, 2u);
+  CacheStats stats = service.cache().stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  recent = service.tracer().Recent(1);
+  ASSERT_EQ(recent.size(), 1u);
+  EXPECT_NE(recent[0].find("  cache "), std::string::npos) << recent[0];
+  EXPECT_NE(recent[0].find("(hit)"), std::string::npos) << recent[0];
+}
+
 TEST_F(ServiceTest, LruEviction) {
   QueryService service(&store_, {1, /*cache_capacity=*/2});
   service.Execute({"ms", "count(//w)", QueryKind::kXPath});
