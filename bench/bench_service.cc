@@ -212,7 +212,7 @@ int Run(size_t content_chars, size_t num_threads) {
   // ---- durability: WAL group commit, recovery, replication lag ----
   // A separate store/service pair with the write-ahead log attached:
   // every acked commit here is fsynced to disk, so commit latency now
-  // includes the group-fsync wait — the durability tax the JSON tracks
+  // includes the commit's own fsync — the durability tax the JSON tracks
   // as wal_commit_p50_us/p99_us against the in-memory commit_p50/p99.
   double wal_commit_p50_us = 0;
   double wal_commit_p99_us = 0;

@@ -9,8 +9,8 @@
 //                [--content-chars N] [--doc NAME] [--load NAME=FILE]...
 //                [--no-register] [--slow-query-us N]
 //                [--trace-sample-every N] [--trace-ring N]
-//                [--data-dir PATH] [--fsync-every-ms N]
-//                [--checkpoint-every N] [--follow HOST:PORT]
+//                [--data-dir PATH] [--checkpoint-every N]
+//                [--follow HOST:PORT]
 //                [--fault POINT=SPEC]... [--fault-seed N]
 //
 // Defaults serve the synthetic manuscript as document "ms" on an
@@ -18,11 +18,12 @@
 // HOST:PORT", which is what the CI smoke test and scripts key on).
 //
 // Durability: --data-dir PATH arms the write-ahead log — every
-// acknowledged commit is fsync-batched to a per-document log under
-// PATH, checkpointed to CXG1 in the background, and recovered on the
-// next start (recovery wins over --content-chars/--load for documents
-// it already knows). A WAL-armed server also answers the CXP/1 SYNC
-// verb, which is what replication followers tail.
+// acknowledged commit is appended and fsynced to a per-document log
+// under PATH before its ack, checkpointed to CXG1 in the background,
+// and recovered on the next start (recovery wins over
+// --content-chars/--load for documents it already knows). A WAL-armed
+// server also answers the CXP/1 SYNC verb, which is what replication
+// followers tail.
 //
 // Replication: --follow HOST:PORT runs this process as a read-only
 // follower of the primary at HOST:PORT — it applies the primary's WAL
@@ -88,8 +89,7 @@ int Usage() {
                "                    [--load NAME=FILE]... [--no-register]\n"
                "                    [--slow-query-us N]\n"
                "                    [--trace-sample-every N] [--trace-ring N]\n"
-               "                    [--data-dir PATH] [--fsync-every-ms N]\n"
-               "                    [--checkpoint-every N]\n"
+               "                    [--data-dir PATH] [--checkpoint-every N]\n"
                "                    [--follow HOST:PORT]\n"
                "                    [--fault POINT=SPEC]... [--fault-seed N]\n");
   return 2;
@@ -160,11 +160,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage();
       wal_options.data_dir = v;
-    } else if (arg == "--fsync-every-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      wal_options.fsync_every_ms =
-          static_cast<int>(std::strtol(v, nullptr, 10));
     } else if (arg == "--checkpoint-every") {
       const char* v = next();
       if (v == nullptr) return Usage();

@@ -33,7 +33,7 @@ struct EditResponse {
   /// How many op-sets shared that publish (1 = no batching win).
   size_t batch_size = 0;
   /// Durability cost this publish paid in the commit sink (0 when no
-  /// sink is attached): WAL append time and group-fsync wait.
+  /// sink is attached): WAL append time and fsync wait.
   double wal_append_us = 0;
   double wal_fsync_us = 0;
 

@@ -82,16 +82,10 @@ WalManager::WalManager(WalOptions options) : options_(std::move(options)) {
 WalManager::~WalManager() {
   Detach();
   {
-    std::lock_guard<std::mutex> lock(sync_mu_);
-    stop_.store(true);
-  }
-  syncer_cv_.notify_all();
-  waiter_cv_.notify_all();
-  {
     std::lock_guard<std::mutex> lock(ckpt_mu_);
+    stop_ = true;
   }
   ckpt_cv_.notify_all();
-  if (syncer_.joinable()) syncer_.join();
   if (checkpointer_.joinable()) checkpointer_.join();
 }
 
@@ -101,7 +95,6 @@ Status WalManager::Open() {
     return status::InvalidArgument("WAL data_dir must not be empty");
   }
   CXML_RETURN_IF_ERROR(EnsureDir(options_.data_dir));
-  syncer_ = std::thread([this] { SyncerLoop(); });
   checkpointer_ = std::thread([this] { CheckpointerLoop(); });
   opened_ = true;
   return Status::Ok();
@@ -370,8 +363,6 @@ void WalManager::CloseDoc(const std::string& name) {
     state->ring.clear();
     state->ring_bytes = 0;
   }
-  std::lock_guard<std::mutex> lock(sync_mu_);
-  dirty_.erase(state);
 }
 
 Status WalManager::DropDoc(const std::string& name) {
@@ -442,6 +433,8 @@ service::CommitSinkResult WalManager::OnCommit(
 
   SteadyClock::time_point append_start = SteadyClock::now();
   bool trigger_checkpoint = false;
+  bool rebase = false;
+  SteadyClock::time_point fsync_start;
   {
     std::lock_guard<std::mutex> lock(doc->mu);
     if (doc->dropped) return no_log();
@@ -475,97 +468,49 @@ service::CommitSinkResult WalManager::OnCommit(
       doc->checkpoint_queued = true;
       trigger_checkpoint = true;
     }
+    result.append_us = MicrosSince(append_start);
+
+    // Durable before the ack: this document's events reach the sink
+    // one at a time, so its record is fsynced here, by the thread that
+    // appended it, with no other commit to wait for.
+    fsync_start = SteadyClock::now();
+    Status synced = doc->segment->Fsync();
+    fsync_us_->Observe(MicrosSince(fsync_start));
+    if (synced.ok()) {
+      fsyncs_->Add();
+      rebase = doc->fsync_failed_version > doc->checkpoint_version;
+    } else {
+      // Not retried: the kernel may have dropped the record's pages, so
+      // no later fsync can vouch for it, nor for the ops records that
+      // chain through it.
+      doc->fsync_failed_version = record.version;
+      errors_->Add();
+      fsync_errors_->Add();
+      result.status = status::Internal(
+          StrCat("wal fsync failed for '", batch.document,
+                 "' — commit is not durable"));
+    }
   }
-  result.append_us = MicrosSince(append_start);
   append_us_->Observe(result.append_us);
   records_->Add();
   bytes_->Add(framed.size());
   if (need_snapshot) snapshot_records_->Add();
   if (trigger_checkpoint) EnqueueCheckpoint(batch.document);
 
-  uint64_t seq = MarkDirty(doc);
-  result.fsync_us = AwaitFsync(seq);
+  if (rebase) {
+    // An earlier record of this segment never reached the disk, and
+    // recovery's replay would stop there: base the log on a checkpoint
+    // at this commit's version before acking it.
+    Status checkpointed = CheckpointDoc(doc);
+    if (!checkpointed.ok()) {
+      errors_->Add();
+      result.status =
+          checkpointed.WithContext("wal checkpoint after a failed fsync");
+    }
+  }
+  result.fsync_us = MicrosSince(fsync_start);
   fsync_wait_us_->Observe(result.fsync_us);
-  {
-    // The covering fsync pass may have failed: the record is in the
-    // file but possibly not on the platter. The ack must carry that.
-    std::lock_guard<std::mutex> lock(doc->mu);
-    if (doc->fsync_error_seq >= seq) {
-      result.status = status::Internal(
-          StrCat("wal fsync failed for '", batch.document,
-                 "' — commit is not durable"));
-    }
-  }
   return result;
-}
-
-// -------------------------------------------------------- group fsync
-
-uint64_t WalManager::MarkDirty(const DocPtr& doc) {
-  uint64_t seq = 0;
-  {
-    std::lock_guard<std::mutex> lock(sync_mu_);
-    seq = ++append_seq_;
-    dirty_.insert(doc);
-  }
-  syncer_cv_.notify_one();
-  return seq;
-}
-
-double WalManager::AwaitFsync(uint64_t seq) {
-  if (options_.fsync_every_ms < 0) return 0;
-  SteadyClock::time_point start = SteadyClock::now();
-  std::unique_lock<std::mutex> lock(sync_mu_);
-  waiter_cv_.wait(lock, [&] {
-    return synced_seq_ >= seq || stop_.load();
-  });
-  return MicrosSince(start);
-}
-
-void WalManager::SyncerLoop() {
-  std::unique_lock<std::mutex> lock(sync_mu_);
-  while (!stop_.load()) {
-    syncer_cv_.wait(lock, [&] { return stop_.load() || !dirty_.empty(); });
-    if (stop_.load()) break;
-    if (options_.fsync_every_ms > 0) {
-      // The batching window: let concurrent appends pile onto this
-      // fsync instead of each paying their own.
-      syncer_cv_.wait_for(
-          lock, std::chrono::milliseconds(options_.fsync_every_ms),
-          [&] { return stop_.load(); });
-      if (stop_.load()) break;
-    }
-    uint64_t target = append_seq_;
-    std::vector<DocPtr> batch(dirty_.begin(), dirty_.end());
-    dirty_.clear();
-    lock.unlock();
-
-    SteadyClock::time_point start = SteadyClock::now();
-    for (const DocPtr& doc : batch) {
-      std::lock_guard<std::mutex> doc_lock(doc->mu);
-      if (doc->dropped || doc->segment == nullptr) continue;
-      Status synced = doc->segment->Fsync();
-      if (!synced.ok()) {
-        errors_->Add();
-        fsync_errors_->Add();
-        // Every appender this pass was meant to cover must see the
-        // failure: after a failed fsync the kernel may have dropped
-        // the dirty pages, so no later retry can make these records
-        // durable — the watermark is permanent for them.
-        if (target > doc->fsync_error_seq) doc->fsync_error_seq = target;
-        continue;
-      }
-      fsyncs_->Add();
-    }
-    fsync_us_->Observe(MicrosSince(start));
-
-    lock.lock();
-    if (target > synced_seq_) synced_seq_ = target;
-    waiter_cv_.notify_all();
-  }
-  // Release anyone still blocked on durability at shutdown.
-  synced_seq_ = append_seq_;
-  waiter_cv_.notify_all();
 }
 
 Status WalManager::Flush() {
@@ -574,11 +519,6 @@ Status WalManager::Flush() {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [name, doc] : docs_) all.push_back(doc);
   }
-  uint64_t target = 0;
-  {
-    std::lock_guard<std::mutex> lock(sync_mu_);
-    target = append_seq_;
-  }
   Status first = Status::Ok();
   for (const DocPtr& doc : all) {
     std::lock_guard<std::mutex> doc_lock(doc->mu);
@@ -586,16 +526,10 @@ Status WalManager::Flush() {
     Status synced = doc->segment->Fsync();
     if (!synced.ok()) {
       fsync_errors_->Add();
-      if (target > doc->fsync_error_seq) doc->fsync_error_seq = target;
+      doc->fsync_failed_version = doc->last_version;
       if (first.ok()) first = synced;
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(sync_mu_);
-    synced_seq_ = append_seq_;
-    dirty_.clear();
-  }
-  waiter_cv_.notify_all();
   return first;
 }
 
@@ -614,10 +548,8 @@ void WalManager::CheckpointerLoop() {
     std::string name;
     {
       std::unique_lock<std::mutex> lock(ckpt_mu_);
-      ckpt_cv_.wait(lock, [&] {
-        return stop_.load() || !ckpt_queue_.empty();
-      });
-      if (stop_.load()) return;
+      ckpt_cv_.wait(lock, [&] { return stop_ || !ckpt_queue_.empty(); });
+      if (stop_) return;
       name = std::move(ckpt_queue_.front());
       ckpt_queue_.pop_front();
     }
@@ -638,6 +570,10 @@ Status WalManager::CheckpointNow(const std::string& document) {
 }
 
 Status WalManager::CheckpointDoc(const DocPtr& doc) {
+  // One at a time per document: two would write the same checkpoint
+  // file, and a commit rebasing after a failed fsync must find the
+  // checkpoint it needs on disk when this returns.
+  std::lock_guard<std::mutex> serial(doc->checkpoint_mu);
   SteadyClock::time_point start = SteadyClock::now();
   uint64_t rotate_base = 0;
   {
@@ -647,24 +583,35 @@ Status WalManager::CheckpointDoc(const DocPtr& doc) {
     std::lock_guard<std::mutex> lock(doc->mu);
     doc->checkpoint_queued = false;
     if (doc->dropped || doc->segment == nullptr) return Status::Ok();
-    if (doc->records_since_checkpoint == 0) return Status::Ok();
+    if (doc->checkpoint_version >= doc->last_version) return Status::Ok();
     rotate_base = doc->last_version;
-    CXML_ASSIGN_OR_RETURN(
-        std::unique_ptr<SegmentWriter> fresh,
-        SegmentWriter::Create(
-            StrCat(doc->dir, "/", SegmentFileName(rotate_base)),
-            rotate_base));
-    fresh->set_injector(options_.injector);
-    // The outgoing segment's tail must be durable before it becomes
-    // the only home of records the new checkpoint may not cover.
-    CXML_RETURN_IF_ERROR(doc->segment->Fsync());
-    doc->segment = std::move(fresh);
+    // A segment based at the last version holds no record beyond it
+    // (an earlier checkpoint rotated, then failed): only the snapshot
+    // is missing.
+    if (doc->segment->base_version() != rotate_base) {
+      CXML_ASSIGN_OR_RETURN(
+          std::unique_ptr<SegmentWriter> fresh,
+          SegmentWriter::Create(
+              StrCat(doc->dir, "/", SegmentFileName(rotate_base)),
+              rotate_base));
+      fresh->set_injector(options_.injector);
+      // The outgoing segment's tail must be durable before it becomes
+      // the only home of records the new checkpoint may not cover.
+      CXML_RETURN_IF_ERROR(doc->segment->Fsync());
+      doc->segment = std::move(fresh);
+    }
     doc->records_since_checkpoint = 0;
     doc->bytes_since_checkpoint = 0;
   }
 
   uint64_t checkpoint_version = 0;
   CXML_RETURN_IF_ERROR(WriteCheckpoint(doc, &checkpoint_version));
+  {
+    std::lock_guard<std::mutex> lock(doc->mu);
+    if (checkpoint_version > doc->checkpoint_version) {
+      doc->checkpoint_version = checkpoint_version;
+    }
+  }
 
   // Cleanup: checkpoints older than the new one, segments whose whole
   // record range the new checkpoint covers. The freshly rotated-to
@@ -678,12 +625,6 @@ Status WalManager::CheckpointDoc(const DocPtr& doc) {
         ParseSegmentFileName(file, &v) && v < rotate_base;
     if (stale_checkpoint || replayed_segment) {
       (void)::unlink(StrCat(doc->dir, "/", file).c_str());
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(doc->mu);
-    if (checkpoint_version > doc->checkpoint_version) {
-      doc->checkpoint_version = checkpoint_version;
     }
   }
   checkpoints_->Add();

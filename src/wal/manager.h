@@ -1,14 +1,12 @@
 #ifndef CXML_WAL_MANAGER_H_
 #define CXML_WAL_MANAGER_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,13 +27,6 @@ struct WalOptions {
   /// Root of the durability tree: one subdirectory per document (see
   /// log.h for the layout). Created by Open().
   std::string data_dir;
-  /// Group-fsync batching window: appenders block until one fsync
-  /// covers their record, and the syncer thread waits this long after
-  /// the first dirty append so concurrent commits share the fsync.
-  /// 0 fsyncs immediately per append batch; negative skips the wait
-  /// entirely (records are written but not awaited — bench/testing
-  /// only, a crash may lose acked commits).
-  int fsync_every_ms = 2;
   /// Background checkpoint triggers: after this many records or bytes
   /// appended since the last checkpoint, the document is snapshotted
   /// (CXG1) and its replayed segments are dropped.
@@ -73,12 +64,12 @@ Status ApplyOpSets(edit::EditSession& session,
                    const std::vector<std::string>& op_sets);
 
 /// The durability subsystem: a per-document write-ahead log fed by the
-/// WritePipeline's commit sink, batched group fsync, background CXG1
+/// WritePipeline's commit sink, one fsync per commit, background CXG1
 /// checkpoints with segment truncation, startup recovery into a
 /// DocumentStore, and the SYNC serving side of CXP/1 replication.
 ///
-/// Lifecycle: construct → Open() (creates data_dir, starts the fsync +
-/// checkpoint threads) → RecoverAll(store) (registers every recovered
+/// Lifecycle: construct → Open() (creates data_dir, starts the
+/// checkpoint thread) → RecoverAll(store) (registers every recovered
 /// document at its logged version — before the sink is wired, so
 /// recovery itself is never re-logged) → Attach(store, pipeline)
 /// (commit sink; from here every pipeline event is durable before its
@@ -95,6 +86,15 @@ Status ApplyOpSets(edit::EditSession& session,
 /// registration writes an initial checkpoint and a fresh segment; a
 /// removal drops the document's directory. A commit for a document the
 /// log does not hold fails its ack.
+///
+/// Flushing: the pipeline writer that appends a commit's record fsyncs
+/// the document's segment itself, under the document's lock, before
+/// the sink returns. A document's events reach the sink one at a time,
+/// and each document has its own segment, so there is nothing for a
+/// shared fsync to batch. A failed fsync fails that commit's ack and
+/// is never retried (the kernel may have dropped the record's pages);
+/// the document's next commit checkpoints before it acks, so no later
+/// ack depends on the lost record.
 class WalManager : public net::SyncSource {
  public:
   explicit WalManager(WalOptions options);
@@ -147,7 +147,8 @@ class WalManager : public net::SyncSource {
 
   /// Synchronous checkpoint (tests, admin): rotate, snapshot, truncate.
   Status CheckpointNow(const std::string& document);
-  /// Fsyncs every dirty segment now (tests / orderly shutdown).
+  /// Fsyncs every open segment now. Each commit already fsyncs its own
+  /// record, so this only re-checks the files (tests, shutdown).
   Status Flush();
 
   const WalOptions& options() const { return options_; }
@@ -157,10 +158,13 @@ class WalManager : public net::SyncSource {
   struct DocState {
     std::string name;
     std::string dir;
+    /// Serializes CheckpointDoc runs on this document; taken before mu.
+    std::mutex checkpoint_mu;
     std::mutex mu;
     std::unique_ptr<SegmentWriter> segment;
     /// Last version appended (or recovered); the continuity check.
     uint64_t last_version = 0;
+    /// Version of the newest durable checkpoint.
     uint64_t checkpoint_version = 0;
     uint64_t records_since_checkpoint = 0;
     uint64_t bytes_since_checkpoint = 0;
@@ -169,18 +173,17 @@ class WalManager : public net::SyncSource {
     /// (version, framed record) tail for ReadSince.
     std::deque<std::pair<uint64_t, std::string>> ring;
     size_t ring_bytes = 0;
-    /// Highest group-fsync sequence whose covering fsync pass failed
-    /// for this document. An appender whose sequence is at or below
-    /// this watermark must not be acked — its record may never reach
-    /// the disk (failed fsyncs are not retried: the kernel may have
-    /// dropped the dirty pages).
-    uint64_t fsync_error_seq = 0;
+    /// Highest version appended before an fsync of the document's
+    /// log failed (0: none). Recovery's prefix scan stops at a lost
+    /// record, so while no checkpoint covers this version, an ack must
+    /// not depend on the segment chain through it.
+    uint64_t fsync_failed_version = 0;
   };
   using DocPtr = std::shared_ptr<DocState>;
 
   /// The pipeline commit sink: a publish is encoded, appended and
-  /// awaited through group fsync; a registration creates the
-  /// document's log; a removal drops it.
+  /// fsynced; a registration creates the document's log; a removal
+  /// drops it.
   service::CommitSinkResult OnCommit(const service::CommitBatch& batch);
 
   DocPtr FindDoc(const std::string& name);
@@ -205,13 +208,6 @@ class WalManager : public net::SyncSource {
   bool ReadTailFromSegments(const std::string& dir, uint64_t from_version,
                             size_t max_bytes, net::SyncBatch* batch);
 
-  /// Registers an append with the group-fsync machinery; the returned
-  /// sequence number is what AwaitFsync blocks on.
-  uint64_t MarkDirty(const DocPtr& doc);
-  /// Blocks until one fsync covers sequence `seq` (no-op when
-  /// fsync_every_ms < 0); returns the wait in µs.
-  double AwaitFsync(uint64_t seq);
-  void SyncerLoop();
   void CheckpointerLoop();
   void EnqueueCheckpoint(std::string name);
 
@@ -244,21 +240,11 @@ class WalManager : public net::SyncSource {
   std::mutex mu_;
   std::map<std::string, DocPtr> docs_;
 
-  /// Group-fsync state: appenders take a sequence number, mark their
-  /// document dirty, and wait until the syncer's fsync pass covers it.
-  std::mutex sync_mu_;
-  std::condition_variable syncer_cv_;
-  std::condition_variable waiter_cv_;
-  uint64_t append_seq_ = 0;
-  uint64_t synced_seq_ = 0;
-  std::set<DocPtr> dirty_;
-  std::atomic<bool> stop_{false};
-
   std::mutex ckpt_mu_;
   std::condition_variable ckpt_cv_;
   std::deque<std::string> ckpt_queue_;
+  bool stop_ = false;  // guarded by ckpt_mu_
 
-  std::thread syncer_;
   std::thread checkpointer_;
 };
 

@@ -114,7 +114,6 @@ World MakeWorld(const std::string& data_dir, fault::Injector* injector) {
                                    /*cache_capacity=*/64});
   wal::WalOptions options;
   options.data_dir = data_dir;
-  options.fsync_every_ms = 0;
   options.injector = injector;
   world.wal = std::make_unique<wal::WalManager>(options);
   EXPECT_TRUE(world.wal->Open().ok());

@@ -60,19 +60,6 @@ cmh::HierarchyId MustAddLayer(cmh::ConcurrentHierarchies* cmh,
   return id.ok() ? *id : cmh::kInvalidHierarchy;
 }
 
-HandBuilt BuildByHand(const std::string& root_tag, std::string content,
-                      std::vector<drivers::LogicalElement> elements) {
-  HandBuilt out;
-  auto g = drivers::BuildGoddagFromExtents(*out.cmh, std::move(content),
-                                           std::move(elements));
-  EXPECT_TRUE(g.ok()) << g.status();
-  if (g.ok()) {
-    out.g = std::make_unique<goddag::Goddag>(std::move(g).value());
-  }
-  (void)root_tag;
-  return out;
-}
-
 /// Every query must answer identically — same item count, same bytes —
 /// on the imported and the hand-built GODDAG.
 void ExpectSameAnswers(const goddag::Goddag& imported,

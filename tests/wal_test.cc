@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -218,16 +220,17 @@ class WalManagerTest : public ::testing::Test {
 
   /// Builds store + service + WAL, recovers, attaches. Returns the
   /// recovery stats of this incarnation.
-  RecoveryStats StartWorld(int fsync_every_ms = 0,
-                           fault::Injector* injector = nullptr) {
+  RecoveryStats StartWorld(fault::Injector* injector = nullptr,
+                           size_t num_write_threads = 1) {
     StopWorld();
     store_ = std::make_unique<service::DocumentStore>();
-    service_ = std::make_unique<service::QueryService>(
-        store_.get(), service::QueryServiceOptions{/*num_threads=*/2,
-                                                   /*cache_capacity=*/64});
+    service::QueryServiceOptions service_options{/*num_threads=*/2,
+                                                 /*cache_capacity=*/64};
+    service_options.num_write_threads = num_write_threads;
+    service_ = std::make_unique<service::QueryService>(store_.get(),
+                                                       service_options);
     WalOptions options;
     options.data_dir = data_dir_;
-    options.fsync_every_ms = fsync_every_ms;
     options.injector = injector;
     wal_ = std::make_unique<WalManager>(options);
     EXPECT_TRUE(wal_->Open().ok());
@@ -244,47 +247,49 @@ class WalManagerTest : public ::testing::Test {
     store_.reset();
   }
 
-  /// Registers "ms" through the pipeline: acked once its checkpoint
+  /// Registers `name` through the pipeline: acked once its checkpoint
   /// is on disk.
-  void RegisterMs() {
+  void RegisterDoc(const std::string& name = "ms") {
     auto doc = storage::Load(CorpusBytes());
     ASSERT_TRUE(doc.ok()) << doc.status();
     service::EditResponse registered =
-        service_->pipeline().SubmitRegister("ms", std::move(doc).value())
+        service_->pipeline().SubmitRegister(name, std::move(doc).value())
             .get();
     ASSERT_TRUE(registered.ok()) << registered.status;
   }
 
   /// One replayable pipeline commit: a fresh a0 annotation in a free
   /// gap, its op lines riding along as the WAL payload.
-  service::EditResponse TryCommitOne() {
-    auto snap = store_->GetSnapshot("ms");
+  service::EditResponse TryCommitOne(const std::string& name = "ms") {
+    auto snap = store_->GetSnapshot(name);
     EXPECT_TRUE(snap.ok());
     size_t offset = FindFreeA0Gap(*(*snap)->goddag, 0, 30);
     std::vector<net::EditOp> ops = {net::EditOp::Select(offset, offset + 30),
                                     net::EditOp::Apply(2, "a0")};
     return service_->ExecuteEdit(
-        "ms",
+        name,
         [ops](edit::EditSession& session) {
           return ApplyWireOps(session, ops);
         },
         {net::RenderOps(ops)});
   }
 
-  uint64_t CommitOne() {
-    service::EditResponse response = TryCommitOne();
+  uint64_t CommitOne(const std::string& name = "ms") {
+    service::EditResponse response = TryCommitOne(name);
     EXPECT_TRUE(response.ok()) << response.status;
     return response.version;
   }
 
-  uint64_t SnapshotRecords() {
-    return wal_->registry()
-        ->GetCounter("cxml_wal_snapshot_records_total")
-        ->Value();
+  uint64_t WalCounter(const char* name) {
+    return wal_->registry()->GetCounter(name)->Value();
   }
 
-  std::string SaveBytes() {
-    auto snap = store_->GetSnapshot("ms");
+  uint64_t SnapshotRecords() {
+    return WalCounter("cxml_wal_snapshot_records_total");
+  }
+
+  std::string SaveBytes(const std::string& name = "ms") {
+    auto snap = store_->GetSnapshot(name);
     EXPECT_TRUE(snap.ok());
     auto bytes = storage::Save(*(*snap)->goddag);
     EXPECT_TRUE(bytes.ok());
@@ -310,7 +315,7 @@ class WalManagerTest : public ::testing::Test {
 
 TEST_F(WalManagerTest, RecoversLoggedCommitsByteIdentically) {
   StartWorld();
-  RegisterMs();
+  RegisterDoc();
   EXPECT_EQ(CommitOne(), 2u);
   EXPECT_EQ(CommitOne(), 3u);
   EXPECT_EQ(CommitOne(), 4u);
@@ -339,7 +344,7 @@ TEST_F(WalManagerTest, RecoversLoggedCommitsByteIdentically) {
 
 TEST_F(WalManagerTest, OpaqueCommitsFallBackToSnapshotRecords) {
   StartWorld();
-  RegisterMs();
+  RegisterDoc();
   // No wal_op_sets: the sink cannot replay this, so it must log a full
   // kSnapshot record instead of silently diverging.
   auto snap = store_->GetSnapshot("ms");
@@ -363,7 +368,7 @@ TEST_F(WalManagerTest, OpaqueCommitsFallBackToSnapshotRecords) {
 
 TEST_F(WalManagerTest, TornTailIsCutCleanly) {
   StartWorld();
-  RegisterMs();
+  RegisterDoc();
   EXPECT_EQ(CommitOne(), 2u);
   std::string bytes_before = SaveBytes();
   StopWorld();
@@ -448,7 +453,7 @@ TEST_F(WalManagerTest, TornAppendFailsTheAckAndRecoversCleanly) {
     StopWorld();
     ASSERT_TRUE(RemoveDirRecursive(data_dir_).ok());
     StartWorld();
-    RegisterMs();
+    RegisterDoc();
     EXPECT_EQ(CommitOne(), 2u);
     std::string bytes_before = SaveBytes();
 
@@ -458,7 +463,7 @@ TEST_F(WalManagerTest, TornAppendFailsTheAckAndRecoversCleanly) {
     ASSERT_TRUE(
         injector.Arm("wal.append_torn", "once:" + std::to_string(cut))
             .ok());
-    StartWorld(/*fsync_every_ms=*/0, &injector);
+    StartWorld(&injector);
     service::EditResponse torn = TryCommitOne();
     EXPECT_FALSE(torn.ok());
     EXPECT_EQ(torn.status.code(), StatusCode::kInternal);
@@ -474,7 +479,7 @@ TEST_F(WalManagerTest, TornAppendFailsTheAckAndRecoversCleanly) {
     fault::Injector again(/*seed=*/1);
     ASSERT_TRUE(
         again.Arm("wal.append_torn", "once:" + std::to_string(cut)).ok());
-    StartWorld(/*fsync_every_ms=*/0, &again);
+    StartWorld(&again);
     EXPECT_FALSE(TryCommitOne().ok());
     uint64_t snapshots = SnapshotRecords();
     EXPECT_EQ(CommitOne(), 4u);
@@ -490,13 +495,13 @@ TEST_F(WalManagerTest, TornAppendFailsTheAckAndRecoversCleanly) {
 
 TEST_F(WalManagerTest, FsyncFaultFailsTheAckAndCountsErrors) {
   StartWorld();
-  RegisterMs();
+  RegisterDoc();
   EXPECT_EQ(CommitOne(), 2u);
   StopWorld();
 
   fault::Injector injector(/*seed=*/1);
   ASSERT_TRUE(injector.Arm("wal.fsync", "once").ok());
-  StartWorld(/*fsync_every_ms=*/0, &injector);
+  StartWorld(&injector);
   service::EditResponse response = TryCommitOne();
   EXPECT_FALSE(response.ok());
   EXPECT_NE(response.status.message().find("not durable"),
@@ -510,9 +515,123 @@ TEST_F(WalManagerTest, FsyncFaultFailsTheAckAndCountsErrors) {
   EXPECT_EQ(CommitOne(), 4u);
 }
 
+/// Zeroes the frame of `version`'s record in every segment under `dir`
+/// that still holds it: the pages a failed fsync may have dropped.
+void ZeroRecordFrame(const std::string& dir, uint64_t version) {
+  auto files = ListDir(dir);
+  ASSERT_TRUE(files.ok()) << files.status();
+  for (const std::string& file : *files) {
+    uint64_t base = 0;
+    if (!ParseSegmentFileName(file, &base)) continue;
+    std::string path = dir + "/" + file;
+    auto segment = ReadSegment(path);
+    ASSERT_TRUE(segment.ok()) << segment.status();
+    auto bytes = ReadFileBytes(path);
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    for (const Record& record : segment->scan.records) {
+      if (record.version != version) continue;
+      std::string frame = EncodeRecord(record);
+      size_t at = bytes->find(frame);
+      ASSERT_NE(at, std::string::npos) << path;
+      std::fill_n(bytes->begin() + at, frame.size(), '\0');
+      ASSERT_TRUE(WriteFileDurable(path, *bytes).ok());
+    }
+  }
+}
+
+TEST_F(WalManagerTest, AckAfterFailedFsyncSurvivesLostPages) {
+  fault::Injector injector(/*seed=*/1);
+  StartWorld(&injector);
+  RegisterDoc();
+  EXPECT_EQ(CommitOne(), 2u);
+
+  // v3's fsync fails, so its ack does; v4 is published on top of v3
+  // and acks.
+  ASSERT_TRUE(injector.Arm("wal.fsync", "once").ok());
+  service::EditResponse lost = TryCommitOne();
+  ASSERT_FALSE(lost.ok());
+  EXPECT_NE(lost.status.message().find("not durable"), std::string::npos)
+      << lost.status;
+  EXPECT_EQ(CommitOne(), 4u);
+  std::string v4_bytes = SaveBytes();
+
+  // A crash that loses v3's pages (no Flush first): the acked v4 must
+  // come back without replaying v3.
+  StopWorld();
+  ZeroRecordFrame(DocDir(), 3);
+  if (HasFatalFailure()) return;
+  StartWorld();
+  auto version = store_->GetVersion("ms");
+  ASSERT_TRUE(version.ok()) << version.status();
+  EXPECT_EQ(*version, 4u);
+  EXPECT_EQ(SaveBytes(), v4_bytes);
+}
+
+TEST_F(WalManagerTest, ConcurrentWritersAndCheckpointsStayDurable) {
+  // Two writer threads append and fsync two documents' records at once
+  // while checkpoints rotate both logs under them.
+  StartWorld(/*injector=*/nullptr, /*num_write_threads=*/2);
+  const std::vector<std::string> names = {"ms", "ms2"};
+  for (const std::string& name : names) RegisterDoc(name);
+  uint64_t records_before = WalCounter("cxml_wal_records_total");
+  uint64_t fsyncs_before = WalCounter("cxml_wal_fsyncs_total");
+  uint64_t checkpoints_before = WalCounter("cxml_wal_checkpoints_total");
+
+  constexpr int kCommits = 50;
+  std::vector<uint64_t> last_acked(names.size(), 0);
+  std::vector<int> failed(names.size(), 0);
+  std::atomic<size_t> writing{names.size()};
+  std::vector<std::thread> writers;
+  for (size_t i = 0; i < names.size(); ++i) {
+    writers.emplace_back([&, i] {
+      for (int n = 0; n < kCommits; ++n) {
+        service::EditResponse response = TryCommitOne(names[i]);
+        if (response.ok()) {
+          last_acked[i] = response.version;
+        } else {
+          ++failed[i];
+        }
+      }
+      writing.fetch_sub(1);
+    });
+  }
+  int checkpoint_errors = 0;
+  std::thread checkpointer([&] {
+    while (writing.load() > 0) {
+      for (const std::string& name : names) {
+        if (!wal_->CheckpointNow(name).ok()) ++checkpoint_errors;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  for (std::thread& writer : writers) writer.join();
+  checkpointer.join();
+
+  EXPECT_EQ(checkpoint_errors, 0);
+  EXPECT_GT(WalCounter("cxml_wal_checkpoints_total"), checkpoints_before);
+  uint64_t records = WalCounter("cxml_wal_records_total") - records_before;
+  EXPECT_EQ(records, 2u * kCommits);
+  EXPECT_GE(WalCounter("cxml_wal_fsyncs_total") - fsyncs_before, records);
+  std::vector<std::string> bytes;
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(failed[i], 0) << names[i];
+    EXPECT_EQ(last_acked[i], 1u + kCommits) << names[i];
+    bytes.push_back(SaveBytes(names[i]));
+  }
+
+  RecoveryStats stats = StartWorld();
+  EXPECT_EQ(stats.docs_recovered, names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    auto version = store_->GetVersion(names[i]);
+    ASSERT_TRUE(version.ok()) << version.status();
+    EXPECT_EQ(*version, last_acked[i]) << names[i];
+    EXPECT_EQ(SaveBytes(names[i]), bytes[i]) << names[i];
+  }
+}
+
 TEST_F(WalManagerTest, CorruptNewestCheckpointFallsBackToOlder) {
   StartWorld();
-  RegisterMs();
+  RegisterDoc();
   EXPECT_EQ(CommitOne(), 2u);
   EXPECT_EQ(CommitOne(), 3u);
   std::string bytes_before = SaveBytes();
@@ -536,7 +655,7 @@ TEST_F(WalManagerTest, CorruptNewestCheckpointFallsBackToOlder) {
 
 TEST_F(WalManagerTest, CheckpointTruncatesReplayedSegments) {
   StartWorld();
-  RegisterMs();
+  RegisterDoc();
   EXPECT_EQ(CommitOne(), 2u);
   EXPECT_EQ(CommitOne(), 3u);
   ASSERT_TRUE(wal_->CheckpointNow("ms").ok());
@@ -572,7 +691,7 @@ TEST_F(WalManagerTest, CheckpointTruncatesReplayedSegments) {
 
 TEST_F(WalManagerTest, RemoveDropsTheDocumentDirectory) {
   StartWorld();
-  RegisterMs();
+  RegisterDoc();
   EXPECT_EQ(CommitOne(), 2u);
   ASSERT_TRUE(ListDir(DocDir()).ok());
   ASSERT_TRUE(service_->pipeline().SubmitRemove("ms").get().ok());
@@ -585,7 +704,7 @@ TEST_F(WalManagerTest, RemoveDropsTheDocumentDirectory) {
 
 TEST_F(WalManagerTest, ReadSinceServesTailThenSnapshotFallback) {
   StartWorld();
-  RegisterMs();
+  RegisterDoc();
   EXPECT_EQ(CommitOne(), 2u);
   EXPECT_EQ(CommitOne(), 3u);
 
@@ -622,7 +741,7 @@ TEST_F(WalManagerTest, ReadSinceServesTailThenSnapshotFallback) {
 
 TEST_F(WalManagerTest, FollowerTailsAPrimaryOverCxp) {
   StartWorld();
-  RegisterMs();
+  RegisterDoc();
   EXPECT_EQ(CommitOne(), 2u);
 
   net::ServerOptions server_options;
@@ -684,7 +803,6 @@ struct DurableReplica {
                                                   /*cache_capacity=*/64});
     WalOptions options;
     options.data_dir = dir;
-    options.fsync_every_ms = 0;
     wal = std::make_unique<WalManager>(options);
     EXPECT_TRUE(wal->Open().ok());
     EXPECT_TRUE(wal->RecoverAll(store.get(), &recovery).ok());
@@ -710,7 +828,7 @@ TEST_F(WalManagerTest, DurableFollowerLogsItsSnapshotBootstrap) {
   // The primary reaches version 3 before the follower starts, so the
   // follower bootstraps from one kSnapshot record at version 3.
   StartWorld();
-  RegisterMs();
+  RegisterDoc();
   EXPECT_EQ(CommitOne(), 2u);
   EXPECT_EQ(CommitOne(), 3u);
   std::string primary_v3 = SaveBytes();
@@ -783,7 +901,7 @@ TEST_F(WalManagerTest, DurableFollowerLogsItsSnapshotBootstrap) {
 TEST_F(WalManagerTest, UnwritableLogFailsRegisterImportAndEditAcks) {
   (void)std::remove(data_dir_.c_str());  // an earlier run's stand-in file
   StartWorld();
-  RegisterMs();
+  RegisterDoc();
   net::ServerOptions server_options;
   server_options.num_workers = 2;
   server_options.sync_source = wal_.get();
@@ -840,7 +958,7 @@ TEST_F(WalManagerTest, UnwritableLogFailsRegisterImportAndEditAcks) {
 
 TEST_F(WalManagerTest, SyncVerbRequiresASyncSource) {
   StartWorld();
-  RegisterMs();
+  RegisterDoc();
   net::ServerOptions server_options;  // no sync_source
   net::Server server(store_.get(), service_.get(), server_options);
   ASSERT_TRUE(server.Start().ok());
