@@ -117,7 +117,9 @@ class Client {
   /// Replication tail (SYNC): encoded WAL records for `document` with
   /// version > from_version — one response item each — plus the
   /// primary's current version in the version slot. Zero items means
-  /// caught up. Requires a primary with a durability log attached.
+  /// nothing to ship yet: caught up, or the primary's log has not
+  /// appended its newest publish. Requires a primary with a durability
+  /// log attached.
   Result<Response> Sync(const std::string& document, uint64_t from_version);
   Result<std::vector<std::string>> List();
   /// "key value" lines of server/service/cache counters.

@@ -82,11 +82,13 @@ namespace cxml::net {
 /// QUERY-shaped — one item per encoded WAL record (wal::EncodeRecord
 /// bytes: length-prefixed, CRC-checked, strictly ascending versions,
 /// all > from_version), with the primary's current version in the
-/// version slot so a caught-up follower (zero items) still learns its
-/// lag. A follower that has fallen behind the primary's retained tail
-/// receives one full-snapshot record instead of history. Primaries
-/// answer SYNC only when a durability log is attached
-/// (net::SyncSource); otherwise it earns ERR Unimplemented.
+/// version slot so a follower sent zero items (caught up, or level
+/// with a log that has not appended the newest publish yet) still
+/// learns its lag. Only logged versions ship; a follower that has
+/// fallen behind the primary's retained tail receives one
+/// full-snapshot record instead of history. Primaries answer SYNC
+/// only when a durability log is attached (net::SyncSource);
+/// otherwise it earns ERR Unimplemented.
 ///
 /// PROMOTE is the failover verb: a read-only `--follow` replica stops
 /// tailing its primary, seals the inherited log with a promotion

@@ -28,10 +28,12 @@ class SyncSource {
   virtual ~SyncSource() = default;
 
   /// Records after `from_version` for `document`, bounded by
-  /// `max_bytes` (soft: when the follower is behind, at least one
-  /// record always ships so it can make progress — a full-snapshot
-  /// record may exceed the cap on its own). A follower older than the
-  /// retained tail receives one kSnapshot record instead of history.
+  /// `max_bytes` (soft: the first record always ships, so a
+  /// full-snapshot record may exceed the cap on its own).
+  /// A follower older than the retained tail receives one kSnapshot
+  /// record instead of history. Only versions the source has logged
+  /// ship: a follower level with the log gets no records, with the
+  /// store's newer version in `current_version`, until the log has it.
   virtual Result<SyncBatch> ReadSince(const std::string& document,
                                       uint64_t from_version,
                                       size_t max_bytes) = 0;

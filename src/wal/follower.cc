@@ -216,8 +216,8 @@ size_t Follower::SyncDocument(net::Client* client,
     }
     if (record->type == Record::Type::kPromote) {
       // A promotion seal carries no document state — skip it. (The
-      // primary's ReadSince already filters these; tolerating them
-      // here keeps mixed-version pairs safe.)
+      // primary's sync ring never holds one; tolerating them here
+      // keeps mixed-version pairs safe.)
       continue;
     }
     SteadyClock::time_point apply_start = SteadyClock::now();

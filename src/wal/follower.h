@@ -26,8 +26,6 @@ struct FollowerOptions {
   /// Pause between sync rounds once caught up; a round that shipped
   /// records polls again immediately.
   int poll_interval_ms = 50;
-  /// Per-SYNC byte budget forwarded to the primary.
-  size_t max_batch_bytes = 4u << 20;
   /// Metric sink (cxml_repl_*); nullptr keeps a private registry.
   obs::Registry* registry = nullptr;
   /// Fault injection for the apply path (`follower.apply`: one record

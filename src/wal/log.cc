@@ -287,26 +287,6 @@ Result<std::unique_ptr<SegmentWriter>> SegmentWriter::Create(
       new SegmentWriter(fd, path, base_version, header.size()));
 }
 
-Result<std::unique_ptr<SegmentWriter>> SegmentWriter::OpenForAppend(
-    const std::string& path, uint64_t base_version, size_t valid_bytes) {
-  if (valid_bytes < kSegmentHeaderBytes) {
-    return status::InvalidArgument(
-        "segment resume point is inside the header");
-  }
-  int fd = open(path.c_str(), O_WRONLY, 0666);
-  if (fd < 0) return Errno("open segment", path);
-  if (ftruncate(fd, static_cast<off_t>(valid_bytes)) != 0) {
-    close(fd);
-    return Errno("truncate segment", path);
-  }
-  if (lseek(fd, 0, SEEK_END) < 0) {
-    close(fd);
-    return Errno("seek segment", path);
-  }
-  return std::unique_ptr<SegmentWriter>(
-      new SegmentWriter(fd, path, base_version, valid_bytes));
-}
-
 SegmentWriter::~SegmentWriter() {
   if (fd_ >= 0) close(fd_);
 }

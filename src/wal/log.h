@@ -70,10 +70,6 @@ class SegmentWriter {
   /// can land, so a crash never leaves a headerless file behind).
   static Result<std::unique_ptr<SegmentWriter>> Create(
       const std::string& path, uint64_t base_version);
-  /// Reopens an existing segment for appending, truncating it to
-  /// `valid_bytes` (header included) first — recovery's torn-tail cut.
-  static Result<std::unique_ptr<SegmentWriter>> OpenForAppend(
-      const std::string& path, uint64_t base_version, size_t valid_bytes);
 
   ~SegmentWriter();
   SegmentWriter(const SegmentWriter&) = delete;

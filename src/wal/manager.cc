@@ -16,6 +16,11 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
+/// Each document's SYNC ring keeps its newest records, at most this
+/// many and this many bytes (the newest record always stays).
+constexpr size_t kSyncRingRecords = 1024;
+constexpr size_t kSyncRingBytes = 8u << 20;
+
 double MicrosSince(SteadyClock::time_point start) {
   return std::chrono::duration<double, std::micro>(SteadyClock::now() -
                                                    start)
@@ -63,7 +68,6 @@ WalManager::WalManager(WalOptions options) : options_(std::move(options)) {
   fsyncs_ = registry_->GetCounter("cxml_wal_fsyncs_total");
   errors_ = registry_->GetCounter("cxml_wal_errors_total");
   fsync_errors_ = registry_->GetCounter("cxml_wal_fsync_errors_total");
-  disk_syncs_ = registry_->GetCounter("cxml_wal_disk_syncs_total");
   checkpoints_ = registry_->GetCounter("cxml_wal_checkpoints_total");
   snapshot_records_ =
       registry_->GetCounter("cxml_wal_snapshot_records_total");
@@ -455,9 +459,8 @@ service::CommitSinkResult WalManager::OnCommit(
     doc->bytes_since_checkpoint += framed.size();
     doc->ring.emplace_back(record.version, framed);
     doc->ring_bytes += framed.size();
-    while (doc->ring.size() > options_.sync_ring_records ||
-           (doc->ring_bytes > options_.sync_ring_bytes &&
-            doc->ring.size() > 1)) {
+    while (doc->ring.size() > kSyncRingRecords ||
+           (doc->ring_bytes > kSyncRingBytes && doc->ring.size() > 1)) {
       doc->ring_bytes -= doc->ring.front().second.size();
       doc->ring.pop_front();
     }
@@ -661,46 +664,36 @@ Result<net::SyncBatch> WalManager::ReadSince(const std::string& document,
   if (from_version >= snap->version) return batch;  // caught up
 
   if (DocPtr doc = FindDoc(document)) {
-    std::string dir;
-    {
-      std::lock_guard<std::mutex> lock(doc->mu);
-      // The ring serves the request only when it still holds the
-      // follower's next version (record versions can jump only at
-      // snapshot records, which rebase the follower anyway).
-      if (!doc->ring.empty() &&
-          doc->ring.front().first <= from_version + 1) {
-        size_t shipped = 0;
-        for (const auto& [version, framed] : doc->ring) {
-          if (version <= from_version) continue;
-          if (!batch.records.empty() &&
-              shipped + framed.size() > max_bytes) {
-            break;
-          }
-          batch.records.push_back(framed);
-          shipped += framed.size();
+    std::lock_guard<std::mutex> lock(doc->mu);
+    // Level with the log: the store's newer publish has no record yet
+    // (its append is under way, or failed and the next commit rebases
+    // the log), so it ships on a later poll.
+    if (!doc->dropped && from_version >= doc->last_version) return batch;
+    // The ring serves the request when it still holds the follower's
+    // next version (record versions can jump only at snapshot records,
+    // which rebase the follower anyway). Its newest record is the
+    // log's last, so at least one record ships.
+    if (!doc->ring.empty() && doc->ring.front().first <= from_version + 1) {
+      size_t shipped = 0;
+      for (const auto& [version, framed] : doc->ring) {
+        if (version <= from_version) continue;
+        if (!batch.records.empty() && shipped + framed.size() > max_bytes) {
+          break;
         }
-        if (!batch.records.empty()) {
-          syncs_->Add();
-          return batch;
-        }
+        batch.records.push_back(framed);
+        shipped += framed.size();
       }
-      if (!doc->dropped) dir = doc->dir;
-    }
-    // Middle tier: the ring moved on while the follower was briefly
-    // disconnected, but the missing tail usually still lives in the
-    // on-disk segments — hand those records over before surrendering
-    // to a full-snapshot resync.
-    if (!dir.empty() &&
-        ReadTailFromSegments(dir, from_version, max_bytes, &batch)) {
       syncs_->Add();
-      disk_syncs_->Add();
       return batch;
     }
-    batch.records.clear();
+    // A snapshot of a version the log lacks would outlive a crash that
+    // recovers the older version, and the caught-up check above would
+    // never repair the follower: wait for the log instead.
+    if (snap->version > doc->last_version) return batch;
   }
 
-  // The follower predates the retained tail (or the document has no
-  // log state at all): ship one full snapshot at the current version.
+  // The follower predates the ring (or the document has no log state):
+  // ship one full snapshot at the current version.
   CXML_ASSIGN_OR_RETURN(std::string bytes, storage::Save(*snap->goddag));
   Record record;
   record.type = Record::Type::kSnapshot;
@@ -710,60 +703,6 @@ Result<net::SyncBatch> WalManager::ReadSince(const std::string& document,
   batch.records.push_back(EncodeRecord(record));
   snapshot_syncs_->Add();
   return batch;
-}
-
-bool WalManager::ReadTailFromSegments(const std::string& dir,
-                                      uint64_t from_version,
-                                      size_t max_bytes,
-                                      net::SyncBatch* batch) {
-  auto files = ListDir(dir);
-  if (!files.ok()) return false;
-  std::vector<std::pair<uint64_t, std::string>> segments;
-  for (const std::string& file : *files) {
-    uint64_t base = 0;
-    if (ParseSegmentFileName(file, &base)) {
-      segments.emplace_back(base, StrCat(dir, "/", file));
-    }
-  }
-  std::sort(segments.begin(), segments.end());
-  std::vector<Record> records;
-  for (const auto& [base, path] : segments) {
-    // A checkpoint may unlink a segment mid-scan; a failed read just
-    // demotes the request to the snapshot fallback.
-    auto data = ReadSegment(path);
-    if (!data.ok()) return false;
-    for (Record& record : data->scan.records) {
-      if (record.version > from_version) {
-        records.push_back(std::move(record));
-      }
-    }
-  }
-  std::stable_sort(records.begin(), records.end(),
-                   [](const Record& a, const Record& b) {
-                     return a.version < b.version;
-                   });
-  uint64_t version = from_version;
-  size_t shipped = 0;
-  for (const Record& record : records) {
-    if (record.type == Record::Type::kPromote) continue;
-    if (record.version <= version) continue;  // rotation-window overlap
-    if (record.type == Record::Type::kOps &&
-        (record.base_version != version ||
-         record.version != version + 1)) {
-      // A hole the disk cannot bridge (the needed records were
-      // checkpoint-truncated): nothing shipped so far can be trusted
-      // to chain from the follower's state.
-      return false;
-    }
-    std::string framed = EncodeRecord(record);
-    if (!batch->records.empty() && shipped + framed.size() > max_bytes) {
-      break;
-    }
-    shipped += framed.size();
-    batch->records.push_back(std::move(framed));
-    version = record.version;
-  }
-  return !batch->records.empty();
 }
 
 // ----------------------------------------------------------- failover

@@ -32,11 +32,6 @@ struct WalOptions {
   /// (CXG1) and its replayed segments are dropped.
   uint64_t checkpoint_every_records = 256;
   uint64_t checkpoint_every_bytes = 8ull << 20;
-  /// In-memory tail of encoded records per document, serving SYNC
-  /// without disk reads. A follower older than the ring gets one full
-  /// kSnapshot record instead.
-  size_t sync_ring_records = 1024;
-  size_t sync_ring_bytes = 8u << 20;
   /// Metric sink (cxml_wal_*); nullptr keeps a private registry.
   obs::Registry* registry = nullptr;
   /// Fault-injection seam (wal.fsync / wal.append_torn); nullptr (the
@@ -129,11 +124,15 @@ class WalManager : public net::SyncSource {
   /// before Attach (serverd's synthetic/--load documents).
   Status EnsureRegistered(const std::string& name);
 
-  /// net::SyncSource — serves `SYNC <doc> <from_version>` from the
-  /// in-memory ring; when the follower predates the ring (a brief
-  /// disconnect under write load) the on-disk segments are scanned for
-  /// the missing tail before falling back to one kSnapshot record of
-  /// the current store snapshot.
+  /// net::SyncSource — serves `SYNC <doc> <from_version>` from what the
+  /// log holds: the in-memory ring of the newest records when it still
+  /// holds the follower's next version, otherwise one kSnapshot record
+  /// of the current store snapshot. Nothing above the log's last
+  /// appended version ships. While the store holds a publish whose
+  /// record is not appended yet (or whose append failed), a follower
+  /// level with the log, or one the ring no longer covers, gets no
+  /// records; the record (or the next commit's rebase) arrives on a
+  /// later poll.
   Result<net::SyncBatch> ReadSince(const std::string& document,
                                    uint64_t from_version,
                                    size_t max_bytes) override;
@@ -170,7 +169,8 @@ class WalManager : public net::SyncSource {
     uint64_t bytes_since_checkpoint = 0;
     bool checkpoint_queued = false;
     bool dropped = false;
-    /// (version, framed record) tail for ReadSince.
+    /// (version, framed record) tail for ReadSince: the newest records
+    /// appended, up to kSyncRingRecords and kSyncRingBytes (manager.cc).
     std::deque<std::pair<uint64_t, std::string>> ring;
     size_t ring_bytes = 0;
     /// Highest version appended before an fsync of the document's
@@ -201,12 +201,6 @@ class WalManager : public net::SyncSource {
                     service::DocumentStore* store, RecoveryStats* stats);
   Status CheckpointDoc(const DocPtr& doc);
   Status WriteCheckpoint(const DocPtr& doc, uint64_t* version_out);
-  /// ReadSince's middle tier: rebuilds the record chain above
-  /// `from_version` from the on-disk segments in `dir`. Returns true
-  /// (and fills batch->records) only when an unbroken chain starting
-  /// at from_version + 1 exists on disk.
-  bool ReadTailFromSegments(const std::string& dir, uint64_t from_version,
-                            size_t max_bytes, net::SyncBatch* batch);
 
   void CheckpointerLoop();
   void EnqueueCheckpoint(std::string name);
@@ -224,7 +218,6 @@ class WalManager : public net::SyncSource {
   obs::Counter* fsyncs_ = nullptr;
   obs::Counter* errors_ = nullptr;
   obs::Counter* fsync_errors_ = nullptr;
-  obs::Counter* disk_syncs_ = nullptr;
   obs::Counter* checkpoints_ = nullptr;
   obs::Counter* snapshot_records_ = nullptr;
   obs::Counter* syncs_ = nullptr;

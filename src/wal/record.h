@@ -35,8 +35,9 @@ namespace cxml::wal {
 /// replaces the document wholesale at `version`. The log writes one
 /// for a publish with no wire form (an opaque in-process EditFn) and
 /// for the first publish after a failed append, whose version the log
-/// never received; SYNC ships one to a follower too far behind the
-/// in-memory sync ring.
+/// never received. SYNC ships one of the current version to a
+/// follower the in-memory sync ring does not cover, but only once the
+/// log holds that version.
 /// `kPromote` seals an inherited log at failover: it marks "the
 /// replicated history ends here at `version`; everything after was
 /// written by the promoted primary". It changes no document state —

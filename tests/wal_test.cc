@@ -258,13 +258,14 @@ class WalManagerTest : public ::testing::Test {
     ASSERT_TRUE(registered.ok()) << registered.status;
   }
 
-  /// One replayable pipeline commit: a fresh a0 annotation in a free
-  /// gap, its op lines riding along as the WAL payload.
-  service::EditResponse TryCommitOne(const std::string& name = "ms") {
+  /// One replayable pipeline commit: a fresh a0 annotation of `len`
+  /// chars in a free gap, its op lines riding along as the WAL payload.
+  service::EditResponse TryCommitOne(const std::string& name = "ms",
+                                     size_t len = 30) {
     auto snap = store_->GetSnapshot(name);
     EXPECT_TRUE(snap.ok());
-    size_t offset = FindFreeA0Gap(*(*snap)->goddag, 0, 30);
-    std::vector<net::EditOp> ops = {net::EditOp::Select(offset, offset + 30),
+    size_t offset = FindFreeA0Gap(*(*snap)->goddag, 0, len);
+    std::vector<net::EditOp> ops = {net::EditOp::Select(offset, offset + len),
                                     net::EditOp::Apply(2, "a0")};
     return service_->ExecuteEdit(
         name,
@@ -274,8 +275,8 @@ class WalManagerTest : public ::testing::Test {
         {net::RenderOps(ops)});
   }
 
-  uint64_t CommitOne(const std::string& name = "ms") {
-    service::EditResponse response = TryCommitOne(name);
+  uint64_t CommitOne(const std::string& name = "ms", size_t len = 30) {
+    service::EditResponse response = TryCommitOne(name, len);
     EXPECT_TRUE(response.ok()) << response.status;
     return response.version;
   }
@@ -737,6 +738,54 @@ TEST_F(WalManagerTest, ReadSinceServesTailThenSnapshotFallback) {
   EXPECT_FALSE(wal_->ReadSince("absent", 0, 1 << 20).ok());
 }
 
+TEST_F(WalManagerTest, ReadSinceWaitsForAPublishTheLogLacks) {
+  fault::Injector injector(/*seed=*/1);
+  StartWorld(&injector);
+  RegisterDoc();
+  EXPECT_EQ(CommitOne(), 2u);
+
+  // A torn append fails v3's ack: the store holds v3, the log v2.
+  ASSERT_TRUE(injector.Arm("wal.append_torn", "once:5").ok());
+  ASSERT_FALSE(TryCommitOne().ok());
+  auto version = store_->GetVersion("ms");
+  ASSERT_TRUE(version.ok()) << version.status();
+  ASSERT_EQ(*version, 3u);
+
+  // v3 ships to no one, neither to a follower level with the log nor
+  // as a snapshot to one the ring does not cover: a crash now would
+  // recover v2, and the caught-up check would never repair a follower
+  // that had v3.
+  for (uint64_t from : {uint64_t{2}, uint64_t{0}}) {
+    SCOPED_TRACE("from " + std::to_string(from));
+    auto batch = wal_->ReadSince("ms", from, 1 << 20);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    EXPECT_TRUE(batch->records.empty());
+    EXPECT_EQ(batch->current_version, 3u);
+  }
+  EXPECT_EQ(WalCounter("cxml_wal_snapshot_syncs_total"), 0u);
+
+  // The next commit rebases the log on a kSnapshot record at v4: the
+  // ring ships that one record from v2, and from 0 a snapshot of v4.
+  EXPECT_EQ(CommitOne(), 4u);
+  auto tail = wal_->ReadSince("ms", 2, 1 << 20);
+  ASSERT_TRUE(tail.ok()) << tail.status();
+  ASSERT_EQ(tail->records.size(), 1u);
+  auto rebase = DecodeRecord(tail->records[0]);
+  ASSERT_TRUE(rebase.ok()) << rebase.status();
+  EXPECT_EQ(rebase->type, Record::Type::kSnapshot);
+  EXPECT_EQ(rebase->version, 4u);
+  EXPECT_EQ(WalCounter("cxml_wal_snapshot_syncs_total"), 0u);
+
+  auto bootstrap = wal_->ReadSince("ms", 0, 1 << 20);
+  ASSERT_TRUE(bootstrap.ok()) << bootstrap.status();
+  ASSERT_EQ(bootstrap->records.size(), 1u);
+  auto snapshot = DecodeRecord(bootstrap->records[0]);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  EXPECT_EQ(snapshot->type, Record::Type::kSnapshot);
+  EXPECT_EQ(snapshot->version, 4u);
+  EXPECT_EQ(WalCounter("cxml_wal_snapshot_syncs_total"), 1u);
+}
+
 // ------------------------------------------------- follower end to end
 
 TEST_F(WalManagerTest, FollowerTailsAPrimaryOverCxp) {
@@ -762,11 +811,18 @@ TEST_F(WalManagerTest, FollowerTailsAPrimaryOverCxp) {
   follower.Start();
 
   // Bootstrap: the follower must reach the primary's version via a
-  // snapshot record, then stay caught up record by record.
+  // snapshot record, then stay caught up record by record through a
+  // steady stream of commits. Its polls keep meeting the store one
+  // publish ahead of the log, and each such SYNC must wait for the
+  // record rather than ship a snapshot.
   EXPECT_EQ(follower.WaitForVersion("ms", 2, /*timeout_ms=*/5000), 2u);
-  EXPECT_EQ(CommitOne(), 3u);
-  EXPECT_EQ(CommitOne(), 4u);
-  EXPECT_EQ(follower.WaitForVersion("ms", 4, /*timeout_ms=*/5000), 4u);
+  // Short annotations, so all of them fit the corpus's free a0 gaps.
+  constexpr uint64_t kCommits = 200;
+  uint64_t last = 2;
+  for (uint64_t i = 0; i < kCommits; ++i) last = CommitOne("ms", 4);
+  ASSERT_EQ(last, 2 + kCommits);
+  EXPECT_EQ(follower.WaitForVersion("ms", last, /*timeout_ms=*/10000),
+            last);
 
   // Same bytes on both sides.
   auto primary_snap = store_->GetSnapshot("ms");
@@ -786,10 +842,15 @@ TEST_F(WalManagerTest, FollowerTailsAPrimaryOverCxp) {
   }
   EXPECT_FALSE(replica_store.GetVersion("ms").ok());
 
-  FollowerStats stats = follower.stats();
-  EXPECT_GE(stats.records_applied, 3u);
-  EXPECT_GE(stats.snapshot_loads, 1u);
+  // The bootstrap was the only snapshot: every commit arrived as its
+  // own ops record. (Stop first: the tailer counts a record after its
+  // publish is visible.)
   follower.Stop();
+  FollowerStats stats = follower.stats();
+  EXPECT_EQ(stats.snapshot_loads, 1u);
+  EXPECT_EQ(stats.resyncs, 0u);
+  EXPECT_EQ(stats.records_applied, 1 + kCommits);
+  EXPECT_EQ(WalCounter("cxml_wal_snapshot_syncs_total"), 1u);
   server.Stop();
 }
 
