@@ -32,6 +32,7 @@ Result<goddag::Goddag> BuildGoddagFromExtents(
           StrCat("reconstructing '", el.tag, "'"));
     }
   }
+  g.CompactPools();
   return g;
 }
 
@@ -41,7 +42,8 @@ std::vector<LogicalElement> ExtractExtents(const goddag::Goddag& g) {
     LogicalElement el;
     el.hierarchy = g.hierarchy(node);
     el.tag = g.tag(node);
-    el.attrs = g.attributes(node);
+    Span<xml::Attribute> attrs = g.attributes(node);
+    el.attrs.assign(attrs.begin(), attrs.end());
     el.chars = g.char_range(node);
     out.push_back(std::move(el));
   }

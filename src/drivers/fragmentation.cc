@@ -99,7 +99,8 @@ Result<std::string> ExportFragmentation(const goddag::Goddag& g) {
       /*on_open=*/
       [&](goddag::NodeId node) {
         int total = total_fragments[node];
-        std::vector<xml::Attribute> attrs = g.attributes(node);
+        Span<xml::Attribute> own = g.attributes(node);
+        std::vector<xml::Attribute> attrs(own.begin(), own.end());
         if (total > 1) {
           auto [it, inserted] = frag_ids.emplace(node, next_frag_id);
           if (inserted) ++next_frag_id;

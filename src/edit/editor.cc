@@ -25,7 +25,7 @@ namespace {
 /// Tags of the element children of `node` (root uses hierarchy h's list).
 std::vector<std::string> ChildTagSequence(const goddag::Goddag& g,
                                           HierarchyId h, NodeId node) {
-  const std::vector<NodeId>& children =
+  Span<NodeId> children =
       g.is_root(node) ? g.root_children(h) : g.children(node);
   std::vector<std::string> tags;
   for (NodeId c : children) {
@@ -107,7 +107,8 @@ Status Editor::RemoveImpl(NodeId element, bool record) {
   InsertOp reverse;
   reverse.hierarchy = h;
   reverse.tag = g_->tag(element);
-  reverse.attrs = g_->attributes(element);
+  Span<xml::Attribute> attrs = g_->attributes(element);
+  reverse.attrs.assign(attrs.begin(), attrs.end());
   reverse.chars = g_->char_range(element);
   NodeId parent = g_->parent(element);
 

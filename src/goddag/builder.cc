@@ -18,17 +18,6 @@ Status Builder::BuildHierarchy(Goddag* g, HierarchyId h,
 
 Status Builder::AppendChild(Goddag* g, HierarchyId h, const dom::Node& node,
                             NodeId parent, size_t* offset) {
-  // Helper appending to the parent's sibling list with *fresh* lookup —
-  // AllocNode grows the arena and invalidates previously taken
-  // references into children_.
-  auto append_sibling = [g, h, parent](NodeId child) {
-    if (parent == g->root_) {
-      g->root_children_[h].push_back(child);
-    } else {
-      g->children_[parent].push_back(child);
-    }
-  };
-
   switch (node.kind()) {
     case dom::NodeKind::kText: {
       const auto& text = static_cast<const dom::Text&>(node);
@@ -40,12 +29,14 @@ Status Builder::AppendChild(Goddag* g, HierarchyId h, const dom::Node& node,
     case dom::NodeKind::kElement: {
       const auto& el = static_cast<const dom::Element&>(node);
       NodeId id = g->AllocNode(NodeKind::kElement);
-      g->tag_[id] = el.tag();
+      g->tag_[id] = g->InternTag(el.tag());
       g->hierarchy_[id] = h;
-      g->attrs_[id] = el.attributes();
+      g->attr_pool_.Replace(&g->attrs_[id], 0, 0, el.attributes().begin(),
+                            el.attributes().size());
       g->parent_[id] = parent;
       size_t begin = *offset;
-      append_sibling(id);
+      g->child_pool_.Append(&g->ChildList(parent, h), id);
+      ++g->num_elements_;
       for (const dom::Node* child : el.children()) {
         CXML_RETURN_IF_ERROR(AppendChild(g, h, *child, id, offset));
       }
@@ -79,12 +70,8 @@ Status Builder::AppendLeaves(Goddag* g, HierarchyId h, size_t begin,
           "boundaries must induce the leaf partition",
           begin, end, iv.begin, iv.end));
     }
-    if (parent == g->root_) {
-      g->root_children_[h].push_back(leaf);
-    } else {
-      g->children_[parent].push_back(leaf);
-    }
-    g->leaf_parents_[leaf][h] = parent;
+    g->child_pool_.Append(&g->ChildList(parent, h), leaf);
+    g->LeafParent(leaf, h) = parent;
     pos = iv.end;
     ++i;
   }
@@ -113,12 +100,12 @@ Result<Goddag> Builder::Build(const cmh::DistributedDocument& doc) {
   Goddag g(doc.content(), num_h, cmh.root_tag());
   g.BindCmh(&cmh);
   g.leaves_.clear();
-  for (auto& rc : g.root_children_) rc.clear();
+  for (PoolSpan& rc : g.root_children_) g.child_pool_.Erase(&rc, 0, rc.size);
   std::vector<size_t> boundaries(boundary_set.begin(), boundary_set.end());
   for (size_t i = 0; i + 1 < boundaries.size(); ++i) {
     NodeId leaf = g.AllocNode(NodeKind::kLeaf);
     g.chars_[leaf] = Interval(boundaries[i], boundaries[i + 1]);
-    g.leaf_parents_[leaf].assign(num_h, g.root_);
+    for (HierarchyId h = 0; h < num_h; ++h) g.LeafParent(leaf, h) = g.root_;
     g.leaves_.push_back(leaf);
   }
   g.RenumberLeaves();
@@ -132,6 +119,7 @@ Result<Goddag> Builder::Build(const cmh::DistributedDocument& doc) {
           StrCat("building hierarchy '", cmh.hierarchy(h).name, "'"));
     }
   }
+  g.CompactPools();
   return g;
 }
 

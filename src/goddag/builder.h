@@ -25,8 +25,9 @@ class Builder {
 
  private:
   // NOTE: these helpers must always resolve the parent's child list
-  // freshly through the Goddag — AllocNode grows the arena vectors, so a
-  // cached reference/pointer into children_ dangles across allocations.
+  // freshly through the Goddag — AllocNode grows the node arrays and an
+  // append may move a list within its pool, so a cached reference or
+  // pointer into either dangles.
   static Status BuildHierarchy(Goddag* g, HierarchyId h,
                                const dom::Element& root);
   static Status AppendChild(Goddag* g, HierarchyId h, const dom::Node& node,

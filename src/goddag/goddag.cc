@@ -21,37 +21,52 @@ const char* NodeKindToString(NodeKind kind) {
 Goddag::Goddag(std::string content, size_t num_hierarchies,
                std::string root_tag)
     : content_(std::move(content)), num_hierarchies_(num_hierarchies) {
+  InternTag("");  // id 0: leaves
   root_ = AllocNode(NodeKind::kRoot);
-  tag_[root_] = std::move(root_tag);
+  tag_[root_] = InternTag(root_tag);
   chars_[root_] = Interval(0, content_.size());
   root_children_.resize(num_hierarchies_);
   if (!content_.empty()) {
     NodeId leaf = AllocNode(NodeKind::kLeaf);
     chars_[leaf] = Interval(0, content_.size());
     leaf_index_[leaf] = 0;
-    leaf_parents_[leaf].assign(num_hierarchies_, root_);
     leaves_.push_back(leaf);
-    for (auto& rc : root_children_) rc.push_back(leaf);
+    for (HierarchyId h = 0; h < num_hierarchies_; ++h) {
+      LeafParent(leaf, h) = root_;
+      child_pool_.Append(&root_children_[h], leaf);
+    }
   }
 }
 
 NodeId Goddag::AllocNode(NodeKind kind) {
   NodeId id = static_cast<NodeId>(kind_.size());
   kind_.push_back(kind);
-  tag_.emplace_back();
+  tag_.push_back(0);
   hierarchy_.push_back(kInvalidHierarchy);
   attrs_.emplace_back();
   parent_.push_back(kInvalidNode);
   children_.emplace_back();
   chars_.emplace_back();
   leaf_index_.push_back(0);
-  leaf_parents_.emplace_back();
+  leaf_parents_.resize(leaf_parents_.size() + num_hierarchies_,
+                       kInvalidNode);
+  return id;
+}
+
+uint32_t Goddag::InternTag(std::string_view tag) {
+  auto it = std::lower_bound(
+      tag_order_.begin(), tag_order_.end(), tag,
+      [this](uint32_t id, std::string_view t) { return tag_names_[id] < t; });
+  if (it != tag_order_.end() && tag_names_[*it] == tag) return *it;
+  uint32_t id = static_cast<uint32_t>(tag_names_.size());
+  tag_names_.emplace_back(tag);
+  tag_order_.insert(it, id);
   return id;
 }
 
 const std::string* Goddag::FindAttribute(NodeId node,
                                          std::string_view name) const {
-  for (const auto& a : attrs_[node]) {
+  for (const auto& a : attributes(node)) {
     if (a.name == name) return &a.value;
   }
   return nullptr;
@@ -59,22 +74,22 @@ const std::string* Goddag::FindAttribute(NodeId node,
 
 void Goddag::SetAttribute(NodeId node, std::string_view name,
                           std::string_view value) {
-  for (auto& a : attrs_[node]) {
+  PoolSpan& attrs = attrs_[node];
+  for (size_t i = 0; i < attrs.size; ++i) {
+    xml::Attribute& a = attr_pool_.At(attrs, i);
     if (a.name == name) {
       a.value = std::string(value);
       return;
     }
   }
-  attrs_[node].push_back({std::string(name), std::string(value)});
+  attr_pool_.Append(&attrs, {std::string(name), std::string(value)});
 }
 
 void Goddag::RemoveAttribute(NodeId node, std::string_view name) {
-  auto& attrs = attrs_[node];
-  attrs.erase(std::remove_if(attrs.begin(), attrs.end(),
-                             [&](const xml::Attribute& a) {
-                               return a.name == name;
-                             }),
-              attrs.end());
+  PoolSpan& attrs = attrs_[node];
+  for (size_t i = attrs.size; i-- > 0;) {
+    if (attr_pool_.At(attrs, i).name == name) attr_pool_.Erase(&attrs, i);
+  }
 }
 
 Interval Goddag::char_range(NodeId node) const { return chars_[node]; }
@@ -93,7 +108,7 @@ std::string_view Goddag::text(NodeId node) const {
 }
 
 NodeId Goddag::leaf_parent(NodeId leaf, HierarchyId h) const {
-  return leaf_parents_[leaf][h];
+  return leaf_parents_[leaf * num_hierarchies_ + h];
 }
 
 NodeId Goddag::parent_in(NodeId node, HierarchyId h) const {
@@ -103,7 +118,7 @@ NodeId Goddag::parent_in(NodeId node, HierarchyId h) const {
     case NodeKind::kElement:
       return hierarchy_[node] == h ? parent_[node] : kInvalidNode;
     case NodeKind::kLeaf:
-      return leaf_parents_[node][h];
+      return leaf_parent(node, h);
   }
   return kInvalidNode;
 }
@@ -151,14 +166,15 @@ void CollectPreorder(const Goddag& g, NodeId node, std::vector<NodeId>* out) {
 
 std::vector<NodeId> Goddag::ElementsOf(HierarchyId h) const {
   std::vector<NodeId> out;
-  for (NodeId child : root_children_[h]) CollectPreorder(*this, child, &out);
+  for (NodeId child : root_children(h)) CollectPreorder(*this, child, &out);
   return out;
 }
 
 std::vector<NodeId> Goddag::AllElements() const {
   std::vector<NodeId> out;
+  out.reserve(num_elements_);
   for (HierarchyId h = 0; h < num_hierarchies_; ++h) {
-    for (NodeId child : root_children_[h]) {
+    for (NodeId child : root_children(h)) {
       CollectPreorder(*this, child, &out);
     }
   }
@@ -171,12 +187,12 @@ std::vector<NodeId> Goddag::ElementsByTag(std::string_view tag,
   std::vector<NodeId> out;
   if (h != kInvalidHierarchy) {
     for (NodeId node : ElementsOf(h)) {
-      if (tag_[node] == tag) out.push_back(node);
+      if (this->tag(node) == tag) out.push_back(node);
     }
     return out;
   }
   for (NodeId node : AllElements()) {
-    if (tag_[node] == tag) out.push_back(node);
+    if (this->tag(node) == tag) out.push_back(node);
   }
   return out;
 }
@@ -207,6 +223,17 @@ Goddag Goddag::Clone(const cmh::ConcurrentHierarchies* cmh) const {
   Goddag copy(*this);
   if (cmh != nullptr) copy.cmh_ = cmh;
   return copy;
+}
+
+void Goddag::CompactPools() {
+  // Root lists first, then every node's list in slot order.
+  child_pool_.Repack([this](auto visit) {
+    for (PoolSpan& list : root_children_) visit(&list);
+    for (PoolSpan& list : children_) visit(&list);
+  });
+  attr_pool_.Repack([this](auto visit) {
+    for (PoolSpan& list : attrs_) visit(&list);
+  });
 }
 
 void Goddag::SortDocumentOrder(std::vector<NodeId>* nodes) const {

@@ -9,6 +9,8 @@
 #include "cmh/hierarchy.h"
 #include "common/interval.h"
 #include "common/result.h"
+#include "common/span.h"
+#include "goddag/pool.h"
 #include "xml/token.h"
 
 namespace cxml::sacx {
@@ -60,6 +62,24 @@ const char* NodeKindToString(NodeKind kind);
 ///     tile it exactly;
 ///  I5 element tags belong to their hierarchy's vocabulary (when a CMH is
 ///     bound).
+///
+/// Storage is flat, so that a copy is about a dozen bulk copies and a
+/// free about as many: per-node arrays indexed by NodeId; the leaf
+/// parents in one array strided by hierarchy (`[slot * H + h]`); every
+/// child list (the root's per-hierarchy lists included) a span of one
+/// NodeId pool, every attribute list a span of one xml::Attribute pool
+/// (see Pool); tags interned per document. On the 20k-char cxbench
+/// manuscript (11,186 slots, 4 hierarchies; 4-vCPU VM) storage::Clone
+/// copies it in 68-83 us with 46 heap allocations, where per-node
+/// vectors took 580-880 us and 12,034, and freeing a version takes
+/// 2.4-4.0 us instead of 295-404 us.
+///
+/// Span lifetime: `children()`, `root_children()` and `attributes()`
+/// return views into the pools. Any mutation may move a list (a list
+/// that outgrows its span moves to the end of its pool), so a view is
+/// valid only until the next mutation of this Goddag. Published
+/// snapshots never mutate, so views into them stay valid as long as the
+/// snapshot does.
 class Goddag {
  public:
   /// An empty GODDAG over `content` with `num_hierarchies` hierarchies:
@@ -81,9 +101,19 @@ class Goddag {
   const std::string& content() const { return content_; }
   size_t num_hierarchies() const { return num_hierarchies_; }
   NodeId root() const { return root_; }
-  const std::string& root_tag() const { return tag_[root_]; }
+  const std::string& root_tag() const { return tag(root_); }
   /// Total nodes ever allocated (includes detached ones).
   size_t arena_size() const { return kind_.size(); }
+  /// Attached elements over all hierarchies (kept by the mutations).
+  size_t num_elements() const { return num_elements_; }
+  /// Entries of the child and attribute pools, and how many of them no
+  /// list owns any more (what CompactPools() would drop).
+  size_t pool_entries() const {
+    return child_pool_.size() + attr_pool_.size();
+  }
+  size_t dead_pool_entries() const {
+    return child_pool_.dead() + attr_pool_.dead();
+  }
 
   // ------------------------------------------------------- node access
   NodeKind kind(NodeId node) const { return kind_[node]; }
@@ -94,12 +124,13 @@ class Goddag {
   bool is_root(NodeId node) const { return node == root_; }
 
   /// Tag of an element (or the root tag). Leaves have no tag.
-  const std::string& tag(NodeId node) const { return tag_[node]; }
+  const std::string& tag(NodeId node) const { return tag_names_[tag_[node]]; }
   /// Hierarchy of an element; kInvalidHierarchy for root and leaves.
   HierarchyId hierarchy(NodeId node) const { return hierarchy_[node]; }
 
-  const std::vector<xml::Attribute>& attributes(NodeId node) const {
-    return attrs_[node];
+  /// Valid until the next mutation (see the class comment).
+  Span<xml::Attribute> attributes(NodeId node) const {
+    return attr_pool_.View(attrs_[node]);
   }
   /// Attribute value or nullptr.
   const std::string* FindAttribute(NodeId node, std::string_view name) const;
@@ -116,13 +147,14 @@ class Goddag {
 
   // ------------------------------------------------------- structure
   /// Ordered children of an element (elements of the same hierarchy
-  /// and/or leaves). Only meaningful for elements.
-  const std::vector<NodeId>& children(NodeId element) const {
-    return children_[element];
+  /// and/or leaves). Only meaningful for elements. Valid until the next
+  /// mutation (see the class comment).
+  Span<NodeId> children(NodeId element) const {
+    return child_pool_.View(children_[element]);
   }
   /// Ordered children of the root *within hierarchy h*.
-  const std::vector<NodeId>& root_children(HierarchyId h) const {
-    return root_children_[h];
+  Span<NodeId> root_children(HierarchyId h) const {
+    return child_pool_.View(root_children_[h]);
   }
   /// Parent of an element within its own hierarchy (an element or root).
   NodeId parent(NodeId element) const { return parent_[element]; }
@@ -196,17 +228,26 @@ class Goddag {
   /// merges. (mutation.cc)
   size_t CoalesceLeaves();
 
-  /// Structural invariant check (I1–I5); Ok on healthy structures.
-  /// (validate.cc)
+  /// Rewrites the child and attribute pools to hold only live lists,
+  /// packed with no spare room; NodeIds and every list's contents stay
+  /// as they are. The builders call it when done, and storage::Clone
+  /// calls it on a copy whose pools are mostly dead. (goddag.cc)
+  void CompactPools();
+
+  /// Structural invariant check (I1–I5), plus the storage checks: every
+  /// pool span lies inside its pool, no two live spans overlap, and the
+  /// element and dead-entry counts match a recount. Ok on healthy
+  /// structures. (validate.cc)
   Status Validate() const;
 
   // ---------------------------------------------------------- cloning
   /// Native structural deep copy: duplicates the shared content, the
-  /// leaf layer, every per-hierarchy tree, and the node/edge arenas
-  /// directly — no serializer round trip. NodeIds are arena indices,
-  /// so they carry over verbatim: a node id valid in `*this` names the
-  /// corresponding node in the copy, which is what edit::EditSession
-  /// and the XPath overlap axes rely on (they never need remapping).
+  /// leaf layer, every per-hierarchy tree, and the node arrays and pools
+  /// directly — no serializer round trip, one bulk copy per member.
+  /// NodeIds are arena indices, so they carry over verbatim: a node id
+  /// valid in `*this` names the corresponding node in the copy, which
+  /// is what edit::EditSession and the XPath overlap axes rely on (they
+  /// never need remapping).
   /// Detached nodes are copied too, keeping the arenas aligned.
   ///
   /// `cmh` is the binding for the copy — pass the clone's own CMH
@@ -218,37 +259,59 @@ class Goddag {
   friend class Builder;
   friend class ::cxml::sacx::GoddagHandler;
 
-  /// Memberwise copy behind Clone() — every member is a value type
-  /// (arenas indexed by NodeId), so the default copy is already deep
-  /// and automatically covers members added later. Private so copies
-  /// only arise through the explicit Clone().
+  /// Memberwise copy behind Clone() — every member is a flat value
+  /// type (arrays indexed by NodeId, pools of lists), so the default
+  /// copy is already deep and automatically covers members added later.
+  /// Private so copies only arise through the explicit Clone().
   Goddag(const Goddag&) = default;
 
   NodeId AllocNode(NodeKind kind);
   /// The leaf whose char range contains `offset` (binary search).
   size_t LeafIndexAtOffset(size_t offset) const;
   void RenumberLeaves();
+  /// The id of `tag` in tag_names_, added when new.
+  uint32_t InternTag(std::string_view tag);
+  /// The child list of `parent` in hierarchy `h`: the root's list for
+  /// `h`, else the element's own.
+  PoolSpan& ChildList(NodeId parent, HierarchyId h) {
+    return parent == root_ ? root_children_[h] : children_[parent];
+  }
+  NodeId& LeafParent(NodeId leaf, HierarchyId h) {
+    return leaf_parents_[leaf * num_hierarchies_ + h];
+  }
+  /// Removes `leaf` from its parent's child list in hierarchy `h`.
+  void UnlinkLeaf(NodeId leaf, HierarchyId h);
 
   std::string content_;
   size_t num_hierarchies_ = 0;
   const cmh::ConcurrentHierarchies* cmh_ = nullptr;
 
-  // Parallel node arenas indexed by NodeId.
+  // Parallel node arrays indexed by NodeId.
   std::vector<NodeKind> kind_;
-  std::vector<std::string> tag_;
+  std::vector<uint32_t> tag_;         // index into tag_names_
   std::vector<HierarchyId> hierarchy_;
-  std::vector<std::vector<xml::Attribute>> attrs_;
+  std::vector<PoolSpan> attrs_;       // into attr_pool_
   std::vector<NodeId> parent_;
-  std::vector<std::vector<NodeId>> children_;
+  std::vector<PoolSpan> children_;    // into child_pool_
   std::vector<Interval> chars_;       // leaves: exact; elements: cached
   std::vector<size_t> leaf_index_;    // leaves only
 
-  /// leaf parents: indexed [leaf_arena_slot][hierarchy].
-  std::vector<std::vector<NodeId>> leaf_parents_;
+  /// Leaf parents, strided: the parent of leaf slot `n` in hierarchy
+  /// `h` is `[n * num_hierarchies_ + h]` (kInvalidNode for other slots).
+  std::vector<NodeId> leaf_parents_;
 
   NodeId root_ = kInvalidNode;
-  std::vector<std::vector<NodeId>> root_children_;  // per hierarchy
+  std::vector<PoolSpan> root_children_;  // per hierarchy, into child_pool_
   std::vector<NodeId> leaves_;  // in content order
+
+  Pool<NodeId> child_pool_;
+  Pool<xml::Attribute> attr_pool_;
+  size_t num_elements_ = 0;  // attached elements
+
+  /// Interned tags: id 0 is "" (leaves), tag_order_ lists the ids by
+  /// name for InternTag's binary search.
+  std::vector<std::string> tag_names_;
+  std::vector<uint32_t> tag_order_;
 };
 
 }  // namespace cxml::goddag

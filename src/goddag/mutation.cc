@@ -12,12 +12,22 @@ namespace cxml::goddag {
 
 namespace {
 
-/// Finds `needle` in `vec` and returns its index, or npos.
-size_t IndexOf(const std::vector<NodeId>& vec, NodeId needle) {
-  for (size_t i = 0; i < vec.size(); ++i) {
-    if (vec[i] == needle) return i;
+constexpr size_t kNpos = static_cast<size_t>(-1);
+
+/// Finds `needle` in `list` and returns its index, or kNpos.
+size_t IndexOf(Span<NodeId> list, NodeId needle) {
+  for (size_t i = 0; i < list.size(); ++i) {
+    if (list[i] == needle) return i;
   }
-  return static_cast<size_t>(-1);
+  return kNpos;
+}
+
+/// IndexOf searching from the back.
+size_t LastIndexOf(Span<NodeId> list, NodeId needle) {
+  for (size_t i = list.size(); i-- > 0;) {
+    if (list[i] == needle) return i;
+  }
+  return kNpos;
 }
 
 }  // namespace
@@ -36,7 +46,9 @@ Result<NodeId> Goddag::SplitLeafAt(size_t offset) {
   chars_[left] = Interval(old.begin, offset);
   NodeId right = AllocNode(NodeKind::kLeaf);
   chars_[right] = Interval(offset, old.end);
-  leaf_parents_[right] = leaf_parents_[left];
+  for (HierarchyId h = 0; h < num_hierarchies_; ++h) {
+    LeafParent(right, h) = LeafParent(left, h);
+  }
   leaves_.insert(leaves_.begin() + static_cast<ptrdiff_t>(i) + 1, right);
   // Only the leaves from the new one on moved. Loading a snapshot splits
   // once per element boundary, mostly near the end of the leaf layer, so
@@ -44,18 +56,16 @@ Result<NodeId> Goddag::SplitLeafAt(size_t offset) {
   for (size_t j = i + 1; j < leaves_.size(); ++j) leaf_index_[leaves_[j]] = j;
 
   // Register the right leaf as a sibling immediately after the left one
-  // in every hierarchy's parent.
+  // in every hierarchy's parent. The search runs from the back because
+  // loading a snapshot splits near the end of those lists.
   for (HierarchyId h = 0; h < num_hierarchies_; ++h) {
-    NodeId p = leaf_parents_[left][h];
-    std::vector<NodeId>& siblings =
-        (p == root_) ? root_children_[h] : children_[p];
-    size_t at = IndexOf(siblings, left);
-    if (at == static_cast<size_t>(-1)) {
+    PoolSpan& siblings = ChildList(LeafParent(left, h), h);
+    size_t at = LastIndexOf(child_pool_.View(siblings), left);
+    if (at == kNpos) {
       return status::Internal(
           "leaf missing from its parent's child list during split");
     }
-    siblings.insert(siblings.begin() + static_cast<ptrdiff_t>(at) + 1,
-                    right);
+    child_pool_.Insert(&siblings, at + 1, right);
   }
   return right;
 }
@@ -96,23 +106,23 @@ Result<NodeId> Goddag::InsertElement(HierarchyId h, std::string_view tag,
             ? (leaf_span.begin < leaves_.size() ? leaf_span.begin
                                                 : leaves_.size() - 1)
             : leaf_span.begin;
-    NodeId candidate = leaf_parents_[leaves_[probe_index]][h];
+    NodeId candidate = LeafParent(leaves_[probe_index], h);
     while (candidate != root_ && !chars_[candidate].Contains(chars)) {
       candidate = parent_[candidate];
     }
     parent = candidate;
   }
 
-  // Allocate the node FIRST: AllocNode grows the arena vectors, which
-  // would invalidate the `siblings` reference taken below. (On a later
+  // Allocate the node FIRST: AllocNode grows the node arrays, which
+  // would invalidate the `list` reference taken below. (On a later
   // error return the node stays detached in the arena — harmless.)
   NodeId node = AllocNode(NodeKind::kElement);
 
   // The covered children must form a contiguous, *whole* slice: an
   // existing same-hierarchy element straddling the boundary would make
   // the hierarchy non-well-formed.
-  std::vector<NodeId>& siblings =
-      (parent == root_) ? root_children_[h] : children_[parent];
+  PoolSpan& list = ChildList(parent, h);
+  Span<NodeId> siblings = child_pool_.View(list);
   size_t slice_begin = siblings.size();
   size_t slice_end = siblings.size();
   for (size_t i = 0; i < siblings.size(); ++i) {
@@ -121,7 +131,7 @@ Result<NodeId> Goddag::InsertElement(HierarchyId h, std::string_view tag,
       return status::FailedPrecondition(StrCat(
           "inserting '", std::string(tag), "' over [",
           StrFormat("%zu,%zu", chars.begin, chars.end), ") would overlap ",
-          "element '", tag_[siblings[i]],
+          "element '", this->tag(siblings[i]),
           "' of the same hierarchy — within a hierarchy markup must nest"));
     }
     // Non-empty children are covered when fully contained; zero-width
@@ -149,25 +159,27 @@ Result<NodeId> Goddag::InsertElement(HierarchyId h, std::string_view tag,
     slice_end = slice_begin;
   }
 
-  tag_[node] = std::string(tag);
+  // The covered slice moves under the new node, which takes its place.
+  // Copied out first: the pool writes below may move `siblings`.
+  std::vector<NodeId> covered(siblings.begin() + slice_begin,
+                              siblings.begin() + slice_end);
+  tag_[node] = InternTag(tag);
   hierarchy_[node] = h;
-  attrs_[node] = std::move(attrs);
+  attr_pool_.Replace(&attrs_[node], 0, 0,
+                     std::make_move_iterator(attrs.begin()), attrs.size());
   parent_[node] = parent;
   chars_[node] = chars;
-  children_[node].assign(
-      siblings.begin() + static_cast<ptrdiff_t>(slice_begin),
-      siblings.begin() + static_cast<ptrdiff_t>(slice_end));
-  for (NodeId child : children_[node]) {
+  child_pool_.Replace(&children_[node], 0, 0, covered.begin(),
+                      covered.size());
+  for (NodeId child : covered) {
     if (is_leaf(child)) {
-      leaf_parents_[child][h] = node;
+      LeafParent(child, h) = node;
     } else {
       parent_[child] = node;
     }
   }
-  siblings.erase(siblings.begin() + static_cast<ptrdiff_t>(slice_begin),
-                 siblings.begin() + static_cast<ptrdiff_t>(slice_end));
-  siblings.insert(siblings.begin() + static_cast<ptrdiff_t>(slice_begin),
-                  node);
+  child_pool_.Replace(&list, slice_begin, slice_end - slice_begin, &node, 1);
+  ++num_elements_;
   return node;
 }
 
@@ -180,26 +192,25 @@ Status Goddag::RemoveElement(NodeId element) {
     return status::FailedPrecondition("element is already detached");
   }
   HierarchyId h = hierarchy_[element];
-  std::vector<NodeId>& siblings =
-      (parent == root_) ? root_children_[h] : children_[parent];
-  size_t at = IndexOf(siblings, element);
-  if (at == static_cast<size_t>(-1)) {
+  PoolSpan& siblings = ChildList(parent, h);
+  size_t at = IndexOf(child_pool_.View(siblings), element);
+  if (at == kNpos) {
     return status::Internal("element missing from its parent's child list");
   }
   // Splice children into the parent at the element's position.
-  std::vector<NodeId> kids = std::move(children_[element]);
-  children_[element].clear();
-  siblings.erase(siblings.begin() + static_cast<ptrdiff_t>(at));
-  siblings.insert(siblings.begin() + static_cast<ptrdiff_t>(at),
-                  kids.begin(), kids.end());
+  Span<NodeId> own = children(element);
+  std::vector<NodeId> kids(own.begin(), own.end());
+  child_pool_.Release(&children_[element]);
+  child_pool_.Replace(&siblings, at, 1, kids.begin(), kids.size());
   for (NodeId child : kids) {
     if (is_leaf(child)) {
-      leaf_parents_[child][h] = parent;
+      LeafParent(child, h) = parent;
     } else {
       parent_[child] = parent;
     }
   }
   parent_[element] = kInvalidNode;
+  --num_elements_;
   return Status::Ok();
 }
 
@@ -229,9 +240,11 @@ Status Goddag::InsertText(size_t offset, std::string_view text) {
     content_.append(text);
     NodeId leaf = AllocNode(NodeKind::kLeaf);
     chars_[leaf] = Interval(0, content_.size());
-    leaf_parents_[leaf].assign(num_hierarchies_, root_);
     leaves_.push_back(leaf);
-    for (auto& rc : root_children_) rc.push_back(leaf);
+    for (HierarchyId h = 0; h < num_hierarchies_; ++h) {
+      LeafParent(leaf, h) = root_;
+      child_pool_.Append(&root_children_[h], leaf);
+    }
     RenumberLeaves();
     chars_[root_] = Interval(0, content_.size());
     return Status::Ok();
@@ -284,13 +297,8 @@ Status Goddag::DeleteText(const Interval& range) {
   }
   Interval doomed = LeavesCovering(Interval(d1, d2));
   for (size_t i = doomed.begin; i < doomed.end; ++i) {
-    NodeId leaf = leaves_[i];
     for (HierarchyId h = 0; h < num_hierarchies_; ++h) {
-      NodeId p = leaf_parents_[leaf][h];
-      std::vector<NodeId>& siblings =
-          (p == root_) ? root_children_[h] : children_[p];
-      siblings.erase(std::remove(siblings.begin(), siblings.end(), leaf),
-                     siblings.end());
+      UnlinkLeaf(leaves_[i], h);
     }
   }
   leaves_.erase(leaves_.begin() + static_cast<ptrdiff_t>(doomed.begin),
@@ -305,6 +313,12 @@ Status Goddag::DeleteText(const Interval& range) {
   return Status::Ok();
 }
 
+void Goddag::UnlinkLeaf(NodeId leaf, HierarchyId h) {
+  PoolSpan& siblings = ChildList(LeafParent(leaf, h), h);
+  size_t at = IndexOf(child_pool_.View(siblings), leaf);
+  if (at != kNpos) child_pool_.Erase(&siblings, at);
+}
+
 size_t Goddag::CoalesceLeaves() {
   size_t merges = 0;
   size_t i = 0;
@@ -313,17 +327,16 @@ size_t Goddag::CoalesceLeaves() {
     NodeId right = leaves_[i + 1];
     bool mergeable = true;
     for (HierarchyId h = 0; h < num_hierarchies_ && mergeable; ++h) {
-      NodeId p = leaf_parents_[left][h];
-      if (leaf_parents_[right][h] != p) {
+      NodeId p = LeafParent(left, h);
+      if (LeafParent(right, h) != p) {
         mergeable = false;
         break;
       }
       // The leaves must be adjacent siblings: a zero-width element
       // between them is a markup boundary that must survive.
-      const std::vector<NodeId>& siblings =
-          (p == root_) ? root_children_[h] : children_[p];
+      Span<NodeId> siblings = child_pool_.View(ChildList(p, h));
       size_t at = IndexOf(siblings, left);
-      if (at == static_cast<size_t>(-1) || at + 1 >= siblings.size() ||
+      if (at == kNpos || at + 1 >= siblings.size() ||
           siblings[at + 1] != right) {
         mergeable = false;
       }
@@ -333,13 +346,7 @@ size_t Goddag::CoalesceLeaves() {
       continue;
     }
     chars_[left].end = chars_[right].end;
-    for (HierarchyId h = 0; h < num_hierarchies_; ++h) {
-      NodeId p = leaf_parents_[right][h];
-      std::vector<NodeId>& siblings =
-          (p == root_) ? root_children_[h] : children_[p];
-      siblings.erase(std::remove(siblings.begin(), siblings.end(), right),
-                     siblings.end());
-    }
+    for (HierarchyId h = 0; h < num_hierarchies_; ++h) UnlinkLeaf(right, h);
     leaves_.erase(leaves_.begin() + static_cast<ptrdiff_t>(i) + 1);
     ++merges;
   }

@@ -1,7 +1,8 @@
 // Structural invariant checker for GODDAGs (Goddag::Validate, invariants
-// I1–I5 in goddag.h). Run after construction and mutation in tests and
-// by the editor in paranoid mode.
+// I1–I5 in goddag.h, plus the flat storage's bookkeeping). Run after
+// construction and mutation in tests and by the editor in paranoid mode.
 
+#include <algorithm>
 #include <vector>
 
 #include "common/strings.h"
@@ -12,8 +13,8 @@ namespace cxml::goddag {
 namespace {
 
 Status CheckSubtree(const Goddag& g, HierarchyId h, NodeId node,
-                    NodeId expected_parent,
-                    std::vector<int>* leaf_seen) {
+                    NodeId expected_parent, std::vector<int>* leaf_seen,
+                    size_t* elements) {
   if (g.is_leaf(node)) {
     if (g.leaf_parent(node, h) != expected_parent) {
       return status::Internal(StrFormat(
@@ -41,6 +42,7 @@ Status CheckSubtree(const Goddag& g, HierarchyId h, NodeId node,
         "I3: element %u parent is %u, expected %u", node, g.parent(node),
         expected_parent));
   }
+  ++*elements;
   // I4: children tile the element's extent, in order.
   size_t cursor = g.char_range(node).begin;
   for (NodeId child : g.children(node)) {
@@ -51,7 +53,8 @@ Status CheckSubtree(const Goddag& g, HierarchyId h, NodeId node,
           node, ci.begin, cursor));
     }
     cursor = ci.end;
-    CXML_RETURN_IF_ERROR(CheckSubtree(g, h, child, node, leaf_seen));
+    CXML_RETURN_IF_ERROR(
+        CheckSubtree(g, h, child, node, leaf_seen, elements));
   }
   if (cursor != g.char_range(node).end) {
     return status::Internal(StrFormat(
@@ -64,6 +67,46 @@ Status CheckSubtree(const Goddag& g, HierarchyId h, NodeId node,
     return status::Internal(
         StrCat("I5: element '", g.tag(node), "' not declared in hierarchy '",
                g.cmh()->hierarchy(h).name, "'"));
+  }
+  return Status::Ok();
+}
+
+/// The lists of one pool: every span lies inside the pool's `pool_size`
+/// entries, no two overlap (an overrun that stays inside the pool is
+/// invisible to ASan), and the entries they leave over are the pool's
+/// `dead` count.
+Status CheckPool(const char* pool, std::vector<PoolSpan> spans,
+                 size_t pool_size, size_t dead) {
+  std::sort(spans.begin(), spans.end(),
+            [](const PoolSpan& a, const PoolSpan& b) {
+              return a.begin < b.begin;
+            });
+  size_t owned = 0;
+  size_t covered_to = 0;
+  for (const PoolSpan& s : spans) {
+    if (s.size > s.capacity) {
+      return status::Internal(StrFormat(
+          "%s pool: list at %u holds %u entries in room for %u", pool,
+          s.begin, s.size, s.capacity));
+    }
+    if (s.capacity == 0) continue;
+    if (size_t{s.begin} + s.capacity > pool_size) {
+      return status::Internal(StrFormat(
+          "%s pool: list [%u,+%u) runs past the pool's %zu entries", pool,
+          s.begin, s.capacity, pool_size));
+    }
+    if (s.begin < covered_to) {
+      return status::Internal(StrFormat(
+          "%s pool: list at %u overlaps the list before it (ends at %zu)",
+          pool, s.begin, covered_to));
+    }
+    covered_to = size_t{s.begin} + s.capacity;
+    owned += s.capacity;
+  }
+  if (pool_size - owned != dead) {
+    return status::Internal(StrFormat(
+        "%s pool: %zu dead entries counted, %zu found", pool, dead,
+        pool_size - owned));
   }
   return Status::Ok();
 }
@@ -103,10 +146,11 @@ Status Goddag::Validate() const {
   // of every attached element cheaply via LeavesCovering consistency.
   // I3/I4/I5: per-hierarchy tree walks; every leaf must be seen exactly
   // once per hierarchy.
+  size_t elements = 0;
   for (HierarchyId h = 0; h < num_hierarchies_; ++h) {
     std::vector<int> leaf_seen(leaves_.size(), 0);
     size_t root_cursor = 0;
-    for (NodeId child : root_children_[h]) {
+    for (NodeId child : root_children(h)) {
       Interval ci = chars_[child];
       if (ci.begin != root_cursor) {
         return status::Internal(StrFormat(
@@ -114,7 +158,8 @@ Status Goddag::Validate() const {
             child, h, ci.begin, root_cursor));
       }
       root_cursor = ci.end;
-      CXML_RETURN_IF_ERROR(CheckSubtree(*this, h, child, root_, &leaf_seen));
+      CXML_RETURN_IF_ERROR(
+          CheckSubtree(*this, h, child, root_, &leaf_seen, &elements));
     }
     if (root_cursor != content_.size()) {
       return status::Internal(StrFormat(
@@ -129,7 +174,20 @@ Status Goddag::Validate() const {
       }
     }
   }
-  return Status::Ok();
+
+  // Storage: the counters the mutations keep, and the pools' spans.
+  if (elements != num_elements_) {
+    return status::Internal(StrFormat(
+        "%zu attached elements counted, %zu found", num_elements_,
+        elements));
+  }
+  std::vector<PoolSpan> lists(root_children_);
+  lists.insert(lists.end(), children_.begin(), children_.end());
+  CXML_RETURN_IF_ERROR(
+      CheckPool("child", std::move(lists), child_pool_.size(),
+                child_pool_.dead()));
+  return CheckPool("attribute", attrs_, attr_pool_.size(),
+                   attr_pool_.dead());
 }
 
 }  // namespace cxml::goddag

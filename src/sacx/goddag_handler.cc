@@ -30,17 +30,12 @@ Status GoddagHandler::Characters(std::string_view text, size_t pos) {
   NodeId leaf = g_->AllocNode(NodeKind::kLeaf);
   g_->chars_[leaf] = Interval(pos, pos + text.size());
   g_->leaf_index_[leaf] = g_->leaves_.size();
-  g_->leaf_parents_[leaf].assign(g_->num_hierarchies(), g_->root());
   g_->leaves_.push_back(leaf);
   // The leaf hangs off the innermost open node of every hierarchy.
   for (HierarchyId h = 0; h < g_->num_hierarchies(); ++h) {
     NodeId top = stacks_[h].back();
-    if (top == g_->root()) {
-      g_->root_children_[h].push_back(leaf);
-    } else {
-      g_->children_[top].push_back(leaf);
-    }
-    g_->leaf_parents_[leaf][h] = top;
+    g_->child_pool_.Append(&g_->ChildList(top, h), leaf);
+    g_->LeafParent(leaf, h) = top;
   }
   return Status::Ok();
 }
@@ -48,17 +43,15 @@ Status GoddagHandler::Characters(std::string_view text, size_t pos) {
 Status GoddagHandler::StartElement(HierarchyId hierarchy,
                                    const xml::Event& event, size_t pos) {
   NodeId node = g_->AllocNode(NodeKind::kElement);
-  g_->tag_[node] = event.name;
+  g_->tag_[node] = g_->InternTag(event.name);
   g_->hierarchy_[node] = hierarchy;
-  g_->attrs_[node] = event.attrs;
+  g_->attr_pool_.Replace(&g_->attrs_[node], 0, 0, event.attrs.begin(),
+                         event.attrs.size());
   g_->chars_[node] = Interval(pos, pos);
   NodeId top = stacks_[hierarchy].back();
   g_->parent_[node] = top;
-  if (top == g_->root()) {
-    g_->root_children_[hierarchy].push_back(node);
-  } else {
-    g_->children_[top].push_back(node);
-  }
+  g_->child_pool_.Append(&g_->ChildList(top, hierarchy), node);
+  ++g_->num_elements_;
   stacks_[hierarchy].push_back(node);
   return Status::Ok();
 }
@@ -70,10 +63,10 @@ Status GoddagHandler::EndElement(HierarchyId hierarchy, std::string_view tag,
     return status::Internal("end element with empty SACX stack");
   }
   NodeId node = stack.back();
-  if (g_->tag_[node] != tag) {
+  if (g_->tag(node) != tag) {
     return status::Internal(
         StrCat("SACX end tag '", std::string(tag), "' closes '",
-               g_->tag_[node], "'"));
+               g_->tag(node), "'"));
   }
   g_->chars_[node].end = pos;
   stack.pop_back();
@@ -89,6 +82,7 @@ Status GoddagHandler::EndDocument() {
     }
   }
   g_->chars_[g_->root()] = Interval(0, g_->content_.size());
+  g_->CompactPools();
   finished_ = true;
   return Status::Ok();
 }

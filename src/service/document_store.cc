@@ -88,6 +88,9 @@ std::vector<std::string> DocumentStore::ListDocuments() const {
 }
 
 Status DocumentStore::Remove(const std::string& name) {
+  // Released after the shard lock: freeing a version (GODDAG, CMH,
+  // index) must not stall the shard's readers.
+  SnapshotPtr removed;
   {
     Shard& shard = ShardFor(name);
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -96,6 +99,7 @@ Status DocumentStore::Remove(const std::string& name) {
       return status::NotFound(
           StrCat("document '", name, "' not registered"));
     }
+    removed = std::move(it->second);
     shard.docs.erase(it);
   }
   // Caches must drop every version: a later Register under the same
@@ -120,6 +124,10 @@ Result<SnapshotPtr> DocumentStore::Publish(const std::string& name,
                                            uint64_t generation,
                                            storage::LoadedGoddag* doc,
                                            const goddag::IndexDelta& delta) {
+  // Declared before the lock so that it is destroyed after the lock is
+  // released: dropping the predecessor (its GODDAG, CMH and any index
+  // it did not hand on) must not stall the shard's readers.
+  SnapshotPtr superseded;
   Shard& shard = ShardFor(name);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.docs.find(name);
@@ -146,7 +154,7 @@ Result<SnapshotPtr> DocumentStore::Publish(const std::string& name,
   // Hand the predecessor's index to the successor as a patch base
   // (`doc` is a clone of the predecessor's GODDAG).
   snap->AdoptPatchBase(*it->second, delta);
-  it->second = snap;
+  superseded = std::exchange(it->second, snap);
   return SnapshotPtr(std::move(snap));
 }
 

@@ -208,30 +208,31 @@ Result<LoadedGoddag> Load(std::string_view bytes) {
 
 namespace {
 
-/// Arena slots occupied by attached nodes: the root, the leaf layer,
-/// and every reachable element. Everything else is detachment garbage
-/// left behind by edit rollbacks and leaf coalescing (node ids are
-/// never reused within one Goddag).
-size_t LiveNodeCount(const goddag::Goddag& g) {
-  size_t live = 1 + g.num_leaves();
-  for (goddag::HierarchyId h = 0; h < g.num_hierarchies(); ++h) {
-    live += g.ElementsOf(h).size();
-  }
-  return live;
-}
-
-/// Compaction threshold: the structural clone copies the arena
-/// verbatim — detached nodes included — so without a pressure valve a
+/// Compaction thresholds: the structural clone copies the arena and the
+/// pools verbatim — garbage included — so without a pressure valve a
 /// long-lived document whose edits keep getting rejected (normal
-/// traffic) would grow its arena monotonically across versions. The
-/// old Save/Load clone rebuilt a clean arena every time; we keep that
-/// property amortized instead: once detached slots outnumber live
-/// ones (and the arena is big enough to care), one clone takes the
-/// snapshot path and starts the next version from a compact arena.
-bool ShouldCompact(const goddag::Goddag& g) {
+/// traffic) would grow them monotonically across versions. The old
+/// Save/Load clone rebuilt a clean copy every time; we keep that
+/// property amortized instead, with both checks O(1) from counters the
+/// Goddag keeps:
+///  * once detached arena slots (edit-rollback and leaf-coalescing
+///    garbage: node ids are never reused within one Goddag) outnumber
+///    attached nodes, one clone takes the snapshot path and starts the
+///    next version from a compact arena;
+///  * once dead pool entries (left behind by lists that moved as they
+///    grew) outnumber the rest, the copy repacks its pools.
+bool ShouldCompactArena(const goddag::Goddag& g) {
   constexpr size_t kMinArenaForCompaction = 1024;
   size_t arena = g.arena_size();
-  return arena >= kMinArenaForCompaction && arena > 2 * LiveNodeCount(g);
+  size_t attached = 1 + g.num_leaves() + g.num_elements();
+  return arena >= kMinArenaForCompaction && arena > 2 * attached;
+}
+
+bool ShouldCompactPools(const goddag::Goddag& g) {
+  constexpr size_t kMinPoolForCompaction = 4096;
+  size_t entries = g.pool_entries();
+  return entries >= kMinPoolForCompaction &&
+         entries < 2 * g.dead_pool_entries();
 }
 
 }  // namespace
@@ -242,10 +243,11 @@ Result<LoadedGoddag> Clone(const goddag::Goddag& g) {
         "Clone requires a GODDAG with a bound CMH (the private copy "
         "carries its own schema)");
   }
-  if (ShouldCompact(g)) return CloneViaSnapshot(g);
+  if (ShouldCompactArena(g)) return CloneViaSnapshot(g);
   LoadedGoddag out;
   out.cmh = g.cmh()->Clone();
   out.g = std::make_unique<goddag::Goddag>(g.Clone(out.cmh.get()));
+  if (ShouldCompactPools(*out.g)) out.g->CompactPools();
   return out;
 }
 

@@ -46,12 +46,14 @@ Result<LoadedGoddag> Load(std::string_view bytes);
 /// while readers keep the published snapshot. Structural: copies the
 /// shared leaf layer, per-hierarchy trees, and node/edge arenas
 /// in memory (goddag::Goddag::Clone + cmh Clone), never touching the
-/// serializer, so NodeIds survive verbatim and the cost is a memcpy of
-/// the arenas rather than a Save/Load round trip. Exception, for
-/// amortized hygiene: when detached arena slots (edit-rollback
-/// garbage, which the verbatim copy would otherwise carry into every
-/// future version) outnumber live nodes, the copy is taken through
-/// the snapshot path below instead, rebuilding a compact arena.
+/// serializer, so NodeIds survive verbatim and the cost is a few bulk
+/// copies of the flat arrays and pools rather than a Save/Load round
+/// trip. Exceptions, for amortized hygiene: when detached arena slots
+/// (edit-rollback garbage, which the verbatim copy would otherwise
+/// carry into every future version) outnumber live nodes, the copy is
+/// taken through the snapshot path below instead, rebuilding a compact
+/// arena; and when dead pool entries outnumber live ones, the copy
+/// repacks its pools (goddag::Goddag::CompactPools).
 Result<LoadedGoddag> Clone(const goddag::Goddag& g);
 
 /// The original snapshot-based deep copy (Save + Load). Kept as the

@@ -19,7 +19,7 @@ void XmlWriter::MaybeIndent() {
   out_.append(open_.size() * static_cast<size_t>(options_.indent), ' ');
 }
 
-void XmlWriter::WriteAttrs(const std::vector<Attribute>& attrs) {
+void XmlWriter::WriteAttrs(Span<Attribute> attrs) {
   for (const auto& a : attrs) {
     out_ += ' ';
     out_ += a.name;
@@ -29,8 +29,7 @@ void XmlWriter::WriteAttrs(const std::vector<Attribute>& attrs) {
   }
 }
 
-void XmlWriter::StartElement(std::string_view name,
-                             const std::vector<Attribute>& attrs) {
+void XmlWriter::StartElement(std::string_view name, Span<Attribute> attrs) {
   MaybeIndent();
   out_ += '<';
   out_.append(name);
@@ -40,8 +39,7 @@ void XmlWriter::StartElement(std::string_view name,
   last_was_text_ = false;
 }
 
-void XmlWriter::EmptyElement(std::string_view name,
-                             const std::vector<Attribute>& attrs) {
+void XmlWriter::EmptyElement(std::string_view name, Span<Attribute> attrs) {
   MaybeIndent();
   out_ += '<';
   out_.append(name);

@@ -1,11 +1,13 @@
 #ifndef CXML_XML_WRITER_H_
 #define CXML_XML_WRITER_H_
 
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/result.h"
+#include "common/span.h"
 #include "xml/token.h"
 
 namespace cxml::xml {
@@ -31,11 +33,17 @@ class XmlWriter {
   explicit XmlWriter(Options options);
 
   /// Opens `<name ...>`. Attributes are escaped.
+  void StartElement(std::string_view name, Span<Attribute> attrs = {});
   void StartElement(std::string_view name,
-                    const std::vector<Attribute>& attrs = {});
+                    std::initializer_list<Attribute> attrs) {
+    StartElement(name, Span<Attribute>(attrs.begin(), attrs.size()));
+  }
   /// Writes `<name .../>`.
+  void EmptyElement(std::string_view name, Span<Attribute> attrs = {});
   void EmptyElement(std::string_view name,
-                    const std::vector<Attribute>& attrs = {});
+                    std::initializer_list<Attribute> attrs) {
+    EmptyElement(name, Span<Attribute>(attrs.begin(), attrs.size()));
+  }
   /// Closes the innermost open element.
   void EndElement();
   /// Writes escaped character data.
@@ -55,7 +63,7 @@ class XmlWriter {
 
  private:
   void MaybeIndent();
-  void WriteAttrs(const std::vector<Attribute>& attrs);
+  void WriteAttrs(Span<Attribute> attrs);
 
   Options options_;
   std::string out_;

@@ -428,7 +428,7 @@ Result<NodeSet> Evaluator::AxisNodes(const Step& step, const NodeEntry& ctx) {
         break;
       }
       const bool forward = step.axis == AxisKind::kFollowingSibling;
-      auto scan = [&](const std::vector<NodeId>& siblings) {
+      auto scan = [&](Span<NodeId> siblings) {
         auto it = std::find(siblings.begin(), siblings.end(), ctx.node);
         if (it == siblings.end()) return;
         if (forward) {

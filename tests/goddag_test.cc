@@ -421,5 +421,45 @@ TEST(GoddagBasicTest, InsertIntoFreshGoddag) {
   EXPECT_EQ(g.text(*world), "world");
 }
 
+TEST(GoddagBasicTest, ChildListsRelocateAndRepack) {
+  // Lists live in one pool. Growing two of them in turn leaves no room
+  // at the pool's end for the one not last in it, so it moves there
+  // and its old entries die; CompactPools drops the dead entries and
+  // keeps every list's contents.
+  Goddag g(std::string(64, 'x'), 2);
+  auto outer = g.InsertElement(0, "a", {{"n", "1"}}, Interval(8, 56));
+  ASSERT_TRUE(outer.ok()) << outer.status();
+  for (size_t offset = 9; offset < 56; offset += 2) {
+    ASSERT_TRUE(g.SplitLeafAt(offset).ok());
+    ASSERT_TRUE(g.Validate().ok()) << g.Validate();
+  }
+  EXPECT_GT(g.dead_pool_entries(), 0u);
+  ASSERT_EQ(g.children(*outer).size(), 25u);
+  ASSERT_EQ(g.root_children(1).size(), g.num_leaves());
+
+  auto copy_of = [](Span<NodeId> list) {
+    return std::vector<NodeId>(list.begin(), list.end());
+  };
+  std::vector<NodeId> outer_kids = copy_of(g.children(*outer));
+  std::vector<NodeId> root0 = copy_of(g.root_children(0));
+  std::vector<NodeId> root1 = copy_of(g.root_children(1));
+  size_t entries = g.pool_entries();
+  g.CompactPools();
+  EXPECT_EQ(g.dead_pool_entries(), 0u);
+  EXPECT_LT(g.pool_entries(), entries);
+  EXPECT_TRUE(g.Validate().ok()) << g.Validate();
+  EXPECT_EQ(copy_of(g.children(*outer)), outer_kids);
+  EXPECT_EQ(copy_of(g.root_children(0)), root0);
+  EXPECT_EQ(copy_of(g.root_children(1)), root1);
+  ASSERT_NE(g.FindAttribute(*outer, "n"), nullptr);
+  EXPECT_EQ(*g.FindAttribute(*outer, "n"), "1");
+
+  // Packed lists have no spare room: the next growth moves one again.
+  ASSERT_TRUE(g.SplitLeafAt(60).ok());
+  EXPECT_GT(g.dead_pool_entries(), 0u);
+  EXPECT_TRUE(g.Validate().ok()) << g.Validate();
+  EXPECT_EQ(g.root_children(1).size(), g.num_leaves());
+}
+
 }  // namespace
 }  // namespace cxml::goddag

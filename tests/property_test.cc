@@ -11,6 +11,8 @@
 #include "goddag/builder.h"
 #include "goddag/serializer.h"
 #include "sacx/goddag_handler.h"
+#include "storage/binary.h"
+#include "test_util.h"
 #include "workload/generator.h"
 #include "xpath/engine.h"
 
@@ -45,10 +47,53 @@ class GoddagPropertyTest : public ::testing::TestWithParam<Config> {
     auto g = sacx::ParseToGoddag(*corpus_->cmh, corpus_->SourceViews());
     ASSERT_TRUE(g.ok()) << g.status();
     g_ = std::make_unique<goddag::Goddag>(std::move(g).value());
+    sides_.push_back({g_.get(), "", {}});
+  }
+
+  /// One side of a clone taken mid-fuzz: sides_[0] is g_, sides_[1] the
+  /// storage::Clone that CloneSide() takes of it.
+  struct Side {
+    goddag::Goddag* g;
+    std::string bytes;  // CXG1 after this side's last step
+    std::vector<goddag::NodeId> inserted;
+  };
+
+  /// Clones g_; the fuzz goes on mutating both.
+  void CloneSide() {
+    auto copy = storage::Clone(*g_);
+    ASSERT_TRUE(copy.ok()) << copy.status();
+    twin_ = std::move(copy).value();
+    auto bytes = storage::Save(*g_);
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    sides_[0].bytes = *bytes;
+    sides_.push_back({twin_.g.get(), *bytes, sides_[0].inserted});
+  }
+
+  /// After a step mutated sides_[changed]: it validates, its structural
+  /// clone still matches the snapshot oracle, and the other side's CXG1
+  /// bytes did not move.
+  void CheckStep(size_t changed) {
+    const goddag::Goddag& g = *sides_[changed].g;
+    ASSERT_TRUE(g.Validate().ok()) << g.Validate();
+    ::cxml::testing::ExpectCloneEquivalence(
+        g, {"count(//w)", "count(//*)", "count(//w[overlapping::line])"},
+        {});
+    auto bytes = storage::Save(g);
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    sides_[changed].bytes = *bytes;
+    for (size_t other = 0; other < sides_.size(); ++other) {
+      if (other == changed) continue;
+      auto now = storage::Save(*sides_[other].g);
+      ASSERT_TRUE(now.ok()) << now.status();
+      EXPECT_EQ(*now, sides_[other].bytes)
+          << "mutating one side of a clone moved the other";
+    }
   }
 
   std::unique_ptr<workload::SyntheticCorpus> corpus_;
   std::unique_ptr<goddag::Goddag> g_;
+  storage::LoadedGoddag twin_;
+  std::vector<Side> sides_;
 };
 
 INSTANTIATE_TEST_SUITE_P(
@@ -172,7 +217,8 @@ TEST_P(GoddagPropertyTest, XPathAxisLaws) {
 }
 
 // P8: mutation fuzz — random insert/remove cycles preserve invariants
-// and end where they started.
+// and end where they started, on the original and on a clone taken
+// halfway, neither disturbing the other.
 TEST_P(GoddagPropertyTest, MutationFuzz) {
   auto before = goddag::SerializeAll(*g_);
   ASSERT_TRUE(before.ok());
@@ -180,59 +226,86 @@ TEST_P(GoddagPropertyTest, MutationFuzz) {
   std::uniform_int_distribution<size_t> pick(0, g_->content().size() - 1);
   cmh::HierarchyId h = 1;  // linguistic: w allowed in s/r mixed models
 
-  std::vector<goddag::NodeId> inserted;
+  // Halfway through, clone and go on inserting into both sides.
   for (int round = 0; round < 20; ++round) {
-    size_t a = pick(rng), b = pick(rng);
-    if (a == b) continue;
-    Interval span(std::min(a, b), std::max(a, b));
-    auto node = g_->InsertElement(h, "w", {}, span);
-    if (node.ok()) {
-      inserted.push_back(*node);
-      ASSERT_TRUE(g_->Validate().ok())
-          << "after insert [" << span.begin << "," << span.end
-          << "): " << g_->Validate();
+    if (round == 10) {
+      CloneSide();
+      if (HasFatalFailure()) return;
+    }
+    for (size_t i = 0; i < sides_.size(); ++i) {
+      size_t a = pick(rng), b = pick(rng);
+      if (a == b) continue;
+      Interval span(std::min(a, b), std::max(a, b));
+      auto node = sides_[i].g->InsertElement(h, "w", {}, span);
+      if (!node.ok()) continue;
+      sides_[i].inserted.push_back(*node);
+      SCOPED_TRACE(::testing::Message() << "side " << i << " after insert ["
+                                        << span.begin << "," << span.end
+                                        << ")");
+      CheckStep(i);
+      if (HasFatalFailure()) return;
     }
   }
   // Remove in reverse order (LIFO keeps the structure restorable).
-  for (auto it = inserted.rbegin(); it != inserted.rend(); ++it) {
-    ASSERT_TRUE(g_->RemoveElement(*it).ok());
-    ASSERT_TRUE(g_->Validate().ok()) << g_->Validate();
+  for (size_t i = 0; i < sides_.size(); ++i) {
+    for (auto it = sides_[i].inserted.rbegin();
+         it != sides_[i].inserted.rend(); ++it) {
+      ASSERT_TRUE(sides_[i].g->RemoveElement(*it).ok());
+      SCOPED_TRACE(::testing::Message() << "side " << i << " after remove");
+      CheckStep(i);
+      if (HasFatalFailure()) return;
+    }
   }
-  auto after = goddag::SerializeAll(*g_);
-  ASSERT_TRUE(after.ok());
-  // Note: leaf splits may remain, but serialisation is split-invariant.
-  EXPECT_EQ(*after, *before);
+  for (const Side& side : sides_) {
+    auto after = goddag::SerializeAll(*side.g);
+    ASSERT_TRUE(after.ok());
+    // Note: leaf splits may remain, but serialisation is split-invariant.
+    EXPECT_EQ(*after, *before);
+  }
 }
 
 // P10: text-edit fuzz — random InsertText/DeleteText/CoalesceLeaves
-// sequences keep every invariant and never lose markup elements.
+// sequences keep every invariant and never lose markup elements, on the
+// original and on a clone taken halfway, neither disturbing the other.
 TEST_P(GoddagPropertyTest, TextEditFuzz) {
   size_t elements_before = g_->AllElements().size();
   std::mt19937_64 rng(GetParam().seed * 31337);
+  // Halfway through, clone and go on editing both sides.
   for (int round = 0; round < 15; ++round) {
-    std::uniform_int_distribution<size_t> pick(
-        0, g_->content().empty() ? 0 : g_->content().size() - 1);
-    switch (round % 3) {
-      case 0: {
-        ASSERT_TRUE(g_->InsertText(pick(rng), "XY").ok());
-        break;
-      }
-      case 1: {
-        size_t a = pick(rng), b = pick(rng);
-        ASSERT_TRUE(
-            g_->DeleteText(Interval(std::min(a, b), std::max(a, b))).ok());
-        break;
-      }
-      default:
-        g_->CoalesceLeaves();
-        break;
+    if (round == 7) {
+      CloneSide();
+      if (HasFatalFailure()) return;
     }
-    ASSERT_TRUE(g_->Validate().ok())
-        << "round " << round << ": " << g_->Validate();
+    for (size_t i = 0; i < sides_.size(); ++i) {
+      goddag::Goddag* g = sides_[i].g;
+      std::uniform_int_distribution<size_t> pick(
+          0, g->content().empty() ? 0 : g->content().size() - 1);
+      switch (round % 3) {
+        case 0: {
+          ASSERT_TRUE(g->InsertText(pick(rng), "XY").ok());
+          break;
+        }
+        case 1: {
+          size_t a = pick(rng), b = pick(rng);
+          ASSERT_TRUE(
+              g->DeleteText(Interval(std::min(a, b), std::max(a, b))).ok());
+          break;
+        }
+        default:
+          g->CoalesceLeaves();
+          break;
+      }
+      SCOPED_TRACE(::testing::Message()
+                   << "side " << i << " round " << round);
+      CheckStep(i);
+      if (HasFatalFailure()) return;
+    }
   }
   // Text edits never destroy markup: elements survive (possibly with
   // zero-width extents).
-  EXPECT_EQ(g_->AllElements().size(), elements_before);
+  for (const Side& side : sides_) {
+    EXPECT_EQ(side.g->AllElements().size(), elements_before);
+  }
 }
 
 // P9: filtering any subset keeps content and the kept hierarchies'

@@ -18,49 +18,7 @@ namespace cxml::storage {
 namespace {
 
 using ::cxml::testing::BoethiusFixture;
-
-/// The equivalence oracle (ISSUE 3): the structural Clone and the
-/// retained Save/Load CloneViaSnapshot must be indistinguishable —
-/// identical CXG1 bytes and identical Extended XPath / XQuery results.
-void ExpectCloneEquivalence(const goddag::Goddag& original,
-                            const std::vector<std::string>& xpath_queries,
-                            const std::vector<std::string>& xquery_queries) {
-  auto structural = Clone(original);
-  ASSERT_TRUE(structural.ok()) << structural.status();
-  auto oracle = CloneViaSnapshot(original);
-  ASSERT_TRUE(oracle.ok()) << oracle.status();
-
-  EXPECT_TRUE(structural->g->Validate().ok());
-  EXPECT_EQ(structural->g->cmh(), structural->cmh.get())
-      << "structural clone must bind its own CMH copy";
-
-  auto structural_bytes = Save(*structural->g);
-  auto oracle_bytes = Save(*oracle->g);
-  auto original_bytes = Save(original);
-  ASSERT_TRUE(structural_bytes.ok() && oracle_bytes.ok() &&
-              original_bytes.ok());
-  EXPECT_EQ(*structural_bytes, *oracle_bytes);
-  EXPECT_EQ(*structural_bytes, *original_bytes);
-
-  xpath::XPathEngine structural_xpath(*structural->g);
-  xpath::XPathEngine oracle_xpath(*oracle->g);
-  for (const std::string& query : xpath_queries) {
-    auto a = structural_xpath.EvaluateToStrings(query);
-    auto b = oracle_xpath.EvaluateToStrings(query);
-    ASSERT_TRUE(a.ok()) << query << ": " << a.status();
-    ASSERT_TRUE(b.ok()) << query << ": " << b.status();
-    EXPECT_EQ(*a, *b) << query;
-  }
-  xquery::XQueryEngine structural_xquery(*structural->g);
-  xquery::XQueryEngine oracle_xquery(*oracle->g);
-  for (const std::string& query : xquery_queries) {
-    auto a = structural_xquery.Run(query);
-    auto b = oracle_xquery.Run(query);
-    ASSERT_TRUE(a.ok()) << query << ": " << a.status();
-    ASSERT_TRUE(b.ok()) << query << ": " << b.status();
-    EXPECT_EQ(*a, *b) << query;
-  }
-}
+using ::cxml::testing::ExpectCloneEquivalence;
 
 TEST(StorageTest, SaveLoadRoundTripBoethius) {
   auto fixture = BoethiusFixture::Make();
@@ -243,6 +201,43 @@ TEST(StorageTest, CloneCompactsDetachmentGarbage) {
   auto b = Save(*compacted->g);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(*a, *b);
+}
+
+TEST(StorageTest, CloneRepacksDeadPoolEntries) {
+  // A child list that outgrows its room moves to the end of the pool,
+  // and a removed element's list dies, leaving dead entries behind.
+  // Once they outnumber the rest, Clone repacks the copy's pools
+  // (same arena, same NodeIds) instead of carrying them forward.
+  workload::GeneratorParams params;
+  params.content_chars = 2000;
+  params.annotation_density = 0.0;
+  auto corpus = workload::GenerateManuscript(params);
+  ASSERT_TRUE(corpus.ok());
+  auto built = sacx::ParseToGoddag(*corpus->cmh, corpus->SourceViews());
+  ASSERT_TRUE(built.ok());
+  goddag::Goddag g = std::move(built).value();
+  EXPECT_EQ(g.dead_pool_entries(), 0u) << "builders leave packed pools";
+
+  auto session = edit::EditSession::Start(&g);
+  ASSERT_TRUE(session.ok()) << session.status();
+  for (int i = 0; i < 100 && !(g.pool_entries() >= 4096 &&
+                               2 * g.dead_pool_entries() > g.pool_entries());
+       ++i) {
+    // The generator's two a0 annotations start at 747.
+    ASSERT_TRUE(session->Select(Interval(0, 700)).ok());
+    auto applied = session->Apply(2, "a0");
+    ASSERT_TRUE(applied.ok()) << applied.status();
+    ASSERT_TRUE(session->editor().Undo().ok());
+    ASSERT_TRUE(g.Validate().ok()) << g.Validate();
+  }
+  ASSERT_GT(2 * g.dead_pool_entries(), g.pool_entries());
+
+  auto copy = Clone(g);
+  ASSERT_TRUE(copy.ok()) << copy.status();
+  EXPECT_EQ(copy->g->arena_size(), g.arena_size());
+  EXPECT_EQ(copy->g->dead_pool_entries(), 0u);
+  EXPECT_LT(copy->g->pool_entries(), g.pool_entries());
+  ExpectCloneEquivalence(g, {"count(//w)", "//line", "count(//a0)"}, {});
 }
 
 TEST(StorageTest, StructuralCloneRequiresBoundCmh) {

@@ -5,10 +5,14 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "goddag/builder.h"
 #include "goddag/goddag.h"
+#include "storage/binary.h"
 #include "workload/boethius.h"
+#include "xpath/engine.h"
+#include "xquery/xquery.h"
 
 namespace cxml::testing {
 
@@ -95,6 +99,51 @@ inline constexpr const char* kSweepRelativeQueries[] = {
     "descendant::node()[last()]",
     "child::*[last()]",
 };
+
+/// The clone equivalence oracle: the structural storage::Clone and the
+/// retained Save/Load storage::CloneViaSnapshot must be
+/// indistinguishable — identical CXG1 bytes (equal to the original's
+/// too) and identical Extended XPath / XQuery results.
+inline void ExpectCloneEquivalence(
+    const goddag::Goddag& original,
+    const std::vector<std::string>& xpath_queries,
+    const std::vector<std::string>& xquery_queries) {
+  auto structural = storage::Clone(original);
+  ASSERT_TRUE(structural.ok()) << structural.status();
+  auto oracle = storage::CloneViaSnapshot(original);
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+
+  EXPECT_TRUE(structural->g->Validate().ok()) << structural->g->Validate();
+  EXPECT_EQ(structural->g->cmh(), structural->cmh.get())
+      << "structural clone must bind its own CMH copy";
+
+  auto structural_bytes = storage::Save(*structural->g);
+  auto oracle_bytes = storage::Save(*oracle->g);
+  auto original_bytes = storage::Save(original);
+  ASSERT_TRUE(structural_bytes.ok() && oracle_bytes.ok() &&
+              original_bytes.ok());
+  EXPECT_EQ(*structural_bytes, *oracle_bytes);
+  EXPECT_EQ(*structural_bytes, *original_bytes);
+
+  xpath::XPathEngine structural_xpath(*structural->g);
+  xpath::XPathEngine oracle_xpath(*oracle->g);
+  for (const std::string& query : xpath_queries) {
+    auto a = structural_xpath.EvaluateToStrings(query);
+    auto b = oracle_xpath.EvaluateToStrings(query);
+    ASSERT_TRUE(a.ok()) << query << ": " << a.status();
+    ASSERT_TRUE(b.ok()) << query << ": " << b.status();
+    EXPECT_EQ(*a, *b) << query;
+  }
+  xquery::XQueryEngine structural_xquery(*structural->g);
+  xquery::XQueryEngine oracle_xquery(*oracle->g);
+  for (const std::string& query : xquery_queries) {
+    auto a = structural_xquery.Run(query);
+    auto b = oracle_xquery.Run(query);
+    ASSERT_TRUE(a.ok()) << query << ": " << a.status();
+    ASSERT_TRUE(b.ok()) << query << ": " << b.status();
+    EXPECT_EQ(*a, *b) << query;
+  }
+}
 
 /// Finds the unique element with `tag` whose text is `text`; fails the
 /// test when absent or ambiguous.
