@@ -1,11 +1,28 @@
 #include "cmh/hierarchy.h"
 
+#include <mutex>
+
 #include "common/strings.h"
 
 namespace cxml::cmh {
 
+struct ConcurrentHierarchies::Compiled {
+  std::once_flag once;
+  Status status;
+  std::vector<dtd::CompiledDtd> dtds;
+};
+
 ConcurrentHierarchies::ConcurrentHierarchies(std::string root_tag)
-    : root_tag_(std::move(root_tag)) {}
+    : root_tag_(std::move(root_tag)),
+      compiled_(std::make_shared<Compiled>()) {}
+
+ConcurrentHierarchies::ConcurrentHierarchies(
+    const ConcurrentHierarchies& other)
+    : std::enable_shared_from_this<ConcurrentHierarchies>(other),
+      root_tag_(other.root_tag_),
+      hierarchies_(other.hierarchies_),
+      element_owner_(other.element_owner_),
+      compiled_(std::make_shared<Compiled>()) {}
 
 Result<HierarchyId> ConcurrentHierarchies::AddHierarchy(std::string name,
                                                         dtd::Dtd dtd) {
@@ -35,6 +52,7 @@ Result<HierarchyId> ConcurrentHierarchies::AddHierarchy(std::string name,
   h.name = std::move(name);
   h.dtd = std::move(dtd);
   hierarchies_.push_back(std::move(h));
+  compiled_ = std::make_shared<Compiled>();
   return id;
 }
 
@@ -60,6 +78,21 @@ std::unique_ptr<ConcurrentHierarchies> ConcurrentHierarchies::Clone()
     const {
   return std::unique_ptr<ConcurrentHierarchies>(
       new ConcurrentHierarchies(*this));
+}
+
+Result<const std::vector<dtd::CompiledDtd>*>
+ConcurrentHierarchies::CompiledAutomata() const {
+  Compiled& compiled = *compiled_;
+  std::call_once(compiled.once, [&] {
+    auto all = CompileAll();
+    if (all.ok()) {
+      compiled.dtds = std::move(all).value();
+    } else {
+      compiled.status = all.status();
+    }
+  });
+  if (!compiled.status.ok()) return compiled.status;
+  return &compiled.dtds;
 }
 
 Result<std::vector<dtd::CompiledDtd>> ConcurrentHierarchies::CompileAll()

@@ -34,7 +34,13 @@ struct Hierarchy {
 /// elements that are not in conflict with each other", here modelled as a
 /// set of named DTDs with pairwise-disjoint element vocabularies, all
 /// sharing a single root element tag.
-class ConcurrentHierarchies {
+///
+/// Edits never change a schema, so once built a CMH is shared, not
+/// copied: storage::LoadedGoddag and the service's snapshots hold it as
+/// `shared_ptr<const ConcurrentHierarchies>`, and storage::Clone hands
+/// the same CMH to every version of a document (shared_from_this).
+class ConcurrentHierarchies
+    : public std::enable_shared_from_this<ConcurrentHierarchies> {
  public:
   /// `root_tag` is the element shared by every hierarchy's documents
   /// (`<r>` throughout the paper's figures).
@@ -73,24 +79,33 @@ class ConcurrentHierarchies {
   /// The returned object references this instance; keep it alive.
   Result<std::vector<dtd::CompiledDtd>> CompileAll() const;
 
+  /// CompileAll, run once per CMH (thread-safe) and kept: every editor
+  /// over a GODDAG bound to this CMH shares the automata. A content
+  /// model that fails to compile (e.g. a non-deterministic one) fails
+  /// every call, so it fails each edit, not the registration. Valid
+  /// until the next AddHierarchy.
+  Result<const std::vector<dtd::CompiledDtd>*> CompiledAutomata() const;
+
   /// Deep copy of the registry: names, DTD vocabularies (content
   /// models, attribute lists, entities), and the element-owner index.
   /// The clone is self-contained — nothing points back into this
-  /// instance — so it can outlive it; the structural storage::Clone
-  /// hands one to each private working copy alongside
-  /// goddag::Goddag::Clone.
+  /// instance — so it can outlive it; storage::Clone hands one to a
+  /// copy of a GODDAG whose CMH is not held by a shared_ptr.
   std::unique_ptr<ConcurrentHierarchies> Clone() const;
 
  private:
-  /// Memberwise copy behind Clone(): every member is a value type, so
-  /// the default copy is already deep. Kept private so copies only
-  /// arise through the explicit, unique_ptr-returning Clone().
-  ConcurrentHierarchies(const ConcurrentHierarchies&) = default;
+  /// The CompiledAutomata cache.
+  struct Compiled;
+
+  /// Memberwise copy behind Clone(), with a cache of its own (the
+  /// compiled automata point into the DTDs they were compiled from).
+  ConcurrentHierarchies(const ConcurrentHierarchies& other);
 
   std::string root_tag_;
   std::vector<Hierarchy> hierarchies_;
   /// element tag -> owning hierarchy (root tag excluded).
   std::map<std::string, HierarchyId, std::less<>> element_owner_;
+  std::shared_ptr<Compiled> compiled_;
 };
 
 }  // namespace cxml::cmh

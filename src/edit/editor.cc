@@ -16,7 +16,7 @@ Result<Editor> Editor::Create(goddag::Goddag* g) {
         "prevalidation)");
   }
   Editor editor(g);
-  CXML_ASSIGN_OR_RETURN(editor.compiled_, g->cmh()->CompileAll());
+  CXML_ASSIGN_OR_RETURN(editor.compiled_, g->cmh()->CompiledAutomata());
   return editor;
 }
 
@@ -37,7 +37,7 @@ std::vector<std::string> ChildTagSequence(const goddag::Goddag& g,
 }  // namespace
 
 Status Editor::CheckPotentialValidity(HierarchyId h, NodeId element) const {
-  const dtd::CompiledDtd& compiled = compiled_[h];
+  const dtd::CompiledDtd& compiled = (*compiled_)[h];
   const std::string& tag =
       g_->is_root(element) ? g_->root_tag() : g_->tag(element);
   const dtd::CompiledDtd::ElementAutomata* ea = compiled.Find(tag);
@@ -209,7 +209,7 @@ Status Editor::ValidateStrict() const {
     CXML_ASSIGN_OR_RETURN(std::string xml,
                           goddag::SerializeHierarchy(*g_, h));
     CXML_ASSIGN_OR_RETURN(auto doc, dom::ParseDocument(xml));
-    dtd::DtdValidator validator(compiled_[h]);
+    dtd::DtdValidator validator((*compiled_)[h]);
     Status st = validator.Check(*doc, g_->root_tag());
     if (!st.ok()) {
       return st.WithContext(

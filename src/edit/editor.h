@@ -38,8 +38,8 @@ struct InsertOp {
 /// Operations are recorded for undo/redo.
 class Editor {
  public:
-  /// The GODDAG must have a CMH bound (DTD automata are compiled from
-  /// it); `g` must outlive the editor.
+  /// The GODDAG must have a CMH bound (the editor uses its DTD automata,
+  /// compiled once per CMH); `g` must outlive the editor.
   static Result<Editor> Create(goddag::Goddag* g);
 
   Editor(Editor&&) = default;
@@ -114,7 +114,8 @@ class Editor {
   Status RemoveImpl(NodeId element, bool record);
 
   goddag::Goddag* g_;
-  std::vector<dtd::CompiledDtd> compiled_;
+  /// The CMH's automata (ConcurrentHierarchies::CompiledAutomata).
+  const std::vector<dtd::CompiledDtd>* compiled_ = nullptr;
   std::vector<Applied> undo_;
   std::vector<Applied> redo_;
   goddag::IndexDelta delta_;

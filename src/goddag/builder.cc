@@ -29,18 +29,18 @@ Status Builder::AppendChild(Goddag* g, HierarchyId h, const dom::Node& node,
     case dom::NodeKind::kElement: {
       const auto& el = static_cast<const dom::Element&>(node);
       NodeId id = g->AllocNode(NodeKind::kElement);
-      g->tag_[id] = g->InternTag(el.tag());
-      g->hierarchy_[id] = h;
-      g->attr_pool_.Replace(&g->attrs_[id], 0, 0, el.attributes().begin(),
-                            el.attributes().size());
-      g->parent_[id] = parent;
+      g->tag_.Mutable(id) = g->InternTag(el.tag());
+      g->hierarchy_.Mutable(id) = h;
+      g->attr_pool_.Replace(&g->attrs_.Mutable(id), 0, 0,
+                            el.attributes().begin(), el.attributes().size());
+      g->parent_.Mutable(id) = parent;
       size_t begin = *offset;
       g->child_pool_.Append(&g->ChildList(parent, h), id);
       ++g->num_elements_;
       for (const dom::Node* child : el.children()) {
         CXML_RETURN_IF_ERROR(AppendChild(g, h, *child, id, offset));
       }
-      g->chars_[id] = Interval(begin, *offset);
+      g->chars_.Mutable(id) = Interval(begin, *offset);
       return Status::Ok();
     }
     case dom::NodeKind::kComment:
@@ -71,7 +71,7 @@ Status Builder::AppendLeaves(Goddag* g, HierarchyId h, size_t begin,
           begin, end, iv.begin, iv.end));
     }
     g->child_pool_.Append(&g->ChildList(parent, h), leaf);
-    g->LeafParent(leaf, h) = parent;
+    g->MutableLeafParent(leaf, h) = parent;
     pos = iv.end;
     ++i;
   }
@@ -99,13 +99,15 @@ Result<Goddag> Builder::Build(const cmh::DistributedDocument& doc) {
   // detached in the arena.)
   Goddag g(doc.content(), num_h, cmh.root_tag());
   g.BindCmh(&cmh);
-  g.leaves_.clear();
+  g.leaves_.resize(0, kInvalidNode);
   for (PoolSpan& rc : g.root_children_) g.child_pool_.Erase(&rc, 0, rc.size);
   std::vector<size_t> boundaries(boundary_set.begin(), boundary_set.end());
   for (size_t i = 0; i + 1 < boundaries.size(); ++i) {
     NodeId leaf = g.AllocNode(NodeKind::kLeaf);
-    g.chars_[leaf] = Interval(boundaries[i], boundaries[i + 1]);
-    for (HierarchyId h = 0; h < num_h; ++h) g.LeafParent(leaf, h) = g.root_;
+    g.chars_.Mutable(leaf) = Interval(boundaries[i], boundaries[i + 1]);
+    for (HierarchyId h = 0; h < num_h; ++h) {
+      g.MutableLeafParent(leaf, h) = g.root_;
+    }
     g.leaves_.push_back(leaf);
   }
   g.RenumberLeaves();

@@ -25,9 +25,9 @@ class Builder {
 
  private:
   // NOTE: these helpers must always resolve the parent's child list
-  // freshly through the Goddag — AllocNode grows the node arrays and an
-  // append may move a list within its pool, so a cached reference or
-  // pointer into either dangles.
+  // freshly through the Goddag — a write may copy the chunk a list's
+  // span lives in, and an append may move a list within its pool, so a
+  // cached reference or pointer into either dangles.
   static Status BuildHierarchy(Goddag* g, HierarchyId h,
                                const dom::Element& root);
   static Status AppendChild(Goddag* g, HierarchyId h, const dom::Node& node,

@@ -20,19 +20,20 @@ const char* NodeKindToString(NodeKind kind) {
 
 Goddag::Goddag(std::string content, size_t num_hierarchies,
                std::string root_tag)
-    : content_(std::move(content)), num_hierarchies_(num_hierarchies) {
+    : content_(std::make_shared<const std::string>(std::move(content))),
+      num_hierarchies_(num_hierarchies) {
   InternTag("");  // id 0: leaves
   root_ = AllocNode(NodeKind::kRoot);
-  tag_[root_] = InternTag(root_tag);
-  chars_[root_] = Interval(0, content_.size());
+  tag_.Mutable(root_) = InternTag(root_tag);
+  chars_.Mutable(root_) = Interval(0, content_->size());
   root_children_.resize(num_hierarchies_);
-  if (!content_.empty()) {
+  if (!content_->empty()) {
     NodeId leaf = AllocNode(NodeKind::kLeaf);
-    chars_[leaf] = Interval(0, content_.size());
-    leaf_index_[leaf] = 0;
+    chars_.Mutable(leaf) = Interval(0, content_->size());
+    leaf_index_.Mutable(leaf) = 0;
     leaves_.push_back(leaf);
     for (HierarchyId h = 0; h < num_hierarchies_; ++h) {
-      LeafParent(leaf, h) = root_;
+      MutableLeafParent(leaf, h) = root_;
       child_pool_.Append(&root_children_[h], leaf);
     }
   }
@@ -43,14 +44,21 @@ NodeId Goddag::AllocNode(NodeKind kind) {
   kind_.push_back(kind);
   tag_.push_back(0);
   hierarchy_.push_back(kInvalidHierarchy);
-  attrs_.emplace_back();
+  attrs_.push_back(PoolSpan());
   parent_.push_back(kInvalidNode);
-  children_.emplace_back();
-  chars_.emplace_back();
+  children_.push_back(PoolSpan());
+  chars_.push_back(Interval());
   leaf_index_.push_back(0);
   leaf_parents_.resize(leaf_parents_.size() + num_hierarchies_,
                        kInvalidNode);
   return id;
+}
+
+std::string& Goddag::MutableContent() {
+  auto copy = std::make_shared<std::string>(*content_);
+  std::string& out = *copy;
+  content_ = std::move(copy);
+  return out;
 }
 
 uint32_t Goddag::InternTag(std::string_view tag) {
@@ -74,21 +82,23 @@ const std::string* Goddag::FindAttribute(NodeId node,
 
 void Goddag::SetAttribute(NodeId node, std::string_view name,
                           std::string_view value) {
-  PoolSpan& attrs = attrs_[node];
-  for (size_t i = 0; i < attrs.size; ++i) {
-    xml::Attribute& a = attr_pool_.At(attrs, i);
-    if (a.name == name) {
-      a.value = std::string(value);
+  const PoolSpan& attrs = attrs_[node];
+  Span<xml::Attribute> current = attr_pool_.View(attrs);
+  for (size_t i = 0; i < current.size(); ++i) {
+    if (current[i].name == name) {
+      attr_pool_.At(attrs, i).value = std::string(value);
       return;
     }
   }
-  attr_pool_.Append(&attrs, {std::string(name), std::string(value)});
+  attr_pool_.Append(&attrs_.Mutable(node),
+                    {std::string(name), std::string(value)});
 }
 
 void Goddag::RemoveAttribute(NodeId node, std::string_view name) {
-  PoolSpan& attrs = attrs_[node];
-  for (size_t i = attrs.size; i-- > 0;) {
-    if (attr_pool_.At(attrs, i).name == name) attr_pool_.Erase(&attrs, i);
+  for (size_t i = attrs_[node].size; i-- > 0;) {
+    if (attr_pool_.View(attrs_[node])[i].name == name) {
+      attr_pool_.Erase(&attrs_.Mutable(node), i);
+    }
   }
 }
 
@@ -104,7 +114,7 @@ Interval Goddag::leaf_range(NodeId node) const {
 
 std::string_view Goddag::text(NodeId node) const {
   const Interval& iv = chars_[node];
-  return std::string_view(content_).substr(iv.begin, iv.length());
+  return std::string_view(*content_).substr(iv.begin, iv.length());
 }
 
 NodeId Goddag::leaf_parent(NodeId leaf, HierarchyId h) const {
@@ -151,10 +161,42 @@ Interval Goddag::LeavesCovering(const Interval& chars) const {
 }
 
 void Goddag::RenumberLeaves() {
-  for (size_t i = 0; i < leaves_.size(); ++i) leaf_index_[leaves_[i]] = i;
+  for (size_t i = 0; i < leaves_.size(); ++i) {
+    leaf_index_.Mutable(leaves_[i]) = static_cast<uint32_t>(i);
+  }
 }
 
 namespace {
+
+/// Goddag::Before as one flat key, so a sort compares contiguous keys
+/// instead of reading the node arrays per comparison.
+struct OrderKey {
+  size_t begin;
+  size_t end;
+  int rank;  // root < element < leaf
+  HierarchyId hierarchy;
+  NodeId node;
+
+  bool operator<(const OrderKey& o) const {
+    if (begin != o.begin) return begin < o.begin;
+    if (end != o.end) return end > o.end;  // container first
+    if (rank != o.rank) return rank < o.rank;
+    if (hierarchy != o.hierarchy) return hierarchy < o.hierarchy;
+    return node < o.node;
+  }
+};
+
+int KindRank(NodeKind kind) {
+  switch (kind) {
+    case NodeKind::kRoot:
+      return 0;
+    case NodeKind::kElement:
+      return 1;
+    case NodeKind::kLeaf:
+      return 2;
+  }
+  return 3;
+}
 
 void CollectPreorder(const Goddag& g, NodeId node, std::vector<NodeId>* out) {
   if (!g.is_element(node)) return;
@@ -171,14 +213,26 @@ std::vector<NodeId> Goddag::ElementsOf(HierarchyId h) const {
 }
 
 std::vector<NodeId> Goddag::AllElements() const {
-  std::vector<NodeId> out;
-  out.reserve(num_elements_);
-  for (HierarchyId h = 0; h < num_hierarchies_; ++h) {
-    for (NodeId child : root_children(h)) {
-      CollectPreorder(*this, child, &out);
+  // One pass over the node arrays, chunk by chunk: an element is
+  // attached iff it has a parent (RemoveElement clears it).
+  std::vector<OrderKey> keys;
+  keys.reserve(num_elements_);
+  kind_.ForEachChunk([&](size_t first, const NodeKind* kinds, size_t n) {
+    const size_t c = first >> ChunkedArray<NodeKind>::kShift;
+    const NodeId* parents = parent_.chunks().data(c);
+    const Interval* chars = chars_.chunks().data(c);
+    const HierarchyId* hierarchies = hierarchy_.chunks().data(c);
+    for (size_t i = 0; i < n; ++i) {
+      if (kinds[i] != NodeKind::kElement || parents[i] == kInvalidNode) {
+        continue;
+      }
+      keys.push_back({chars[i].begin, chars[i].end, 1, hierarchies[i],
+                      static_cast<NodeId>(first + i)});
     }
-  }
-  SortDocumentOrder(&out);
+  });
+  std::sort(keys.begin(), keys.end());
+  std::vector<NodeId> out(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) out[i] = keys[i].node;
   return out;
 }
 
@@ -203,18 +257,9 @@ bool Goddag::Before(NodeId a, NodeId b) const {
   const Interval& ib = chars_[b];
   if (ia.begin != ib.begin) return ia.begin < ib.begin;
   if (ia.end != ib.end) return ia.end > ib.end;  // container first
-  auto rank = [&](NodeId n) -> int {
-    switch (kind_[n]) {
-      case NodeKind::kRoot:
-        return 0;
-      case NodeKind::kElement:
-        return 1;
-      case NodeKind::kLeaf:
-        return 2;
-    }
-    return 3;
-  };
-  if (rank(a) != rank(b)) return rank(a) < rank(b);
+  const int rank_a = KindRank(kind_[a]);
+  const int rank_b = KindRank(kind_[b]);
+  if (rank_a != rank_b) return rank_a < rank_b;
   if (hierarchy_[a] != hierarchy_[b]) return hierarchy_[a] < hierarchy_[b];
   return a < b;
 }
@@ -227,19 +272,32 @@ Goddag Goddag::Clone(const cmh::ConcurrentHierarchies* cmh) const {
 
 void Goddag::CompactPools() {
   // Root lists first, then every node's list in slot order.
-  child_pool_.Repack([this](auto visit) {
+  auto visit_all = [](ChunkedArray<PoolSpan>* lists, auto visit) {
+    lists->ForEachChunkMutable([&](size_t, PoolSpan* data, size_t n) {
+      for (size_t i = 0; i < n; ++i) visit(&data[i]);
+    });
+  };
+  child_pool_.Repack([&](auto visit) {
     for (PoolSpan& list : root_children_) visit(&list);
-    for (PoolSpan& list : children_) visit(&list);
+    visit_all(&children_, visit);
   });
-  attr_pool_.Repack([this](auto visit) {
-    for (PoolSpan& list : attrs_) visit(&list);
-  });
+  attr_pool_.Repack([&](auto visit) { visit_all(&attrs_, visit); });
 }
 
 void Goddag::SortDocumentOrder(std::vector<NodeId>* nodes) const {
-  std::sort(nodes->begin(), nodes->end(),
-            [this](NodeId a, NodeId b) { return Before(a, b); });
-  nodes->erase(std::unique(nodes->begin(), nodes->end()), nodes->end());
+  std::vector<OrderKey> keys(nodes->size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const NodeId n = (*nodes)[i];
+    keys[i] = {chars_[n].begin, chars_[n].end, KindRank(kind_[n]),
+               hierarchy_[n], n};
+  }
+  std::sort(keys.begin(), keys.end());
+  nodes->clear();
+  for (const OrderKey& key : keys) {
+    if (nodes->empty() || nodes->back() != key.node) {
+      nodes->push_back(key.node);
+    }
+  }
 }
 
 }  // namespace cxml::goddag

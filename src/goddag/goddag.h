@@ -2,6 +2,7 @@
 #define CXML_GODDAG_GODDAG_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "common/interval.h"
 #include "common/result.h"
 #include "common/span.h"
+#include "goddag/chunks.h"
 #include "goddag/pool.h"
 #include "xml/token.h"
 
@@ -18,6 +20,8 @@ class GoddagHandler;
 }  // namespace cxml::sacx
 
 namespace cxml::goddag {
+
+class SnapshotIndex;
 
 using cmh::HierarchyId;
 using cmh::kInvalidHierarchy;
@@ -63,23 +67,29 @@ const char* NodeKindToString(NodeKind kind);
 ///  I5 element tags belong to their hierarchy's vocabulary (when a CMH is
 ///     bound).
 ///
-/// Storage is flat, so that a copy is about a dozen bulk copies and a
-/// free about as many: per-node arrays indexed by NodeId; the leaf
-/// parents in one array strided by hierarchy (`[slot * H + h]`); every
-/// child list (the root's per-hierarchy lists included) a span of one
-/// NodeId pool, every attribute list a span of one xml::Attribute pool
-/// (see Pool); tags interned per document. On the 20k-char cxbench
-/// manuscript (11,186 slots, 4 hierarchies; 4-vCPU VM) storage::Clone
-/// copies it in 68-83 us with 46 heap allocations, where per-node
-/// vectors took 580-880 us and 12,034, and freeing a version takes
-/// 2.4-4.0 us instead of 295-404 us.
+/// Storage is copy-on-write chunks (see CowChunks), so that a copy
+/// shares the whole document and a write copies only the chunks it
+/// touches: per-node arrays indexed by NodeId, the leaf parents in one
+/// array strided by hierarchy (`[slot * H + h]`) and the leaf order are
+/// ChunkedArrays; every child list (the root's per-hierarchy lists
+/// included) is a span of one NodeId Pool, every attribute list a span
+/// of one xml::Attribute Pool; the content string is shared until a
+/// text edit; tags are interned per document. A copy copies chunk
+/// tables, a write copies the chunks it lands in the first time that
+/// copy writes them, and an append (AllocNode) touches only the tail
+/// chunks. On the 20k-char cxbench manuscript (11,186 slots, 4
+/// hierarchies; 4-vCPU VM) storage::Clone takes 3.3-9.3 us, where flat
+/// arrays took 126-186 us and made the next write regrow every array.
+/// AllElements, SortDocumentOrder and SnapshotIndex::Patch walk the
+/// arrays chunk by chunk or sort flat keys, so loading a snapshot and
+/// building its index cost what they did on flat arrays.
 ///
 /// Span lifetime: `children()`, `root_children()` and `attributes()`
 /// return views into the pools. Any mutation may move a list (a list
-/// that outgrows its span moves to the end of its pool), so a view is
-/// valid only until the next mutation of this Goddag. Published
-/// snapshots never mutate, so views into them stay valid as long as the
-/// snapshot does.
+/// that outgrows its span moves to a chunk with room) or copy the chunk
+/// it lives in, so a view is valid only until the next mutation of this
+/// Goddag. Published snapshots never mutate, so views into them stay
+/// valid as long as the snapshot does.
 class Goddag {
  public:
   /// An empty GODDAG over `content` with `num_hierarchies` hierarchies:
@@ -98,7 +108,7 @@ class Goddag {
   const cmh::ConcurrentHierarchies* cmh() const { return cmh_; }
 
   // ------------------------------------------------------------ global
-  const std::string& content() const { return content_; }
+  const std::string& content() const { return *content_; }
   size_t num_hierarchies() const { return num_hierarchies_; }
   NodeId root() const { return root_; }
   const std::string& root_tag() const { return tag(root_); }
@@ -167,7 +177,8 @@ class Goddag {
   // ------------------------------------------------------- leaf layer
   size_t num_leaves() const { return leaves_.size(); }
   NodeId leaf_at(size_t index) const { return leaves_[index]; }
-  const std::vector<NodeId>& leaves() const { return leaves_; }
+  /// The leaves in content order (iterable; index with leaf_at).
+  const ChunkedArray<NodeId>& leaves() const { return leaves_; }
   /// Index of a leaf node in the leaf order.
   size_t leaf_index(NodeId leaf) const { return leaf_index_[leaf]; }
 
@@ -241,28 +252,33 @@ class Goddag {
   Status Validate() const;
 
   // ---------------------------------------------------------- cloning
-  /// Native structural deep copy: duplicates the shared content, the
-  /// leaf layer, every per-hierarchy tree, and the node arrays and pools
-  /// directly — no serializer round trip, one bulk copy per member.
-  /// NodeIds are arena indices, so they carry over verbatim: a node id
-  /// valid in `*this` names the corresponding node in the copy, which
-  /// is what edit::EditSession and the XPath overlap axes rely on (they
-  /// never need remapping).
-  /// Detached nodes are copied too, keeping the arenas aligned.
+  /// Native structural copy: shares every chunk of the node arrays,
+  /// the leaf layer and the pools, and the content, with this GODDAG;
+  /// either side copies a chunk the first time it writes to it, so the
+  /// copy and this GODDAG may both go on mutating. No serializer round
+  /// trip. NodeIds are arena indices, so they carry over verbatim: a
+  /// node id valid in `*this` names the corresponding node in the copy,
+  /// which is what edit::EditSession and the XPath overlap axes rely on
+  /// (they never need remapping). Detached nodes are kept too, keeping
+  /// the arenas aligned.
   ///
-  /// `cmh` is the binding for the copy — pass the clone's own CMH
-  /// (see storage::Clone, which pairs this with a CMH registry clone),
-  /// or nullptr to share this GODDAG's binding. (goddag.cc)
+  /// Safe to call from several threads at once on a GODDAG none of them
+  /// mutates (a published snapshot): the copy only restamps this
+  /// GODDAG's chunk tables atomically.
+  ///
+  /// `cmh` is the binding for the copy, or nullptr to share this
+  /// GODDAG's binding. (goddag.cc)
   Goddag Clone(const cmh::ConcurrentHierarchies* cmh = nullptr) const;
 
  private:
   friend class Builder;
+  friend class SnapshotIndex;
   friend class ::cxml::sacx::GoddagHandler;
 
-  /// Memberwise copy behind Clone() — every member is a flat value
-  /// type (arrays indexed by NodeId, pools of lists), so the default
-  /// copy is already deep and automatically covers members added later.
-  /// Private so copies only arise through the explicit Clone().
+  /// Memberwise copy behind Clone(): every member is a value type or a
+  /// chunk container whose copy shares its chunks, so the default copy
+  /// is already a correct copy-on-write copy and covers members added
+  /// later. Private so copies only arise through the explicit Clone().
   Goddag(const Goddag&) = default;
 
   NodeId AllocNode(NodeKind kind);
@@ -274,35 +290,46 @@ class Goddag {
   /// The child list of `parent` in hierarchy `h`: the root's list for
   /// `h`, else the element's own.
   PoolSpan& ChildList(NodeId parent, HierarchyId h) {
+    return parent == root_ ? root_children_[h] : children_.Mutable(parent);
+  }
+  /// ChildList for reading (writes no chunk).
+  const PoolSpan& ChildSpan(NodeId parent, HierarchyId h) const {
     return parent == root_ ? root_children_[h] : children_[parent];
   }
-  NodeId& LeafParent(NodeId leaf, HierarchyId h) {
+  NodeId LeafParent(NodeId leaf, HierarchyId h) const {
     return leaf_parents_[leaf * num_hierarchies_ + h];
   }
+  NodeId& MutableLeafParent(NodeId leaf, HierarchyId h) {
+    return leaf_parents_.Mutable(leaf * num_hierarchies_ + h);
+  }
+  /// A private copy of the content to edit (text edits are O(arena)
+  /// anyway, so they always copy rather than track ownership).
+  std::string& MutableContent();
   /// Removes `leaf` from its parent's child list in hierarchy `h`.
   void UnlinkLeaf(NodeId leaf, HierarchyId h);
 
-  std::string content_;
+  /// Shared by copies, never written in place.
+  std::shared_ptr<const std::string> content_;
   size_t num_hierarchies_ = 0;
   const cmh::ConcurrentHierarchies* cmh_ = nullptr;
 
   // Parallel node arrays indexed by NodeId.
-  std::vector<NodeKind> kind_;
-  std::vector<uint32_t> tag_;         // index into tag_names_
-  std::vector<HierarchyId> hierarchy_;
-  std::vector<PoolSpan> attrs_;       // into attr_pool_
-  std::vector<NodeId> parent_;
-  std::vector<PoolSpan> children_;    // into child_pool_
-  std::vector<Interval> chars_;       // leaves: exact; elements: cached
-  std::vector<size_t> leaf_index_;    // leaves only
+  ChunkedArray<NodeKind> kind_;
+  ChunkedArray<uint32_t> tag_;        // index into tag_names_
+  ChunkedArray<HierarchyId> hierarchy_;
+  ChunkedArray<PoolSpan> attrs_;      // into attr_pool_
+  ChunkedArray<NodeId> parent_;
+  ChunkedArray<PoolSpan> children_;   // into child_pool_
+  ChunkedArray<Interval> chars_;      // leaves: exact; elements: cached
+  ChunkedArray<uint32_t> leaf_index_;  // leaves only; a NodeId's width
 
   /// Leaf parents, strided: the parent of leaf slot `n` in hierarchy
   /// `h` is `[n * num_hierarchies_ + h]` (kInvalidNode for other slots).
-  std::vector<NodeId> leaf_parents_;
+  ChunkedArray<NodeId> leaf_parents_;
 
   NodeId root_ = kInvalidNode;
   std::vector<PoolSpan> root_children_;  // per hierarchy, into child_pool_
-  std::vector<NodeId> leaves_;  // in content order
+  ChunkedArray<NodeId> leaves_;  // in content order
 
   Pool<NodeId> child_pool_;
   Pool<xml::Attribute> attr_pool_;

@@ -33,9 +33,9 @@ size_t LastIndexOf(Span<NodeId> list, NodeId needle) {
 }  // namespace
 
 Result<NodeId> Goddag::SplitLeafAt(size_t offset) {
-  if (offset == 0 || offset >= content_.size()) {
+  if (offset == 0 || offset >= content_->size()) {
     return status::OutOfRange(StrFormat(
-        "split offset %zu outside (0, %zu)", offset, content_.size()));
+        "split offset %zu outside (0, %zu)", offset, content_->size()));
   }
   size_t i = LeafIndexAtOffset(offset);
   NodeId left = leaves_[i];
@@ -43,17 +43,19 @@ Result<NodeId> Goddag::SplitLeafAt(size_t offset) {
 
   // Shrink the left leaf, create the right leaf.
   Interval old = chars_[left];
-  chars_[left] = Interval(old.begin, offset);
+  chars_.Mutable(left) = Interval(old.begin, offset);
   NodeId right = AllocNode(NodeKind::kLeaf);
-  chars_[right] = Interval(offset, old.end);
+  chars_.Mutable(right) = Interval(offset, old.end);
   for (HierarchyId h = 0; h < num_hierarchies_; ++h) {
-    LeafParent(right, h) = LeafParent(left, h);
+    MutableLeafParent(right, h) = LeafParent(left, h);
   }
-  leaves_.insert(leaves_.begin() + static_cast<ptrdiff_t>(i) + 1, right);
+  leaves_.Insert(i + 1, right);
   // Only the leaves from the new one on moved. Loading a snapshot splits
   // once per element boundary, mostly near the end of the leaf layer, so
   // renumbering every leaf made it quadratic.
-  for (size_t j = i + 1; j < leaves_.size(); ++j) leaf_index_[leaves_[j]] = j;
+  for (size_t j = i + 1; j < leaves_.size(); ++j) {
+    leaf_index_.Mutable(leaves_[j]) = static_cast<uint32_t>(j);
+  }
 
   // Register the right leaf as a sibling immediately after the left one
   // in every hierarchy's parent. The search runs from the back because
@@ -77,10 +79,10 @@ Result<NodeId> Goddag::InsertElement(HierarchyId h, std::string_view tag,
     return status::InvalidArgument(
         StrFormat("hierarchy %u out of range", h));
   }
-  if (chars.begin > chars.end || chars.end > content_.size()) {
+  if (chars.begin > chars.end || chars.end > content_->size()) {
     return status::OutOfRange(StrFormat(
         "character range [%zu,%zu) outside content of size %zu", chars.begin,
-        chars.end, content_.size()));
+        chars.end, content_->size()));
   }
   if (cmh_ != nullptr && !cmh_->hierarchy(h).Covers(tag)) {
     return status::ValidationError(
@@ -89,10 +91,10 @@ Result<NodeId> Goddag::InsertElement(HierarchyId h, std::string_view tag,
   }
 
   // Align the range with the leaf partition.
-  if (chars.begin > 0 && chars.begin < content_.size()) {
+  if (chars.begin > 0 && chars.begin < content_->size()) {
     CXML_RETURN_IF_ERROR(SplitLeafAt(chars.begin).status());
   }
-  if (chars.end > 0 && chars.end < content_.size()) {
+  if (chars.end > 0 && chars.end < content_->size()) {
     CXML_RETURN_IF_ERROR(SplitLeafAt(chars.end).status());
   }
   Interval leaf_span = LeavesCovering(chars);
@@ -113,20 +115,32 @@ Result<NodeId> Goddag::InsertElement(HierarchyId h, std::string_view tag,
     parent = candidate;
   }
 
-  // Allocate the node FIRST: AllocNode grows the node arrays, which
-  // would invalidate the `list` reference taken below. (On a later
-  // error return the node stays detached in the arena — harmless.)
+  // Allocated before the checks, so a rejected insert still takes a
+  // slot; on a later error return the node stays detached in the arena
+  // (harmless).
   NodeId node = AllocNode(NodeKind::kElement);
 
   // The covered children must form a contiguous, *whole* slice: an
   // existing same-hierarchy element straddling the boundary would make
-  // the hierarchy non-well-formed.
-  PoolSpan& list = ChildList(parent, h);
-  Span<NodeId> siblings = child_pool_.View(list);
+  // the hierarchy non-well-formed. Read through ChildSpan, so a rejected
+  // insert writes no chunk of the child-list array.
+  //
+  // Siblings tile the parent's extent in order (I4), so their begins and
+  // ends both ascend: the ones ending at or before chars.begin, and from
+  // the first starting at or after chars.end on, can neither overlap
+  // `chars` nor be covered by it. Only the window between is scanned.
+  Span<NodeId> siblings = child_pool_.View(ChildSpan(parent, h));
+  const size_t first_after = static_cast<size_t>(
+      std::partition_point(siblings.begin(), siblings.end(),
+                           [&](NodeId n) {
+                             return chars_[n].end <= chars.begin;
+                           }) -
+      siblings.begin());
   size_t slice_begin = siblings.size();
   size_t slice_end = siblings.size();
-  for (size_t i = 0; i < siblings.size(); ++i) {
+  for (size_t i = first_after; i < siblings.size(); ++i) {
     const Interval& ci = chars_[siblings[i]];
+    if (ci.begin >= chars.end) break;
     if (ci.Overlaps(chars)) {
       return status::FailedPrecondition(StrCat(
           "inserting '", std::string(tag), "' over [",
@@ -147,15 +161,12 @@ Result<NodeId> Goddag::InsertElement(HierarchyId h, std::string_view tag,
     }
   }
   if (slice_begin == siblings.size()) {
-    // Empty new element (milestone) or no covered children: insert at the
-    // first position whose child starts at/after chars.begin.
-    slice_begin = 0;
-    while (slice_begin < siblings.size() &&
-           chars_[siblings[slice_begin]].end <= chars.begin) {
-      ++slice_begin;
-    }
-    // A non-empty child starting before chars.begin and containing it
-    // would have been the parent instead, so this position is correct.
+    // Empty new element (milestone) or no covered children: insert
+    // before the first child that does not end at or before
+    // chars.begin. A non-empty child starting before chars.begin and
+    // containing it would have been the parent instead, so this
+    // position is correct.
+    slice_begin = first_after;
     slice_end = slice_begin;
   }
 
@@ -163,22 +174,23 @@ Result<NodeId> Goddag::InsertElement(HierarchyId h, std::string_view tag,
   // Copied out first: the pool writes below may move `siblings`.
   std::vector<NodeId> covered(siblings.begin() + slice_begin,
                               siblings.begin() + slice_end);
-  tag_[node] = InternTag(tag);
-  hierarchy_[node] = h;
-  attr_pool_.Replace(&attrs_[node], 0, 0,
+  tag_.Mutable(node) = InternTag(tag);
+  hierarchy_.Mutable(node) = h;
+  attr_pool_.Replace(&attrs_.Mutable(node), 0, 0,
                      std::make_move_iterator(attrs.begin()), attrs.size());
-  parent_[node] = parent;
-  chars_[node] = chars;
-  child_pool_.Replace(&children_[node], 0, 0, covered.begin(),
+  parent_.Mutable(node) = parent;
+  chars_.Mutable(node) = chars;
+  child_pool_.Replace(&children_.Mutable(node), 0, 0, covered.begin(),
                       covered.size());
   for (NodeId child : covered) {
     if (is_leaf(child)) {
-      LeafParent(child, h) = node;
+      MutableLeafParent(child, h) = node;
     } else {
-      parent_[child] = node;
+      parent_.Mutable(child) = node;
     }
   }
-  child_pool_.Replace(&list, slice_begin, slice_end - slice_begin, &node, 1);
+  child_pool_.Replace(&ChildList(parent, h), slice_begin,
+                      slice_end - slice_begin, &node, 1);
   ++num_elements_;
   return node;
 }
@@ -192,24 +204,24 @@ Status Goddag::RemoveElement(NodeId element) {
     return status::FailedPrecondition("element is already detached");
   }
   HierarchyId h = hierarchy_[element];
-  PoolSpan& siblings = ChildList(parent, h);
-  size_t at = IndexOf(child_pool_.View(siblings), element);
+  size_t at = IndexOf(child_pool_.View(ChildSpan(parent, h)), element);
   if (at == kNpos) {
     return status::Internal("element missing from its parent's child list");
   }
   // Splice children into the parent at the element's position.
   Span<NodeId> own = children(element);
   std::vector<NodeId> kids(own.begin(), own.end());
-  child_pool_.Release(&children_[element]);
-  child_pool_.Replace(&siblings, at, 1, kids.begin(), kids.size());
+  child_pool_.Release(&children_.Mutable(element));
+  child_pool_.Replace(&ChildList(parent, h), at, 1, kids.begin(),
+                      kids.size());
   for (NodeId child : kids) {
     if (is_leaf(child)) {
-      LeafParent(child, h) = parent;
+      MutableLeafParent(child, h) = parent;
     } else {
-      parent_[child] = parent;
+      parent_.Mutable(child) = parent;
     }
   }
-  parent_[element] = kInvalidNode;
+  parent_.Mutable(element) = kInvalidNode;
   --num_elements_;
   return Status::Ok();
 }
@@ -228,71 +240,73 @@ size_t MapDeleted(size_t x, size_t d1, size_t d2) {
 }  // namespace
 
 Status Goddag::InsertText(size_t offset, std::string_view text) {
-  if (offset > content_.size()) {
+  if (offset > content_->size()) {
     return status::OutOfRange(StrFormat(
         "insert offset %zu outside content of size %zu", offset,
-        content_.size()));
+        content_->size()));
   }
   if (text.empty()) return Status::Ok();
 
   if (leaves_.empty()) {
     // Empty document: create the first leaf under every root list.
-    content_.append(text);
+    MutableContent().append(text);
     NodeId leaf = AllocNode(NodeKind::kLeaf);
-    chars_[leaf] = Interval(0, content_.size());
+    chars_.Mutable(leaf) = Interval(0, content_->size());
     leaves_.push_back(leaf);
     for (HierarchyId h = 0; h < num_hierarchies_; ++h) {
-      LeafParent(leaf, h) = root_;
+      MutableLeafParent(leaf, h) = root_;
       child_pool_.Append(&root_children_[h], leaf);
     }
     RenumberLeaves();
-    chars_[root_] = Interval(0, content_.size());
+    chars_.Mutable(root_) = Interval(0, content_->size());
     return Status::Ok();
   }
 
   // The absorbing leaf: the one containing `offset`; appending at the
   // very end extends the last leaf.
-  size_t index = offset == content_.size() ? leaves_.size() - 1
-                                           : LeafIndexAtOffset(offset);
+  size_t index = offset == content_->size() ? leaves_.size() - 1
+                                            : LeafIndexAtOffset(offset);
   NodeId absorbing = leaves_[index];
   const size_t b = chars_[absorbing].begin;
   const size_t e = chars_[absorbing].end;
   const size_t len = text.size();
 
-  content_.insert(offset, text);
+  MutableContent().insert(offset, text);
   // Extents are unions of leaves, so every node either contains the
   // absorbing leaf (grow), lies entirely after it (shift), or is
   // untouched. Detached nodes are adjusted too, keeping them harmless.
-  for (NodeId n = 0; n < kind_.size(); ++n) {
-    Interval& iv = chars_[n];
-    if (n == absorbing || (iv.begin <= b && iv.end >= e &&
-                           !(iv.begin == iv.end))) {
-      if (iv.begin <= b && iv.end >= e) iv.end += len;
-      continue;
+  chars_.ForEachChunkMutable([&](size_t first, Interval* ivs, size_t count) {
+    for (size_t k = 0; k < count; ++k) {
+      Interval& iv = ivs[k];
+      if (first + k == absorbing ||
+          (iv.begin <= b && iv.end >= e && !(iv.begin == iv.end))) {
+        if (iv.begin <= b && iv.end >= e) iv.end += len;
+        continue;
+      }
+      if (iv.begin >= e) {
+        iv.begin += len;
+        iv.end += len;
+      }
     }
-    if (iv.begin >= e) {
-      iv.begin += len;
-      iv.end += len;
-    }
-  }
+  });
   return Status::Ok();
 }
 
 Status Goddag::DeleteText(const Interval& range) {
-  if (range.end > content_.size() || range.begin > range.end) {
+  if (range.end > content_->size() || range.begin > range.end) {
     return status::OutOfRange(StrFormat(
         "delete range [%zu,%zu) outside content of size %zu", range.begin,
-        range.end, content_.size()));
+        range.end, content_->size()));
   }
   if (range.empty()) return Status::Ok();
   const size_t d1 = range.begin;
   const size_t d2 = range.end;
 
   // Align the range with the leaf partition, then drop whole leaves.
-  if (d1 > 0 && d1 < content_.size()) {
+  if (d1 > 0 && d1 < content_->size()) {
     CXML_RETURN_IF_ERROR(SplitLeafAt(d1).status());
   }
-  if (d2 > 0 && d2 < content_.size()) {
+  if (d2 > 0 && d2 < content_->size()) {
     CXML_RETURN_IF_ERROR(SplitLeafAt(d2).status());
   }
   Interval doomed = LeavesCovering(Interval(d1, d2));
@@ -301,15 +315,16 @@ Status Goddag::DeleteText(const Interval& range) {
       UnlinkLeaf(leaves_[i], h);
     }
   }
-  leaves_.erase(leaves_.begin() + static_cast<ptrdiff_t>(doomed.begin),
-                leaves_.begin() + static_cast<ptrdiff_t>(doomed.end));
+  leaves_.Erase(doomed.begin, doomed.end);
   RenumberLeaves();
 
-  for (NodeId n = 0; n < kind_.size(); ++n) {
-    chars_[n].begin = MapDeleted(chars_[n].begin, d1, d2);
-    chars_[n].end = MapDeleted(chars_[n].end, d1, d2);
-  }
-  content_.erase(d1, d2 - d1);
+  chars_.ForEachChunkMutable([&](size_t, Interval* ivs, size_t count) {
+    for (size_t k = 0; k < count; ++k) {
+      ivs[k].begin = MapDeleted(ivs[k].begin, d1, d2);
+      ivs[k].end = MapDeleted(ivs[k].end, d1, d2);
+    }
+  });
+  MutableContent().erase(d1, d2 - d1);
   return Status::Ok();
 }
 
@@ -334,7 +349,7 @@ size_t Goddag::CoalesceLeaves() {
       }
       // The leaves must be adjacent siblings: a zero-width element
       // between them is a markup boundary that must survive.
-      Span<NodeId> siblings = child_pool_.View(ChildList(p, h));
+      Span<NodeId> siblings = child_pool_.View(ChildSpan(p, h));
       size_t at = IndexOf(siblings, left);
       if (at == kNpos || at + 1 >= siblings.size() ||
           siblings[at + 1] != right) {
@@ -345,9 +360,9 @@ size_t Goddag::CoalesceLeaves() {
       ++i;
       continue;
     }
-    chars_[left].end = chars_[right].end;
+    chars_.Mutable(left).end = chars_[right].end;
     for (HierarchyId h = 0; h < num_hierarchies_; ++h) UnlinkLeaf(right, h);
-    leaves_.erase(leaves_.begin() + static_cast<ptrdiff_t>(i) + 1);
+    leaves_.Erase(i + 1, i + 2);
     ++merges;
   }
   if (merges > 0) RenumberLeaves();

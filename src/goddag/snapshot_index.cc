@@ -370,10 +370,30 @@ std::shared_ptr<const SnapshotIndex> SnapshotIndex::Patch(
     dirty_nodes.push_back(n);
     return ++touched <= width_cap;
   };
+  // The arena walk reads the node arrays chunk by chunk.
+  constexpr size_t kChunk = ChunkedArray<NodeKind>::kChunkSize;
+  const NodeKind* kinds = nullptr;
+  const NodeId* parents = nullptr;
+  const uint32_t* leaf_indexes = nullptr;
+  const Interval* extents = nullptr;
+  const size_t num_leaves = g.num_leaves();
   for (size_t i = 0; i < prev_arena; ++i) {
+    const size_t k = i & (kChunk - 1);
+    if (k == 0) {
+      const size_t c = i / kChunk;
+      kinds = g.kind_.chunks().data(c);
+      parents = g.parent_.chunks().data(c);
+      leaf_indexes = g.leaf_index_.chunks().data(c);
+      extents = g.chars_.chunks().data(c);
+    }
     NodeId n = static_cast<NodeId>(i);
     const bool was = prev.rank_[n] != kUnranked;
-    const bool now = Attached(g, n);
+    bool now = true;  // the root
+    if (kinds[k] == NodeKind::kElement) {
+      now = parents[k] != kInvalidNode;
+    } else if (kinds[k] == NodeKind::kLeaf) {
+      now = leaf_indexes[k] < num_leaves && g.leaf_at(leaf_indexes[k]) == n;
+    }
     if (!was) {
       // No supported edit path re-attaches a detached node (undo of a
       // remove allocates a fresh id); seeing one means the clone
@@ -388,7 +408,7 @@ std::shared_ptr<const SnapshotIndex> SnapshotIndex::Patch(
       continue;
     }
     const uint32_t r = prev.rank_[n];
-    Interval iv = g.char_range(n);
+    const Interval& iv = extents[k];
     if (iv.begin == prev.order_begins_[r] &&
         iv.end == prev.order_ends_[r]) {
       continue;  // untouched: rides the shared spine

@@ -1,5 +1,5 @@
 // Structural invariant checker for GODDAGs (Goddag::Validate, invariants
-// I1–I5 in goddag.h, plus the flat storage's bookkeeping). Run after
+// I1–I5 in goddag.h, plus the chunked storage's bookkeeping). Run after
 // construction and mutation in tests and by the editor in paranoid mode.
 
 #include <algorithm>
@@ -71,17 +71,64 @@ Status CheckSubtree(const Goddag& g, HierarchyId h, NodeId node,
   return Status::Ok();
 }
 
-/// The lists of one pool: every span lies inside the pool's `pool_size`
-/// entries, no two overlap (an overrun that stays inside the pool is
-/// invisible to ASan), and the entries they leave over are the pool's
-/// `dead` count.
+/// The chunk table of a node array: full chunks of kChunkSize entries
+/// but the last, whose entries in use end the array.
+template <typename T>
+Status CheckArrayChunks(const char* array, const ChunkedArray<T>& a) {
+  const CowChunks<T>& chunks = a.chunks();
+  const size_t k = CowChunks<T>::kChunkSize;
+  if (chunks.num_chunks() != (a.size() + k - 1) / k) {
+    return status::Internal(StrFormat(
+        "%s array: %zu chunks for %zu entries", array, chunks.num_chunks(),
+        a.size()));
+  }
+  for (size_t c = 0; c < chunks.num_chunks(); ++c) {
+    const size_t used = std::min(k, a.size() - c * k);
+    if (chunks.capacity(c) != k || chunks.used(c) != used) {
+      return status::Internal(StrFormat(
+          "%s array: chunk %zu holds %zu of %zu entries, expected %zu of "
+          "%zu",
+          array, c, chunks.used(c), chunks.capacity(c), used, k));
+    }
+  }
+  return Status::Ok();
+}
+
+/// The lists of one pool: every span lies inside its chunk's entries in
+/// use, so no list crosses a chunk boundary; no two overlap (an overrun
+/// that stays inside the pool is invisible to ASan); chunk 0 holds
+/// nothing; a list longer than a chunk has a chunk of its own; and the
+/// entries the lists leave over are the pool's `dead` count.
+template <typename T>
 Status CheckPool(const char* pool, std::vector<PoolSpan> spans,
-                 size_t pool_size, size_t dead) {
+                 const Pool<T>& p) {
+  const CowChunks<T>& chunks = p.chunks();
+  const size_t k = CowChunks<T>::kChunkSize;
+  if (chunks.num_chunks() == 0 || chunks.capacity(0) != 0) {
+    return status::Internal(
+        StrFormat("%s pool: chunk 0 is not the empty chunk", pool));
+  }
+  size_t entries = 0;
+  for (size_t c = 0; c < chunks.num_chunks(); ++c) {
+    if (chunks.used(c) > chunks.capacity(c) ||
+        (c > 0 && chunks.capacity(c) < k)) {
+      return status::Internal(StrFormat(
+          "%s pool: chunk %zu uses %zu of %zu entries", pool, c,
+          chunks.used(c), chunks.capacity(c)));
+    }
+    entries += chunks.used(c);
+  }
+  if (entries != p.size()) {
+    return status::Internal(StrFormat(
+        "%s pool: %zu entries counted, chunks hold %zu", pool, p.size(),
+        entries));
+  }
   std::sort(spans.begin(), spans.end(),
             [](const PoolSpan& a, const PoolSpan& b) {
               return a.begin < b.begin;
             });
   size_t owned = 0;
+  size_t chunk = 0;
   size_t covered_to = 0;
   for (const PoolSpan& s : spans) {
     if (s.size > s.capacity) {
@@ -90,23 +137,33 @@ Status CheckPool(const char* pool, std::vector<PoolSpan> spans,
           s.begin, s.size, s.capacity));
     }
     if (s.capacity == 0) continue;
-    if (size_t{s.begin} + s.capacity > pool_size) {
+    const size_t c = s.begin >> CowChunks<T>::kShift;
+    const size_t offset = s.begin & CowChunks<T>::kMask;
+    if (c == 0 || c >= chunks.num_chunks() ||
+        offset + s.capacity > chunks.used(c)) {
       return status::Internal(StrFormat(
-          "%s pool: list [%u,+%u) runs past the pool's %zu entries", pool,
-          s.begin, s.capacity, pool_size));
+          "%s pool: list [%zu:%zu,+%u) runs past its chunk's entries in use",
+          pool, c, offset, s.capacity));
     }
-    if (s.begin < covered_to) {
+    if (s.capacity > k && (offset != 0 || chunks.used(c) != s.capacity)) {
       return status::Internal(StrFormat(
-          "%s pool: list at %u overlaps the list before it (ends at %zu)",
-          pool, s.begin, covered_to));
+          "%s pool: list of %u entries at %zu:%zu shares its chunk", pool,
+          s.capacity, c, offset));
     }
-    covered_to = size_t{s.begin} + s.capacity;
+    if (c == chunk && offset < covered_to) {
+      return status::Internal(StrFormat(
+          "%s pool: list at %zu:%zu overlaps the list before it (ends at "
+          "%zu)",
+          pool, c, offset, covered_to));
+    }
+    chunk = c;
+    covered_to = offset + s.capacity;
     owned += s.capacity;
   }
-  if (pool_size - owned != dead) {
+  if (p.size() - owned != p.dead()) {
     return status::Internal(StrFormat(
-        "%s pool: %zu dead entries counted, %zu found", pool, dead,
-        pool_size - owned));
+        "%s pool: %zu dead entries counted, %zu found", pool, p.dead(),
+        p.size() - owned));
   }
   return Status::Ok();
 }
@@ -132,14 +189,14 @@ Status Goddag::Validate() const {
     }
     if (leaf_index_[leaf] != i) {
       return status::Internal(StrFormat(
-          "I1: leaf %zu has stale index %zu", i, leaf_index_[leaf]));
+          "I1: leaf %zu has stale index %u", i, leaf_index_[leaf]));
     }
     cursor = iv.end;
   }
-  if (cursor != content_.size()) {
+  if (cursor != content_->size()) {
     return status::Internal(StrFormat(
         "I1: leaves cover [0,%zu), content has size %zu", cursor,
-        content_.size()));
+        content_->size()));
   }
 
   // I2 is implied by I4 (contiguous tiling) + I1, but check leaf ranges
@@ -161,10 +218,10 @@ Status Goddag::Validate() const {
       CXML_RETURN_IF_ERROR(
           CheckSubtree(*this, h, child, root_, &leaf_seen, &elements));
     }
-    if (root_cursor != content_.size()) {
+    if (root_cursor != content_->size()) {
       return status::Internal(StrFormat(
           "I4: hierarchy %u root children end at %zu, expected %zu", h,
-          root_cursor, content_.size()));
+          root_cursor, content_->size()));
     }
     for (size_t i = 0; i < leaf_seen.size(); ++i) {
       if (leaf_seen[i] != 1) {
@@ -181,13 +238,31 @@ Status Goddag::Validate() const {
         "%zu attached elements counted, %zu found", num_elements_,
         elements));
   }
+  const size_t arena = kind_.size();
+  if (tag_.size() != arena || hierarchy_.size() != arena ||
+      attrs_.size() != arena || parent_.size() != arena ||
+      children_.size() != arena || chars_.size() != arena ||
+      leaf_index_.size() != arena ||
+      leaf_parents_.size() != arena * num_hierarchies_) {
+    return status::Internal(
+        StrFormat("node arrays disagree on the arena size %zu", arena));
+  }
+  CXML_RETURN_IF_ERROR(CheckArrayChunks("kind", kind_));
+  CXML_RETURN_IF_ERROR(CheckArrayChunks("tag", tag_));
+  CXML_RETURN_IF_ERROR(CheckArrayChunks("hierarchy", hierarchy_));
+  CXML_RETURN_IF_ERROR(CheckArrayChunks("attribute list", attrs_));
+  CXML_RETURN_IF_ERROR(CheckArrayChunks("parent", parent_));
+  CXML_RETURN_IF_ERROR(CheckArrayChunks("child list", children_));
+  CXML_RETURN_IF_ERROR(CheckArrayChunks("extent", chars_));
+  CXML_RETURN_IF_ERROR(CheckArrayChunks("leaf index", leaf_index_));
+  CXML_RETURN_IF_ERROR(CheckArrayChunks("leaf parent", leaf_parents_));
+  CXML_RETURN_IF_ERROR(CheckArrayChunks("leaf", leaves_));
   std::vector<PoolSpan> lists(root_children_);
   lists.insert(lists.end(), children_.begin(), children_.end());
-  CXML_RETURN_IF_ERROR(
-      CheckPool("child", std::move(lists), child_pool_.size(),
-                child_pool_.dead()));
-  return CheckPool("attribute", attrs_, attr_pool_.size(),
-                   attr_pool_.dead());
+  CXML_RETURN_IF_ERROR(CheckPool("child", std::move(lists), child_pool_));
+  return CheckPool("attribute",
+                   std::vector<PoolSpan>(attrs_.begin(), attrs_.end()),
+                   attr_pool_);
 }
 
 }  // namespace cxml::goddag

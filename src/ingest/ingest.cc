@@ -623,7 +623,8 @@ Result<ImportedDocument> Import(std::string_view source,
   // Hierarchy registration order is deterministic: backbone first, then
   // milestone units (sorted), fragmented tags (sorted), standoff.
   ImportedDocument out;
-  out.doc.cmh = std::make_unique<cmh::ConcurrentHierarchies>(parsed.root_tag);
+  auto cmh = std::make_shared<cmh::ConcurrentHierarchies>(parsed.root_tag);
+  out.doc.cmh = cmh;
   auto add_hierarchy = [&](const std::string& name,
                            const std::set<std::string>& tags) -> Status {
     auto dtd = dtd::ParseDtd(DtdFor(parsed.root_tag, tags));
@@ -632,7 +633,7 @@ Result<ImportedDocument> Import(std::string_view source,
                                             "' hierarchy DTD: ",
                                             dtd.status().message()));
     }
-    auto added = out.doc.cmh->AddHierarchy(name, std::move(dtd).value());
+    auto added = cmh->AddHierarchy(name, std::move(dtd).value());
     if (!added.ok()) {
       return status::InvalidArgument(StrCat("registering the '", name,
                                             "' hierarchy: ",

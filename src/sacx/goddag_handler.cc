@@ -16,26 +16,26 @@ Status GoddagHandler::StartDocument(std::string_view root_tag) {
                                 std::string(root_tag));
   g_->BindCmh(cmh_);
   stacks_.assign(cmh_->size(), {g_->root()});
+  content_.clear();
   return Status::Ok();
 }
 
 Status GoddagHandler::Characters(std::string_view text, size_t pos) {
   if (text.empty()) return Status::Ok();
-  if (pos != g_->content_.size()) {
+  if (pos != content_.size()) {
     return status::Internal(StrFormat(
-        "fragment at %zu, but content has %zu chars", pos,
-        g_->content_.size()));
+        "fragment at %zu, but content has %zu chars", pos, content_.size()));
   }
-  g_->content_ += text;
+  content_ += text;
   NodeId leaf = g_->AllocNode(NodeKind::kLeaf);
-  g_->chars_[leaf] = Interval(pos, pos + text.size());
-  g_->leaf_index_[leaf] = g_->leaves_.size();
+  g_->chars_.Mutable(leaf) = Interval(pos, pos + text.size());
+  g_->leaf_index_.Mutable(leaf) = static_cast<uint32_t>(g_->leaves_.size());
   g_->leaves_.push_back(leaf);
   // The leaf hangs off the innermost open node of every hierarchy.
   for (HierarchyId h = 0; h < g_->num_hierarchies(); ++h) {
     NodeId top = stacks_[h].back();
     g_->child_pool_.Append(&g_->ChildList(top, h), leaf);
-    g_->LeafParent(leaf, h) = top;
+    g_->MutableLeafParent(leaf, h) = top;
   }
   return Status::Ok();
 }
@@ -43,13 +43,13 @@ Status GoddagHandler::Characters(std::string_view text, size_t pos) {
 Status GoddagHandler::StartElement(HierarchyId hierarchy,
                                    const xml::Event& event, size_t pos) {
   NodeId node = g_->AllocNode(NodeKind::kElement);
-  g_->tag_[node] = g_->InternTag(event.name);
-  g_->hierarchy_[node] = hierarchy;
-  g_->attr_pool_.Replace(&g_->attrs_[node], 0, 0, event.attrs.begin(),
-                         event.attrs.size());
-  g_->chars_[node] = Interval(pos, pos);
+  g_->tag_.Mutable(node) = g_->InternTag(event.name);
+  g_->hierarchy_.Mutable(node) = hierarchy;
+  g_->attr_pool_.Replace(&g_->attrs_.Mutable(node), 0, 0,
+                         event.attrs.begin(), event.attrs.size());
+  g_->chars_.Mutable(node) = Interval(pos, pos);
   NodeId top = stacks_[hierarchy].back();
-  g_->parent_[node] = top;
+  g_->parent_.Mutable(node) = top;
   g_->child_pool_.Append(&g_->ChildList(top, hierarchy), node);
   ++g_->num_elements_;
   stacks_[hierarchy].push_back(node);
@@ -68,7 +68,7 @@ Status GoddagHandler::EndElement(HierarchyId hierarchy, std::string_view tag,
         StrCat("SACX end tag '", std::string(tag), "' closes '",
                g_->tag(node), "'"));
   }
-  g_->chars_[node].end = pos;
+  g_->chars_.Mutable(node).end = pos;
   stack.pop_back();
   return Status::Ok();
 }
@@ -81,7 +81,9 @@ Status GoddagHandler::EndDocument() {
           stacks_[h].size() - 1));
     }
   }
-  g_->chars_[g_->root()] = Interval(0, g_->content_.size());
+  g_->chars_.Mutable(g_->root()) = Interval(0, content_.size());
+  g_->content_ = std::make_shared<const std::string>(std::move(content_));
+  content_.clear();
   g_->CompactPools();
   finished_ = true;
   return Status::Ok();

@@ -34,6 +34,8 @@ class GoddagHandler : public SacxHandler {
  private:
   const cmh::ConcurrentHierarchies* cmh_;
   std::unique_ptr<goddag::Goddag> g_;
+  /// The content read so far; the GODDAG gets it at EndDocument.
+  std::string content_;
   /// Per-hierarchy stack of open nodes (bottom = root).
   std::vector<std::vector<goddag::NodeId>> stacks_;
   bool finished_ = false;

@@ -21,8 +21,9 @@ namespace cxml::service {
 class DocumentStore;
 
 /// A copy-on-write edit over one document: `BeginEdit` clones the
-/// current snapshot (the structural storage::Clone — an in-memory
-/// arena copy, no serializer round trip), the caller mutates the
+/// current snapshot (the structural storage::Clone — the copy shares
+/// the snapshot's storage chunks and copies one the first time it
+/// writes it; no serializer round trip), the caller mutates the
 /// private copy through the prevalidating `edit::EditSession`, and
 /// WritePipeline::SubmitCommit publishes it as the next version.
 /// Readers holding the old snapshot are never blocked and never

@@ -45,7 +45,8 @@ struct DocumentSnapshot {
   /// same-name re-registration (whose versions restart at 1), so stale
   /// transactions and cache entries can never cross that boundary.
   uint64_t generation = 0;
-  std::unique_ptr<cmh::ConcurrentHierarchies> cmh;
+  /// Shared by every version of the document (edits never change it).
+  std::shared_ptr<const cmh::ConcurrentHierarchies> cmh;
   std::unique_ptr<goddag::Goddag> goddag;
 
   /// How the index was produced, reported to the one Index() call that

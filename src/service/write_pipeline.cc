@@ -30,6 +30,9 @@ WritePipeline::WritePipeline(DocumentStore* store, ThreadPool* pool,
   batched_edits_ = r->GetCounter("cxml_write_batched_edits_total");
   errors_ = r->GetCounter("cxml_write_errors_total");
   commit_us_ = r->GetHistogram("cxml_commit_us");
+  clone_us_ = r->GetHistogram("cxml_write_clone_us");
+  apply_us_ = r->GetHistogram("cxml_write_apply_us");
+  publish_us_ = r->GetHistogram("cxml_write_publish_us");
 }
 
 std::future<EditResponse> WritePipeline::SubmitEdit(
@@ -175,6 +178,8 @@ void WritePipeline::RunGroup(const std::string& document,
     for (PendingWrite& entry : *group) Fail(&entry, txn.status());
     return;
   }
+  clone_us_->Observe(MicrosSince(start));
+  SteadyClock::time_point applying = SteadyClock::now();
   std::vector<Status> statuses(group->size());
   size_t applied = 0;
   for (size_t i = 0; i < group->size(); ++i) {
@@ -201,6 +206,7 @@ void WritePipeline::RunGroup(const std::string& document,
       return;
     }
   }
+  apply_us_->Observe(MicrosSince(applying));
   if (applied == 0) {
     // Every op-set failed its own way; nothing to publish, so no
     // version bump and no listener fire.
@@ -211,7 +217,9 @@ void WritePipeline::RunGroup(const std::string& document,
   }
   // The pipeline is the only committer, so this publish fails only
   // when the document was removed or replaced outside it.
+  SteadyClock::time_point publishing = SteadyClock::now();
   auto published = txn->Commit();
+  publish_us_->Observe(MicrosSince(publishing));
   if (!published.ok()) {
     for (size_t i = 0; i < group->size(); ++i) {
       Fail(&(*group)[i],
@@ -263,6 +271,7 @@ void WritePipeline::RunExclusive(const std::string& document,
       // Deterministic: a stale cross-frame transaction loses with
       // FailedPrecondition no matter where it sat in the queue.
       published = entry->txn->Commit();
+      publish_us_->Observe(MicrosSince(start));
       batch.document = entry->txn->document();
       batch.replayable = !entry->wal_op_sets.empty();
       batch.op_sets = std::move(entry->wal_op_sets);

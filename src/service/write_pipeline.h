@@ -122,9 +122,10 @@ class WritePipeline {
   /// `store` and `pool` must outlive the pipeline; the owner
   /// (QueryService hands its dedicated writer pool) must drain the
   /// pool before the pipeline dies. `registry` receives the pipeline's
-  /// counters (cxml_write_*_total) and the group-commit latency
-  /// histogram (cxml_commit_us); without one the pipeline keeps them
-  /// in a private registry.
+  /// counters (cxml_write_*_total), the group-commit latency histogram
+  /// (cxml_commit_us) and its stages (cxml_write_clone_us,
+  /// cxml_write_apply_us, cxml_write_publish_us); without one the
+  /// pipeline keeps them in a private registry.
   WritePipeline(DocumentStore* store, ThreadPool* pool,
                 obs::Registry* registry = nullptr);
 
@@ -231,6 +232,14 @@ class WritePipeline {
   obs::Counter* errors_ = nullptr;
   /// Group/exclusive commit latency: clone + apply + publish, per run.
   obs::Histogram* commit_us_ = nullptr;
+  /// The write path split into its stages, per run: the clone (pin the
+  /// snapshot, storage::Clone, EditSession::Start), the op-sets
+  /// (rejected ones included), and the publish (Commit, Publish and the
+  /// listeners). A cross-frame transaction cloned at EBEGIN reports only
+  /// its publish.
+  obs::Histogram* clone_us_ = nullptr;
+  obs::Histogram* apply_us_ = nullptr;
+  obs::Histogram* publish_us_ = nullptr;
 };
 
 }  // namespace cxml::service

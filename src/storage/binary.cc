@@ -143,8 +143,7 @@ Result<LoadedGoddag> Load(std::string_view bytes) {
     return status::ParseError("snapshot hierarchy count exceeds data size");
   }
 
-  LoadedGoddag out;
-  out.cmh = std::make_unique<cmh::ConcurrentHierarchies>(root_tag);
+  auto cmh = std::make_shared<cmh::ConcurrentHierarchies>(root_tag);
   for (uint32_t h = 0; h < num_h; ++h) {
     CXML_ASSIGN_OR_RETURN(std::string name, r.Str());
     CXML_ASSIGN_OR_RETURN(std::string dtd_text, r.Str());
@@ -154,7 +153,7 @@ Result<LoadedGoddag> Load(std::string_view bytes) {
           StrCat("snapshot DTD of hierarchy '", name, "'"));
     }
     CXML_RETURN_IF_ERROR(
-        out.cmh->AddHierarchy(std::move(name), std::move(dtd).value())
+        cmh->AddHierarchy(std::move(name), std::move(dtd).value())
             .status());
   }
 
@@ -199,16 +198,18 @@ Result<LoadedGoddag> Load(std::string_view bytes) {
     return status::ParseError("trailing bytes after GODDAG snapshot");
   }
 
-  auto g = drivers::BuildGoddagFromExtents(*out.cmh, std::move(content),
+  auto g = drivers::BuildGoddagFromExtents(*cmh, std::move(content),
                                            std::move(elements));
   if (!g.ok()) return g.status().WithContext("reconstructing snapshot");
+  LoadedGoddag out;
+  out.cmh = std::move(cmh);
   out.g = std::make_unique<goddag::Goddag>(std::move(g).value());
   return out;
 }
 
 namespace {
 
-/// Compaction thresholds: the structural clone copies the arena and the
+/// Compaction thresholds: the structural clone shares the arena and the
 /// pools verbatim — garbage included — so without a pressure valve a
 /// long-lived document whose edits keep getting rejected (normal
 /// traffic) would grow them monotonically across versions. The old
@@ -240,12 +241,13 @@ bool ShouldCompactPools(const goddag::Goddag& g) {
 Result<LoadedGoddag> Clone(const goddag::Goddag& g) {
   if (g.cmh() == nullptr) {
     return status::FailedPrecondition(
-        "Clone requires a GODDAG with a bound CMH (the private copy "
-        "carries its own schema)");
+        "Clone requires a GODDAG with a bound CMH (the copy carries "
+        "its schema)");
   }
   if (ShouldCompactArena(g)) return CloneViaSnapshot(g);
   LoadedGoddag out;
-  out.cmh = g.cmh()->Clone();
+  out.cmh = g.cmh()->weak_from_this().lock();
+  if (out.cmh == nullptr) out.cmh = g.cmh()->Clone();
   out.g = std::make_unique<goddag::Goddag>(g.Clone(out.cmh.get()));
   if (ShouldCompactPools(*out.g)) out.g->CompactPools();
   return out;

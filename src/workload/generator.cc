@@ -181,8 +181,11 @@ Result<SyntheticCorpus> GenerateManuscript(const GeneratorParams& params) {
         std::max<size_t>(1, params.annotation_chars / 2),
         params.annotation_chars * 3 / 2);
 
+    // Density 0 places none; any positive density at least one.
     std::vector<Interval> ranges;
-    size_t pos = gap_dist(rng) % std::max<size_t>(1, content.size());
+    size_t pos = params.annotation_density > 0
+                     ? gap_dist(rng) % std::max<size_t>(1, content.size())
+                     : content.size();
     while (pos < content.size()) {
       size_t len = len_dist(rng);
       size_t end = std::min(pos + len, content.size());

@@ -66,6 +66,34 @@ TEST(HierarchyTest, CompileAll) {
   EXPECT_EQ(compiled->size(), 4u);
 }
 
+TEST(HierarchyTest, CompiledAutomataCompileOncePerCmh) {
+  auto cmh = workload::MakeBoethiusCmh();
+  ASSERT_TRUE(cmh.ok()) << cmh.status();
+  auto first = cmh->CompiledAutomata();
+  auto second = cmh->CompiledAutomata();
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_EQ(*first, *second);
+  EXPECT_EQ((*first)->size(), 4u);
+  // A copy compiles its own, against its own DTDs.
+  auto copy = cmh->Clone()->CompiledAutomata();
+  ASSERT_TRUE(copy.ok());
+  EXPECT_NE(*copy, *first);
+}
+
+TEST(HierarchyTest, NondeterministicModelFailsCompileNotRegistration) {
+  ConcurrentHierarchies cmh("r");
+  auto added = cmh.AddHierarchy(
+      "h", MustParseDtd("<!ELEMENT r ((b,c)|(b,d))>"
+                        "<!ELEMENT b EMPTY><!ELEMENT c EMPTY>"
+                        "<!ELEMENT d EMPTY>"));
+  ASSERT_TRUE(added.ok()) << added.status();
+  // Every caller (each edit) sees the failure, not just the first.
+  EXPECT_EQ(cmh.CompiledAutomata().status().code(),
+            StatusCode::kValidationError);
+  EXPECT_EQ(cmh.CompiledAutomata().status().code(),
+            StatusCode::kValidationError);
+}
+
 // ------------------------------------------------------------ extents
 
 TEST(ExtentTest, ComputeExtents) {

@@ -461,5 +461,163 @@ TEST(GoddagBasicTest, ChildListsRelocateAndRepack) {
   EXPECT_EQ(g.root_children(1).size(), g.num_leaves());
 }
 
+// ------------------------------------------------ copy-on-write chunks
+
+constexpr size_t kChunk = ChunkedArray<uint32_t>::kChunkSize;
+
+ChunkedArray<uint32_t> Iota(size_t n) {
+  ChunkedArray<uint32_t> a;
+  for (size_t i = 0; i < n; ++i) a.push_back(static_cast<uint32_t>(i));
+  return a;
+}
+
+std::vector<uint32_t> Values(const ChunkedArray<uint32_t>& a) {
+  return std::vector<uint32_t>(a.begin(), a.end());
+}
+
+TEST(ChunkedStorageTest, CopySharesEveryChunk) {
+  ChunkedArray<uint32_t> a = Iota(3 * kChunk + 7);
+  ChunkedArray<uint32_t> b(a);
+  ASSERT_EQ(b.chunks().num_chunks(), 4u);
+  for (size_t c = 0; c < 4; ++c) {
+    EXPECT_TRUE(b.chunks().SharesChunk(a.chunks(), c)) << c;
+  }
+  EXPECT_EQ(Values(b), Values(a));
+  EXPECT_EQ(b.chunks().chunk_copies(), 0u);
+}
+
+TEST(ChunkedStorageTest, FirstWriteCopiesExactlyOneChunk) {
+  ChunkedArray<uint32_t> a = Iota(3 * kChunk);
+  ChunkedArray<uint32_t> b(a);
+  b.Mutable(kChunk + 3) = 99;
+  EXPECT_EQ(b.chunks().chunk_copies(), 1u);
+  EXPECT_TRUE(b.chunks().SharesChunk(a.chunks(), 0));
+  EXPECT_FALSE(b.chunks().SharesChunk(a.chunks(), 1));
+  EXPECT_TRUE(b.chunks().SharesChunk(a.chunks(), 2));
+  // The copy owns that chunk now: a second write stays in place.
+  b.Mutable(kChunk + 4) = 98;
+  EXPECT_EQ(b.chunks().chunk_copies(), 1u);
+  EXPECT_EQ(a[kChunk + 3], kChunk + 3);
+  EXPECT_EQ(b[kChunk + 3], 99u);
+  EXPECT_EQ(b[kChunk + 5], kChunk + 5);
+}
+
+TEST(ChunkedStorageTest, AppendTouchesOnlyTheTail) {
+  ChunkedArray<uint32_t> a = Iota(2 * kChunk + 5);
+  ChunkedArray<uint32_t> b(a);
+  b.push_back(7);
+  EXPECT_EQ(b.chunks().chunk_copies(), 1u);
+  EXPECT_TRUE(b.chunks().SharesChunk(a.chunks(), 0));
+  EXPECT_TRUE(b.chunks().SharesChunk(a.chunks(), 1));
+  EXPECT_FALSE(b.chunks().SharesChunk(a.chunks(), 2));
+  // Filling the tail and going on opens a new chunk and copies nothing.
+  while (b.size() < 3 * kChunk + 1) b.push_back(1);
+  EXPECT_EQ(b.chunks().chunk_copies(), 1u);
+  EXPECT_EQ(b.chunks().num_chunks(), 4u);
+  EXPECT_EQ(a.size(), 2 * kChunk + 5);
+  EXPECT_EQ(Values(a), Values(Iota(2 * kChunk + 5)));
+}
+
+TEST(ChunkedStorageTest, CloneAndSourceBothKeepMutating) {
+  ChunkedArray<uint32_t> a = Iota(kChunk + 10);
+  ChunkedArray<uint32_t> b(a);
+  // Neither side owns a shared chunk after the copy, the source included.
+  a.Mutable(0) = 1000;
+  b.Mutable(0) = 2000;
+  a.push_back(1);
+  b.push_back(2);
+  EXPECT_EQ(a.chunks().chunk_copies(), 2u);
+  EXPECT_EQ(b.chunks().chunk_copies(), 2u);
+  EXPECT_EQ(a[0], 1000u);
+  EXPECT_EQ(b[0], 2000u);
+  EXPECT_EQ(a[kChunk + 10], 1u);
+  EXPECT_EQ(b[kChunk + 10], 2u);
+  ChunkedArray<uint32_t> c(b);
+  c.Mutable(1) = 3000;
+  b.Mutable(1) = 4000;
+  EXPECT_EQ(c[0], 2000u);
+  EXPECT_EQ(c[1], 3000u);
+  EXPECT_EQ(b[1], 4000u);
+  EXPECT_EQ(a[1], 1u);
+}
+
+TEST(ChunkedStorageTest, InsertAndEraseShiftAcrossChunks) {
+  std::vector<uint32_t> expected = Values(Iota(3 * kChunk + 3));
+  ChunkedArray<uint32_t> a = Iota(3 * kChunk + 3);
+  ChunkedArray<uint32_t> keep(a);
+  a.Insert(5, 77);
+  expected.insert(expected.begin() + 5, 77);
+  a.Insert(2 * kChunk, 78);
+  expected.insert(expected.begin() + 2 * kChunk, 78);
+  a.Insert(a.size(), 79);
+  expected.push_back(79);
+  EXPECT_EQ(Values(a), expected);
+  a.Erase(kChunk - 2, 2 * kChunk + 3);
+  expected.erase(expected.begin() + kChunk - 2,
+                 expected.begin() + 2 * kChunk + 3);
+  EXPECT_EQ(Values(a), expected);
+  EXPECT_EQ(a.chunks().num_chunks(), (a.size() + kChunk - 1) / kChunk);
+  EXPECT_EQ(Values(keep), Values(Iota(3 * kChunk + 3)));
+}
+
+TEST(ChunkedStorageTest, PoolListsNeverCrossAChunk) {
+  Pool<NodeId> pool;
+  std::vector<PoolSpan> lists(4);
+  std::vector<std::vector<NodeId>> expected(4);
+  // Small lists grow by turns; one grows past a chunk.
+  for (NodeId i = 0; i < 3 * kChunk; ++i) {
+    const size_t l = i < kChunk ? i % 4 : 3;
+    pool.Append(&lists[l], i);
+    expected[l].push_back(i);
+  }
+  const auto& chunks = pool.chunks();
+  for (size_t l = 0; l < 4; ++l) {
+    Span<NodeId> view = pool.View(lists[l]);
+    EXPECT_EQ(std::vector<NodeId>(view.begin(), view.end()), expected[l]);
+    const size_t c = lists[l].begin >> CowChunks<NodeId>::kShift;
+    const size_t offset = lists[l].begin & CowChunks<NodeId>::kMask;
+    EXPECT_LE(offset + lists[l].capacity, chunks.used(c)) << l;
+  }
+  // The long list has a chunk of its own.
+  EXPECT_GT(lists[3].capacity, kChunk);
+  EXPECT_EQ(lists[3].begin & CowChunks<NodeId>::kMask, 0u);
+  // A copy of the pool shares the chunks; writing one list of the copy
+  // leaves the source's lists as they were.
+  Pool<NodeId> copy(pool);
+  PoolSpan copied = lists[0];
+  copy.Insert(&copied, 0, 4242);
+  EXPECT_EQ(pool.View(lists[0])[0], expected[0][0]);
+  EXPECT_EQ(copy.View(copied)[0], 4242u);
+}
+
+TEST(GoddagBasicTest, CloneSharesStorageUntilWritten) {
+  Goddag g(std::string(20000, 'x'), 2);
+  for (size_t offset = 10; offset + 10 < 20000; offset += 20) {
+    ASSERT_TRUE(g.InsertElement(0, "a", {}, Interval(offset, offset + 10))
+                    .ok());
+  }
+  ASSERT_GT(g.arena_size(), 2 * kChunk);
+  auto collect = [](const Goddag& x) {
+    std::vector<std::pair<size_t, size_t>> out;
+    for (NodeId e : x.AllElements()) {
+      out.emplace_back(x.char_range(e).begin, x.char_range(e).end);
+    }
+    return out;
+  };
+  const auto before = collect(g);
+  Goddag copy = g.Clone();
+  ASSERT_TRUE(copy.InsertElement(1, "b", {}, Interval(15, 1015)).ok());
+  ASSERT_TRUE(g.InsertElement(1, "c", {}, Interval(25, 45)).ok());
+  EXPECT_TRUE(copy.Validate().ok()) << copy.Validate();
+  EXPECT_TRUE(g.Validate().ok()) << g.Validate();
+  EXPECT_EQ(copy.ElementsByTag("b").size(), 1u);
+  EXPECT_TRUE(copy.ElementsByTag("c").empty());
+  EXPECT_TRUE(g.ElementsByTag("b").empty());
+  EXPECT_EQ(g.ElementsByTag("c").size(), 1u);
+  EXPECT_EQ(collect(g).size(), before.size() + 1);
+  ASSERT_TRUE(g.RemoveElement(g.ElementsByTag("c")[0]).ok());
+  EXPECT_EQ(collect(g), before);
+}
+
 }  // namespace
 }  // namespace cxml::goddag

@@ -435,6 +435,107 @@ TEST_F(ServiceTest, ConcurrentReadersWhileEditing) {
   EXPECT_TRUE((*snap)->goddag->Validate().ok());
 }
 
+/// Versions share storage chunks with the clones made from them. Readers
+/// query version N and Save it while the pipeline's clones of N mutate
+/// and publish N+1..N+k; then a transaction begun on N (an EBEGIN) is
+/// written after N is released. No version's CXG1 bytes or answers may
+/// change. CI runs this under ThreadSanitizer, which flags a clone
+/// writing a chunk a reader of another version may hold.
+TEST_F(ServiceTest, CopyOnWriteVersionsStayFixedUnderWrites) {
+  QueryService service(&store_, {/*num_threads=*/2, /*cache_capacity=*/64});
+  auto first = store_.GetSnapshot("ms");
+  ASSERT_TRUE(first.ok());
+  SnapshotPtr pinned = *first;
+  auto n_bytes = storage::Save(*pinned->goddag);
+  ASSERT_TRUE(n_bytes.ok());
+  const std::vector<std::string> queries = {
+      "count(//w)", "count(//a0)", "//w[overlapping::line]",
+      "count(//a0/overlapping::s)"};
+  std::vector<std::vector<std::string>> n_answers;
+  {
+    xpath::XPathEngine engine(*pinned->goddag);
+    for (const std::string& q : queries) {
+      auto answer = engine.EvaluateToStrings(q);
+      ASSERT_TRUE(answer.ok()) << answer.status();
+      n_answers.push_back(std::move(answer).value());
+    }
+  }
+  auto late = store_.BeginEdit("ms");
+  ASSERT_TRUE(late.ok()) << late.status();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, snap = pinned] {
+      xpath::XPathEngine engine(*snap->goddag);
+      for (int round = 0; round < 2 || !stop.load(); ++round) {
+        for (size_t q = 0; q < queries.size(); ++q) {
+          auto answer = engine.EvaluateToStrings(queries[q]);
+          if (!answer.ok() || *answer != n_answers[q]) ++mismatches;
+        }
+        auto bytes = storage::Save(*snap->goddag);
+        if (!bytes.ok() || *bytes != *n_bytes) ++mismatches;
+      }
+    });
+  }
+  constexpr int kCommits = 6;
+  std::vector<std::pair<SnapshotPtr, std::string>> published;
+  for (int c = 0; c < kCommits; ++c) {
+    CommitAnnotation(service, static_cast<size_t>(100 + 60 * c));
+    auto snap = store_.GetSnapshot("ms");
+    ASSERT_TRUE(snap.ok());
+    auto bytes = storage::Save(*(*snap)->goddag);
+    ASSERT_TRUE(bytes.ok());
+    published.emplace_back(*snap, *bytes);
+  }
+  stop = true;
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(store_.GetVersion("ms").value_or(0), 1u + kCommits);
+
+  // N is released everywhere but in the late transaction's clone, which
+  // now writes: it copies each chunk it touches, so the published
+  // versions sharing those chunks keep their bytes.
+  pinned.reset();
+  first = status::Internal("released");
+  edit::EditSession& session = late->session();
+  size_t offset = FindFreeA0Gap(session.goddag(), 900, kAnnotationLen);
+  ASSERT_TRUE(session.Select(Interval(offset, offset + kAnnotationLen)).ok());
+  ASSERT_TRUE(session.Apply(2, "a0").ok());
+  EXPECT_TRUE(late->goddag().Validate().ok()) << late->goddag().Validate();
+  for (const auto& [snap, bytes] : published) {
+    auto now = storage::Save(*snap->goddag);
+    ASSERT_TRUE(now.ok());
+    EXPECT_EQ(*now, bytes) << "version " << snap->version << " moved";
+  }
+  // Its base is stale, so it loses the optimistic check.
+  EXPECT_EQ(Commit(service, std::move(late).value()).status.code(),
+            StatusCode::kFailedPrecondition);
+}
+
+/// The write path is timed stage by stage: each group commit reports its
+/// clone and its op-sets (rejected ones too), and a publish when one of
+/// them was accepted.
+TEST_F(ServiceTest, WritePipelineTimesCloneApplyAndPublish) {
+  obs::Registry registry;
+  QueryServiceOptions options;
+  options.num_threads = 2;
+  options.cache_capacity = 64;
+  options.registry = &registry;
+  QueryService service(&store_, options);
+  CommitAnnotation(service, 300);
+  EditResponse rejected = service.ExecuteEdit(
+      "ms", [](edit::EditSession& session) -> Status {
+        return session.Apply(2, "no-such-tag").status();
+      });
+  EXPECT_FALSE(rejected.ok());
+  EXPECT_EQ(registry.GetHistogram("cxml_write_clone_us")->Count(), 2u);
+  EXPECT_EQ(registry.GetHistogram("cxml_write_apply_us")->Count(), 2u);
+  EXPECT_EQ(registry.GetHistogram("cxml_write_publish_us")->Count(), 1u);
+  EXPECT_EQ(registry.GetHistogram("cxml_commit_us")->Count(), 1u);
+}
+
 /// Uncached submissions on one version evaluate at once, each on its
 /// own engine over the version's one shared index, and all agree —
 /// with each other and with a naive-scan engine on the same snapshot.

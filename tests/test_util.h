@@ -115,7 +115,7 @@ inline void ExpectCloneEquivalence(
 
   EXPECT_TRUE(structural->g->Validate().ok()) << structural->g->Validate();
   EXPECT_EQ(structural->g->cmh(), structural->cmh.get())
-      << "structural clone must bind its own CMH copy";
+      << "structural clone must bind the CMH it carries";
 
   auto structural_bytes = storage::Save(*structural->g);
   auto oracle_bytes = storage::Save(*oracle->g);

@@ -78,6 +78,26 @@ TEST(GeneratorTest, ScalesHierarchyCount) {
   }
 }
 
+TEST(GeneratorTest, ZeroAnnotationDensityPlacesNone) {
+  GeneratorParams params;
+  params.content_chars = 2000;
+  params.annotation_density = 0.0;
+  auto corpus = GenerateManuscript(params);
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  auto g = goddag::Builder::Build(*corpus->doc);
+  ASSERT_TRUE(g.ok()) << g.status();
+  EXPECT_TRUE(g->ElementsByTag("a0").empty());
+  EXPECT_TRUE(g->ElementsByTag("a1").empty());
+  // The other hierarchies are as at any density.
+  EXPECT_FALSE(g->ElementsByTag("w").empty());
+  params.annotation_density = 0.1;
+  auto sparse = GenerateManuscript(params);
+  ASSERT_TRUE(sparse.ok()) << sparse.status();
+  auto h = goddag::Builder::Build(*sparse->doc);
+  ASSERT_TRUE(h.ok()) << h.status();
+  EXPECT_FALSE(h->ElementsByTag("a0").empty());
+}
+
 TEST(GeneratorTest, RejectsZeroParams) {
   GeneratorParams params;
   params.content_chars = 0;
