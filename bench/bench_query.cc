@@ -19,9 +19,16 @@
 //   ancestor_*              — //w/ancestor::line, indexed vs naive-scan
 //   overlap_*               — //w[overlapping::line], indexed vs naive
 //   semijoin_ancestor_*     — count(//w[ancestor::s[@n='k']]), indexed
-//                             vs naive (the existential step answered
-//                             from a restricted s pool)
-//   semijoin_overlap_*      — count(//w[overlapping::line[@n='k']])
+//                             vs naive. The w candidates outnumber the
+//                             s pool, so the indexed engine answers the
+//                             existential step from the small side: it
+//                             builds R (the one s passing the filter)
+//                             and marks the w pool from it (Dominated)
+//   semijoin_overlap_*      — count(//w[overlapping::line[@n='k']]), the
+//                             same from one line (OverlappingOf)
+//   semijoin_positional_*   — count(//w[overlapping::line[@n='k']][2]):
+//                             the join, then the per-parent regroup [2]
+//                             needs (read_cold's `//w[...][w]` shape)
 //   attr_range_*            — count(//line[@n >= k and @n < k+10]) (a
 //                             compiled attribute filter)
 //   overlap_baseline_join_us— the fragmentation-DOM comparator, which
@@ -172,6 +179,14 @@ int Run(size_t content_chars) {
     BENCH_CHECK(straddling.ok());
     if (straddling->ToNumber(g) > 0) break;
   }
+  // The positional series needs a line two w of one s straddle.
+  size_t k_pos = k_line;
+  for (; k_pos < lines; ++k_pos) {
+    auto second = indexed.Evaluate(
+        StrFormat("count(//w[overlapping::line[@n='%zu']][2])", k_pos));
+    BENCH_CHECK(second.ok());
+    if (second->ToNumber(g) > 0) break;
+  }
   AxisSeries series[] = {
       {"descendant", "count(//line//w)"},
       {"ancestor", "count(//w/ancestor::line)"},
@@ -180,6 +195,8 @@ int Run(size_t content_chars) {
        StrFormat("count(//w[ancestor::s[@n='%zu']])", k_s)},
       {"semijoin_overlap",
        StrFormat("count(//w[overlapping::line[@n='%zu']])", k_line)},
+      {"semijoin_positional",
+       StrFormat("count(//w[overlapping::line[@n='%zu']][2])", k_pos)},
       {"attr_range", StrFormat("count(//line[@n >= %zu and @n < %zu])",
                                k_line, k_line + 10)},
   };
@@ -347,6 +364,8 @@ int Run(size_t content_chars) {
         ->Add(indexed_axes.exists_preds);
     registry.GetCounter("cxml_axis_restricted_pools_total")
         ->Add(indexed_axes.restricted_pools);
+    registry.GetCounter("cxml_axis_semijoins_total")
+        ->Add(indexed_axes.semijoins);
     registry.GetCounter("cxml_index_patch_total")->Add(patch_total);
     registry.GetCounter("cxml_index_rebuild_total")->Add(rebuild_total);
     registry.GetCounter("cxml_index_pool_reuse_total")

@@ -140,8 +140,14 @@ class SnapshotIndex {
   /// pool.nodes) is set, as a pool of their own: document order kept,
   /// extent arrays copied, prefix-max-end and end order rebuilt over
   /// the subset. Every collector runs on it unchanged and returns the
-  /// full pool's answer restricted to those members — how the
-  /// evaluator answers `[ancestor::s[@n='206']]` as a semi-join.
+  /// full pool's answer restricted to those members. The evaluator
+  /// builds R, the members of an existential step's pool passing its
+  /// filters (`[ancestor::s[@n='206']]`), this way when the step's
+  /// candidates outnumber the pool: it walks R (its begin and end
+  /// orders pick the r that following/preceding need) to mark the
+  /// candidates' pool with the inverse collectors, and later candidates
+  /// of the same evaluation that are checked one by one search R
+  /// instead of the whole pool.
   static Pool Subset(const Pool& pool, const std::vector<char>& keep);
 
   // ------------------------------------------------------ O(1) relations

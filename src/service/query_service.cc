@@ -1,5 +1,6 @@
 #include "service/query_service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -54,6 +55,7 @@ QueryService::QueryService(DocumentStore* store, QueryServiceOptions options)
               registry_),
       cache_(options.cache_capacity, registry_),
       prepared_lru_(options.prepared_cache_capacity),
+      prepared_prune_at_(4 * prepared_lru_.capacity()),
       pool_(options.num_threads),
       write_pool_(options.num_write_threads == 0
                       ? 1
@@ -79,6 +81,7 @@ QueryService::QueryService(DocumentStore* store, QueryServiceOptions options)
   axis_exists_preds_ = registry_->GetCounter("cxml_axis_exists_preds_total");
   axis_restricted_pools_ =
       registry_->GetCounter("cxml_axis_restricted_pools_total");
+  axis_semijoins_ = registry_->GetCounter("cxml_axis_semijoins_total");
   listener_id_ = store_->AddVersionListener(
       [this](const std::string& name, uint64_t version) {
         cache_.InvalidateBelow(name, version);
@@ -142,14 +145,16 @@ Result<QueryHandle> QueryService::Prepare(const std::string& query,
     }
   }
   it->second = handle;
-  if (prepared_registry_.size() > 4 * prepared_lru_.capacity()) {
-    // Opportunistic prune of expired registrations (weak_ptrs never
-    // pin handles, but the map entries themselves need reclaiming).
+  if (prepared_registry_.size() > prepared_prune_at_) {
+    // Reclaim the entries of expired handles (weak_ptrs never pin a
+    // handle, but the map entries need reclaiming).
     for (auto r = prepared_registry_.begin();
          r != prepared_registry_.end();) {
       r = r->second.expired() ? prepared_registry_.erase(r)
                               : std::next(r);
     }
+    prepared_prune_at_ = std::max(4 * prepared_lru_.capacity(),
+                                  2 * prepared_registry_.size());
   }
   prepared_lru_.Put(text_key, handle);
   return handle;
@@ -363,6 +368,7 @@ QueryResponse QueryService::Evaluate(const DocumentSnapshot& snap,
   if (axes.restricted_pools > 0) {
     axis_restricted_pools_->Add(axes.restricted_pools);
   }
+  if (axes.semijoins > 0) axis_semijoins_->Add(axes.semijoins);
 
   if (!items.ok()) {
     response.status = items.status().WithContext(
@@ -388,6 +394,10 @@ ServiceStats QueryService::stats() const {
   s.prepares = prepares_->Value();
   s.index_patches = index_patch_total_->Value();
   s.index_rebuilds = index_rebuild_total_->Value();
+  {
+    std::lock_guard<std::mutex> lock(prepared_mu_);
+    s.prepared_registered = prepared_registry_.size();
+  }
   s.cache = cache_.stats();
   s.writes = pipeline_.stats();
   return s;

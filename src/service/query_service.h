@@ -69,6 +69,9 @@ struct ServiceStats {
   /// index vs paying the full rebuild (see SnapshotIndex::Patch).
   uint64_t index_patches = 0;
   uint64_t index_rebuilds = 0;
+  /// Entries in the canonical prepared-handle registry, expired ones
+  /// included until a prune drops them.
+  uint64_t prepared_registered = 0;
   CacheStats cache;
   /// Writer-pipeline counters (group commits, errors).
   WriteStats writes;
@@ -286,16 +289,21 @@ class QueryService {
   obs::Counter* axis_filter_preds_ = nullptr;
   obs::Counter* axis_exists_preds_ = nullptr;
   obs::Counter* axis_restricted_pools_ = nullptr;
+  obs::Counter* axis_semijoins_ = nullptr;
 
   /// Prepared-handle state: the raw-text LRU keeps hot string
   /// submissions parse-free; the canonical registry dedupes handles so
   /// textual variants (and every connection) share one object. The
   /// registry holds weak_ptrs — it never pins memory for queries
-  /// nobody references — and is pruned opportunistically.
+  /// nobody references — and drops the expired ones once it holds more
+  /// than `prepared_prune_at_` entries: 4x the LRU at first, then twice
+  /// what the last prune kept, so live handles (which never expire) are
+  /// rescanned at amortised O(1) per insert.
   mutable std::mutex prepared_mu_;
   StringLruCache<QueryHandle> prepared_lru_;
   std::map<std::string, std::weak_ptr<const PreparedQuery>>
       prepared_registry_;
+  size_t prepared_prune_at_;
 
   /// Declared after the query state: workers must stop before the
   /// state above dies (the destructor's Shutdown drains them).

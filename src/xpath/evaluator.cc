@@ -27,22 +27,39 @@ const goddag::SnapshotIndex& Evaluator::index() {
 std::string AxisStats::Summary() const {
   return StrFormat(
       "indexed=%llu naive=%llu pushdown=%llu pool_nodes=%llu filter=%llu "
-      "exists=%llu restricted=%llu",
+      "exists=%llu restricted=%llu semijoins=%llu",
       static_cast<unsigned long long>(indexed_axes),
       static_cast<unsigned long long>(naive_axes),
       static_cast<unsigned long long>(pushdown_axes),
       static_cast<unsigned long long>(pool_nodes),
       static_cast<unsigned long long>(filter_preds),
       static_cast<unsigned long long>(exists_preds),
-      static_cast<unsigned long long>(restricted_pools));
+      static_cast<unsigned long long>(restricted_pools),
+      static_cast<unsigned long long>(semijoins));
 }
+
+namespace {
+
+/// The pool tag a name test selects (empty: any tag).
+std::string_view PoolTag(const NodeTest& test) {
+  return test.kind == NodeTest::Kind::kName ? std::string_view(test.name)
+                                            : std::string_view();
+}
+
+bool IsAncestorAxis(AxisKind axis) {
+  return axis == AxisKind::kAncestor || axis == AxisKind::kAncestorOrSelf;
+}
+
+bool IsOrSelfAxis(AxisKind axis) {
+  return axis == AxisKind::kDescendantOrSelf ||
+         axis == AxisKind::kAncestorOrSelf;
+}
+
+}  // namespace
 
 const goddag::SnapshotIndex::Pool& Evaluator::ElementPoolFor(
     HierarchyId hq, const NodeTest& test) {
-  const goddag::SnapshotIndex::Pool& pool =
-      index().Elements(hq, test.kind == NodeTest::Kind::kName
-                               ? std::string_view(test.name)
-                               : std::string_view());
+  const goddag::SnapshotIndex::Pool& pool = index().Elements(hq, PoolTag(test));
   stats_.pool_nodes += pool.nodes.size();
   return pool;
 }
@@ -571,12 +588,19 @@ Result<NodeSet> Evaluator::AxisNodes(const Step& step, const NodeEntry& ctx) {
 Status Evaluator::FilterByPredicates(const std::vector<ExprPtr>& predicates,
                                      const std::vector<PredicatePlan>& plans,
                                      size_t begin, size_t end,
-                                     NodeSet* nodes) {
+                                     const Step* owner, NodeSet* nodes) {
   const bool planned = strategy_ == AxisStrategy::kIndexed && !plans.empty();
   for (size_t p = begin; p < end; ++p) {
     const PredicatePlan::Kind plan =
         planned ? plans[p].kind : PredicatePlan::Kind::kGeneric;
-    ExistsState* exists = nullptr;  // at the first planned candidate
+    // The literal step resolves its hierarchy at any first candidate,
+    // whatever its kind, so resolving it before the loop errors alike.
+    ExistsState* exists = nullptr;
+    if (plan == PredicatePlan::Kind::kExists && !nodes->empty()) {
+      CXML_ASSIGN_OR_RETURN(exists,
+                            ExistsStateFor(predicates[p]->path.steps.front()));
+      CXML_RETURN_IF_ERROR(MarkFromSmallSide(exists, nodes->size(), owner));
+    }
     NodeSet filtered;
     for (size_t i = 0; i < nodes->size(); ++i) {
       const NodeEntry& entry = (*nodes)[i];
@@ -587,10 +611,6 @@ Status Evaluator::FilterByPredicates(const std::vector<ExprPtr>& predicates,
           ++stats_.filter_preds;
           keep = PassesFilter(plans[p].filter, entry.node);
         } else {
-          if (exists == nullptr) {
-            CXML_ASSIGN_OR_RETURN(
-                exists, ExistsStateFor(predicates[p]->path.steps.front()));
-          }
           ++stats_.exists_preds;
           keep = StepNonEmpty(exists, entry.node);
         }
@@ -688,43 +708,53 @@ Result<Evaluator::ExistsState*> Evaluator::ExistsStateFor(const Step& step) {
   CXML_ASSIGN_OR_RETURN(HierarchyId hq, ResolveHierarchy(step.hierarchy));
   auto st = std::make_unique<ExistsState>();
   st->step = &step;
-  st->pool = &index().Elements(hq, step.test.kind == NodeTest::Kind::kName
-                                       ? std::string_view(step.test.name)
-                                       : std::string_view());
+  st->pool = &index().Elements(hq, PoolTag(step.test));
   // AxisNodes ends every ancestor window with the root (whatever the
   // hierarchy qualifier) and the document node, which no name or `*`
   // test matches.
-  st->root_hit = (step.axis == AxisKind::kAncestor ||
-                  step.axis == AxisKind::kAncestorOrSelf) &&
+  st->root_hit = IsAncestorAxis(step.axis) &&
                  MatchesTest(step.test, NodeEntry::Of(g_->root()), false) &&
                  PassesFilters(step, g_->root());
   exists_.push_back(std::move(st));
   return exists_.back().get();
 }
 
-bool Evaluator::StepNonEmpty(ExistsState* st, NodeId ctx) {
-  const Step& step = *st->step;
-  const bool filtered = !step.predicates.empty();
-  auto passes = [&](NodeId n) {
-    if (!filtered) return true;
-    ++st->checks;
-    return PassesFilters(step, n);
-  };
-  // The -or-self axes add the context whatever the hierarchy qualifier.
-  if ((step.axis == AxisKind::kDescendantOrSelf ||
-       step.axis == AxisKind::kAncestorOrSelf) &&
-      MatchesTest(step.test, NodeEntry::Of(ctx), false) && passes(ctx)) {
-    return true;
+Status Evaluator::MarkFromSmallSide(ExistsState* st, size_t candidates,
+                                    const Step* owner) {
+  // No element pool holds text() or attribute candidates.
+  if (owner == nullptr || owner->test.kind == NodeTest::Kind::kText ||
+      owner->axis == AxisKind::kAttribute ||
+      candidates <= st->pool->size()) {
+    return Status::Ok();
   }
-  if (step.axis == AxisKind::kAncestor ||
-      step.axis == AxisKind::kAncestorOrSelf) {
-    // The root's only ancestor is the document node.
-    if (g_->is_root(ctx)) return false;
-    if (st->root_hit) return true;
-  }
+  CXML_ASSIGN_OR_RETURN(HierarchyId hq, ResolveHierarchy(owner->hierarchy));
+  const goddag::SnapshotIndex::Pool& members =
+      index().Elements(hq, PoolTag(owner->test));
+  if (st->marked != &members) MarkHits(st, members);
+  ++stats_.semijoins;
+  return Status::Ok();
+}
 
-  if (filtered && st->restricted == nullptr && !st->pool->empty() &&
-      st->checks >= st->pool->size()) {
+void Evaluator::MarkHits(ExistsState* st,
+                         const goddag::SnapshotIndex::Pool& members) {
+  const Step& step = *st->step;
+  st->marked = &members;
+  st->marks.assign(g_->arena_size(), ExistsState::kNotMember);
+  // Every member has an ancestor when the root is a hit. Otherwise a
+  // member hits on its own only by the -or-self rule, which adds the
+  // context whatever the hierarchy qualifier.
+  const bool all = IsAncestorAxis(step.axis) && st->root_hit;
+  const bool or_self = IsOrSelfAxis(step.axis);
+  for (NodeId n : members.nodes) {
+    st->marks[n] = all || (or_self &&
+                           MatchesTest(step.test, NodeEntry::Of(n), false) &&
+                           PassesFilters(step, n))
+                       ? ExistsState::kHit
+                       : ExistsState::kMiss;
+  }
+  if (all) return;
+
+  if (!step.predicates.empty() && st->restricted == nullptr) {
     std::vector<char> keep(st->pool->size());
     for (size_t i = 0; i < keep.size(); ++i) {
       keep[i] = PassesFilters(step, st->pool->nodes[i]) ? 1 : 0;
@@ -732,7 +762,87 @@ bool Evaluator::StepNonEmpty(ExistsState* st, NodeId ctx) {
     st->restricted = std::make_unique<const goddag::SnapshotIndex::Pool>(
         goddag::SnapshotIndex::Subset(*st->pool, keep));
     ++stats_.restricted_pools;
+    stats_.pool_nodes += st->pool->size();
   }
+  const goddag::SnapshotIndex::Pool& r_pool =
+      st->restricted != nullptr ? *st->restricted : *st->pool;
+  const goddag::SnapshotIndex& idx = *index_;  // ExistsStateFor built it
+  // One probe marks the members that have `r` in their window: the
+  // axis read from r's side.
+  auto probe = [&](NodeId r) {
+    ++stats_.indexed_axes;
+    stats_.pool_nodes += members.size();
+    scratch_.clear();
+    switch (step.axis) {
+      case AxisKind::kAncestor:
+      case AxisKind::kAncestorOrSelf:
+        idx.Dominated(members, r, &scratch_);
+        break;
+      case AxisKind::kDescendant:
+      case AxisKind::kDescendantOrSelf:
+        idx.Dominating(members, r, &scratch_);
+        break;
+      case AxisKind::kFollowing:
+        idx.PrecedingOf(members, r, &scratch_);
+        break;
+      case AxisKind::kPreceding:
+        idx.FollowingOf(members, r, &scratch_);
+        break;
+      default: {  // the overlapping family
+        const Interval span = g_->char_range(r);
+        idx.OverlappingOf(members, span, r, &scratch_);
+        if (step.axis == AxisKind::kOverlapping) break;
+        // A member m has r starting inside it (overlapping-start from m)
+        // when r, seen from its side, has m ending inside it.
+        const bool start = step.axis == AxisKind::kOverlappingStart;
+        scratch_.erase(
+            std::remove_if(scratch_.begin(), scratch_.end(),
+                           [&](NodeId m) {
+                             const Interval o = g_->char_range(m);
+                             return start ? !span.OverlapsLeft(o)
+                                          : !span.OverlapsRight(o);
+                           }),
+            scratch_.end());
+      }
+    }
+    for (NodeId m : scratch_) st->marks[m] = ExistsState::kHit;
+  };
+  const size_t n = r_pool.size();
+  if (step.axis == AxisKind::kFollowing) {
+    // A member with some r after it has one of the latest-starting r
+    // after it too.
+    for (size_t i = n; i-- > 0 && r_pool.begins[i] == r_pool.begins.back();) {
+      probe(r_pool.nodes[i]);
+    }
+  } else if (step.axis == AxisKind::kPreceding) {
+    // Likewise for the earliest-ending r before it.
+    for (size_t i = 0; i < n && r_pool.end_keys[i] == r_pool.end_keys[0];
+         ++i) {
+      probe(r_pool.by_end[i]);
+    }
+  } else {
+    for (NodeId r : r_pool.nodes) probe(r);
+  }
+}
+
+bool Evaluator::StepNonEmpty(ExistsState* st, NodeId ctx) {
+  // A member of the marked pool has its answer, rules included, there.
+  if (st->marked != nullptr && st->marks[ctx] != ExistsState::kNotMember) {
+    return st->marks[ctx] == ExistsState::kHit;
+  }
+  const Step& step = *st->step;
+  // The -or-self axes add the context whatever the hierarchy qualifier.
+  if (IsOrSelfAxis(step.axis) &&
+      MatchesTest(step.test, NodeEntry::Of(ctx), false) &&
+      PassesFilters(step, ctx)) {
+    return true;
+  }
+  if (IsAncestorAxis(step.axis)) {
+    // The root's only ancestor is the document node.
+    if (g_->is_root(ctx)) return false;
+    if (st->root_hit) return true;
+  }
+
   // Restricted-pool members passed the filters when it was built.
   const bool restricted = st->restricted != nullptr;
   const goddag::SnapshotIndex::Pool& pool =
@@ -765,14 +875,14 @@ bool Evaluator::StepNonEmpty(ExistsState* st, NodeId ctx) {
                 ? span.OverlapsRight(o)
                 : step.axis != AxisKind::kOverlappingEnd ||
                       span.OverlapsLeft(o)) {
-          if (restricted || passes(n)) return true;
+          if (restricted || PassesFilters(step, n)) return true;
         }
       }
       return false;
     }
   }
   for (NodeId n : scratch_) {
-    if (restricted || passes(n)) return true;
+    if (restricted || PassesFilters(step, n)) return true;
   }
   return false;
 }
@@ -786,7 +896,7 @@ Result<NodeSet> Evaluator::EvalStep(const Step& step, NodeSet input) {
     }
     CXML_RETURN_IF_ERROR(FilterByPredicates(step.predicates,
                                             step.plan.predicates, 0,
-                                            step.predicates.size(),
+                                            step.predicates.size(), &step,
                                             &candidates));
     result.insert(result.end(), candidates.begin(), candidates.end());
   }
@@ -798,6 +908,7 @@ Result<NodeSet> Evaluator::EvalDescendantChild(const Step& child,
                                                NodeSet input) {
   NodeSet result;
   const goddag::SnapshotIndex::Pool* pool = nullptr;
+  bool from_document = false;
   for (const NodeEntry& ctx : input) {
     // descendant-or-self::node() selects nothing from an attribute, so
     // the child step never runs for one; resolving its hierarchy only
@@ -812,27 +923,58 @@ Result<NodeSet> Evaluator::EvalDescendantChild(const Step& child,
     }
     ++stats_.indexed_axes;
     if (ctx.is_document()) {
-      // Every attached element is a child of the root or of another
-      // element, all of which descend from the document node; the root
-      // itself is the document node's child.
-      result.reserve(result.size() + pool->size() + 1);
-      if (MatchesTest(child.test, NodeEntry::Of(g_->root()), false)) {
-        result.push_back(NodeEntry::Of(g_->root()));
-      }
-      for (NodeId n : pool->nodes) result.push_back(NodeEntry::Of(n));
-      continue;
+      from_document = true;
+      break;
     }
     scratch_.clear();
     index().ChildrenOfDominated(*pool, ctx.node, &scratch_);
     for (NodeId n : scratch_) result.push_back(NodeEntry::Of(n));
   }
-  NormalizeSet(&result);
   // Attribute-filter and existential predicates do not depend on
   // position: the leading ones run once over every candidate, and only
   // the survivors are regrouped.
   const size_t planned = LeadingPlanned(child);
-  CXML_RETURN_IF_ERROR(FilterByPredicates(
-      child.predicates, child.plan.predicates, 0, planned, &result));
+  size_t answered = 0;  // leading predicates the pool side applied
+  if (from_document) {
+    // Every attached element is a child of the root or of another
+    // element, all of which descend from the document node; the root
+    // itself is the document node's child. Any other context's answer
+    // is a subset of that.
+    result.clear();
+    const NodeId root = g_->root();
+    const bool with_root = MatchesTest(child.test, NodeEntry::Of(root), false);
+    const size_t candidates = pool->size() + (with_root ? 1 : 0);
+    ExistsState* exists = nullptr;
+    if (planned > 0 &&
+        child.plan.predicates[0].kind == PredicatePlan::Kind::kExists &&
+        candidates > 0) {
+      CXML_ASSIGN_OR_RETURN(
+          exists, ExistsStateFor(child.predicates[0]->path.steps.front()));
+      CXML_RETURN_IF_ERROR(MarkFromSmallSide(exists, candidates, &child));
+    }
+    if (exists != nullptr && exists->marked == pool) {
+      // The marked entries, in pool order, are the first predicate's
+      // answer: the pool is never copied out as candidates.
+      answered = 1;
+      stats_.exists_preds += candidates;
+      if (with_root && StepNonEmpty(exists, root)) {
+        result.push_back(NodeEntry::Of(root));
+      }
+      for (NodeId n : pool->nodes) {
+        if (exists->marks[n] == ExistsState::kHit) {
+          result.push_back(NodeEntry::Of(n));
+        }
+      }
+    } else {
+      result.reserve(candidates);
+      if (with_root) result.push_back(NodeEntry::Of(root));
+      for (NodeId n : pool->nodes) result.push_back(NodeEntry::Of(n));
+    }
+  }
+  NormalizeSet(&result);
+  CXML_RETURN_IF_ERROR(FilterByPredicates(child.predicates,
+                                          child.plan.predicates, answered,
+                                          planned, &child, &result));
   if (planned == child.predicates.size()) return result;
 
   // XPath positions on a child step count among one parent's children.
@@ -854,7 +996,7 @@ Result<NodeSet> Evaluator::EvalDescendantChild(const Step& child,
                      result.begin() + static_cast<ptrdiff_t>(end));
     CXML_RETURN_IF_ERROR(FilterByPredicates(child.predicates,
                                             child.plan.predicates, planned,
-                                            child.predicates.size(),
+                                            child.predicates.size(), &child,
                                             &siblings));
     kept.insert(kept.end(), siblings.begin(), siblings.end());
     begin = end;
@@ -888,7 +1030,8 @@ Result<Value> Evaluator::EvalFilter(const Expr& expr, const Context& ctx) {
   NodeSet nodes = std::move(primary.nodes());
   NormalizeSet(&nodes);
   CXML_RETURN_IF_ERROR(FilterByPredicates(expr.predicates, {}, 0,
-                                          expr.predicates.size(), &nodes));
+                                          expr.predicates.size(), nullptr,
+                                          &nodes));
   CXML_ASSIGN_OR_RETURN(nodes, EvalSteps(expr.path.steps, std::move(nodes)));
   return Value(std::move(nodes));
 }

@@ -46,20 +46,27 @@ struct AxisStats {
   uint64_t pushdown_axes = 0;
   /// Total size of the (hierarchy, tag) pools touched via
   /// ElementPoolFor — the window the indexed strategies search in. An
-  /// existential step answered from a restricted pool tallies the
-  /// restricted pool's size.
+  /// existential step checked per candidate tallies the pool it
+  /// searched (the restricted pool once built); one answered from the
+  /// small side tallies its step's pool once, for building R, and the
+  /// candidates' pool once per probe.
   uint64_t pool_nodes = 0;
   /// Step predicates answered by a compiled attribute filter, one per
   /// candidate (PredicatePlan::Kind::kAttributeFilter).
   uint64_t filter_preds = 0;
-  /// Step predicates answered by an existential check, one per
+  /// Step predicates answered by an existential plan, one per
   /// candidate (PredicatePlan::Kind::kExists).
   uint64_t exists_preds = 0;
-  /// Restricted pools built for existential steps (the semi-join).
+  /// Restricted pools (R, SnapshotIndex::Subset) built for filtered
+  /// existential steps.
   uint64_t restricted_pools = 0;
+  /// Existential predicates answered from the small side: one per
+  /// filter pass that marked its candidates' pool from R instead of
+  /// checking each candidate.
+  uint64_t semijoins = 0;
 
   /// "indexed=N naive=N pushdown=N pool_nodes=N filter=N exists=N
-  /// restricted=N"
+  /// restricted=N semijoins=N"
   std::string Summary() const;
 };
 
@@ -88,15 +95,27 @@ struct AxisStats {
 /// take a plan (StepPlan::predicates) on element and root candidates:
 ///  * an attribute filter (`[@n='206']`, `[@n >= 3 and @n < 9]`,
 ///    `[not(@a)]`) is checked against Goddag::attributes directly;
-///  * an existential step (`[ancestor::s[@n='206']]`,
-///    `[overlapping::line]`) asks the SnapshotIndex collector for the
-///    axis window and stops at the first node passing the step's
-///    attribute filters. Once one Evaluate call has spent as many
-///    filter checks on that step as its (hierarchy, T) pool has nodes,
-///    it keeps the pool's passing members as a restricted pool
-///    (SnapshotIndex::Subset) and answers the remaining candidates from
-///    it — a semi-join that never costs more than about twice the
-///    checks of the literal loop.
+///  * an existential step `axis::S[f]` (`[ancestor::s[@n='206']]`,
+///    `[overlapping::line]`) is a semi-join, driven from the smaller
+///    side, decided once per filter pass. When the candidates are no
+///    more than S's (hierarchy, S) pool, each candidate asks the
+///    SnapshotIndex collector for its axis window and stops at the
+///    first node passing f. When they outnumber that pool, R — the
+///    pool's members passing f (SnapshotIndex::Subset; the whole pool
+///    when the step has no filter) — is built once per Evaluate call,
+///    and each r in R runs the inverse collector over the candidates'
+///    own (hierarchy, T) pool, marking the members it answers for:
+///    Dominated for ancestor, Dominating for descendant, OverlappingOf
+///    for overlapping (start and end swapped for the directional
+///    forms), PrecedingOf for following and FollowingOf for preceding
+///    (from the r with the latest start or the earliest end only: every
+///    other r's window lies inside theirs). The root rule of the
+///    ancestor axes and the -or-self rule are marked without a probe.
+///    From the document node the fused `//T` step's answer is the
+///    marked pool entries in pool order, so the pool is never copied
+///    out as candidates; other candidate sets keep the marked members,
+///    and non-members (the root, a context an -or-self axis adds) are
+///    checked on their own.
 /// Neither depends on the candidate's position, so the fused `//T`
 /// step runs leading ones over all candidates before regrouping by
 /// parent. Everything else (positional and numeric predicates, boolean
@@ -108,7 +127,7 @@ struct AxisStats {
 /// The evaluator is deliberately stateless across calls except for a
 /// lazily built (or externally shared, see SetSnapshotIndex) snapshot
 /// index — invalidated by Reset() — and variable bindings. Restricted
-/// pools live for one Evaluate call.
+/// pools and marks live for one Evaluate call.
 class Evaluator {
  public:
   /// `g` must outlive the evaluator.
@@ -184,10 +203,13 @@ class Evaluator {
   /// proximity positions over what the previous one kept. `plans` is
   /// StepPlan::predicates (empty for filter expressions); a planned
   /// predicate skips EvalExpr on element and root candidates under
-  /// kIndexed.
+  /// kIndexed. `owner` is the step whose candidates `nodes` are (null
+  /// for filter expressions): its pool is what an existential
+  /// predicate answered from the small side marks.
   Status FilterByPredicates(const std::vector<ExprPtr>& predicates,
                             const std::vector<PredicatePlan>& plans,
-                            size_t begin, size_t end, NodeSet* nodes);
+                            size_t begin, size_t end, const Step* owner,
+                            NodeSet* nodes);
   /// The number of leading predicates of `step` that take a plan (and
   /// so do not depend on position) under the current strategy.
   size_t LeadingPlanned(const Step& step) const;
@@ -197,25 +219,44 @@ class Evaluator {
   /// filters, see PredicatePlan::Kind::kExists).
   bool PassesFilters(const Step& step, goddag::NodeId node) const;
   /// One existential step's state within one Evaluate call: its
-  /// (hierarchy, T) pool, the filter checks spent on it so far, and the
-  /// restricted pool once those reached the pool's size.
+  /// (hierarchy, S) pool, and what answering it from the small side
+  /// built.
   struct ExistsState {
+    /// `marks` values.
+    enum Mark : uint8_t { kNotMember, kMiss, kHit };
+
     const Step* step = nullptr;
     const goddag::SnapshotIndex::Pool* pool = nullptr;
-    /// Ancestor axes: the root matches T and passes the filters, so
+    /// Ancestor axes: the root matches S and passes the filters, so
     /// every context but the root itself has a hit.
     bool root_hit = false;
-    uint64_t checks = 0;
+    /// R of a filtered step, once the small side built it; from then on
+    /// per-candidate checks search it instead of `pool`.
     std::unique_ptr<const goddag::SnapshotIndex::Pool> restricted;
+    /// The candidates' pool `marks` covers, and the marks, indexed by
+    /// NodeId.
+    const goddag::SnapshotIndex::Pool* marked = nullptr;
+    std::vector<Mark> marks;
   };
   /// The state of existential step `step` in this Evaluate call. The
   /// first use resolves the step's hierarchy, as the literal step's
   /// AxisNodes would at its first context, so an unknown hierarchy
   /// errors exactly when the literal form does.
   Result<ExistsState*> ExistsStateFor(const Step& step);
+  /// Decides which side answers the state's step over `candidates`
+  /// candidates of `owner`: when they outnumber the step's pool, marks
+  /// owner's pool (MarkHits, once per Evaluate call); otherwise leaves
+  /// each candidate to StepNonEmpty's own window.
+  Status MarkFromSmallSide(ExistsState* st, size_t candidates,
+                           const Step* owner);
+  /// Marks every member of `members` with whether the state's step
+  /// holds on it: the root and -or-self rules first, then one inverse
+  /// collector per r in R.
+  void MarkHits(ExistsState* st, const goddag::SnapshotIndex::Pool& members);
   /// A kExists predicate on element or root `ctx`: is the filtered
-  /// axis window of the state's step non-empty? Mirrors AxisNodes for
-  /// the step's axis, including the root that ancestor axes add and the
+  /// axis window of the state's step non-empty? The marks answer for a
+  /// member of the marked pool; otherwise mirrors AxisNodes for the
+  /// step's axis, including the root that ancestor axes add and the
   /// context that -or-self axes add.
   bool StepNonEmpty(ExistsState* st, goddag::NodeId ctx);
   Result<NodeSet> AxisNodes(const Step& step, const NodeEntry& ctx);

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/strings.h"
 #include "goddag/builder.h"
 #include "goddag/snapshot_index.h"
 #include "net/client.h"
@@ -373,6 +374,50 @@ TEST_F(PreparedServiceTest, OneHandleBindsAcrossVersions) {
   EXPECT_EQ(after.version, 2u);
   EXPECT_FALSE(after.cache_hit);
   EXPECT_NE((*before.items)[0], (*after.items)[0]);
+}
+
+// Held handles never expire, so the canonical registry prunes only once
+// it has doubled since its last prune instead of rescanning on every
+// Prepare past 4x the text LRU (1,024 entries here). Textual variants
+// still find their live handle across prunes, and once the handles are
+// released the next prune drops their entries.
+TEST_F(PreparedServiceTest, RegistryPrunesWhileHandlesAreHeld) {
+  service::QueryService service(&store_, {2, 64});
+  constexpr size_t kHeld = 2000;
+  std::vector<service::QueryHandle> held;
+  for (size_t k = 0; k < kHeld; ++k) {
+    auto handle =
+        service.Prepare(StrFormat("count(//w) + %zu", k), QueryKind::kXPath);
+    ASSERT_TRUE(handle.ok()) << handle.status();
+    held.push_back(*handle);
+    if (k % 250 == 249) {
+      // The variant's text is new, and its original left the 256-entry
+      // text LRU long ago: only the registry can answer it.
+      auto variant = service.Prepare(StrFormat("count( //w )+%zu", k - 240),
+                                     QueryKind::kXPath);
+      ASSERT_TRUE(variant.ok()) << variant.status();
+      EXPECT_EQ(variant->get(), held[k - 240].get()) << k;
+    }
+  }
+  EXPECT_EQ(service.stats().prepared_registered, kHeld);
+  EXPECT_EQ(service.stats().prepares, kHeld + kHeld / 250);
+
+  held.clear();
+  constexpr size_t kFresh = kHeld / 10;
+  service::QueryHandle last;
+  for (size_t k = 0; k < kFresh; ++k) {
+    auto handle =
+        service.Prepare(StrFormat("count(//s) + %zu", k), QueryKind::kXPath);
+    ASSERT_TRUE(handle.ok()) << handle.status();
+    last = *handle;
+  }
+  // A prune ran within those: what stays is at most the text LRU's
+  // pins and what was prepared since.
+  EXPECT_LE(service.stats().prepared_registered, 256 + kFresh);
+  auto variant = service.Prepare(StrFormat("count( //s )+%zu", kFresh - 1),
+                                 QueryKind::kXPath);
+  ASSERT_TRUE(variant.ok()) << variant.status();
+  EXPECT_EQ(variant->get(), last.get());
 }
 
 TEST_F(PreparedServiceTest, ConcurrentSubmitsOnOneSharedHandle) {

@@ -1095,7 +1095,8 @@ TEST_F(ServiceTest, SubmittedTraceCollectsServiceStages) {
 
 /// The eval stage's trace note and the METRICS counters name the
 /// predicate plans an evaluation ran: the semi-join shows as an
-/// existential check per w and one restricted pool.
+/// existential answer per w, one restricted pool and one semi-join
+/// from the small side.
 TEST_F(ServiceTest, EvalTraceNoteNamesPredicatePlans) {
   obs::Registry registry;
   QueryServiceOptions options;
@@ -1120,6 +1121,7 @@ TEST_F(ServiceTest, EvalTraceNoteNamesPredicatePlans) {
   EXPECT_NE(recent[0].find("filter=0 exists="), std::string::npos)
       << recent[0];
   EXPECT_NE(recent[0].find("restricted=1"), std::string::npos) << recent[0];
+  EXPECT_NE(recent[0].find("semijoins=1"), std::string::npos) << recent[0];
   EXPECT_GT(registry.GetCounter("cxml_axis_exists_preds_total")->Value(), 0u);
   EXPECT_EQ(registry.GetCounter("cxml_axis_restricted_pools_total")->Value(),
             1u);
@@ -1129,6 +1131,35 @@ TEST_F(ServiceTest, EvalTraceNoteNamesPredicatePlans) {
   ASSERT_TRUE(filter.ok()) << filter.status();
   ASSERT_TRUE(service.Submit("ms", *filter).get().ok());
   EXPECT_GT(registry.GetCounter("cxml_axis_filter_preds_total")->Value(), 0u);
+}
+
+/// One cold `//w[overlapping::line[@n='60']]` on a 20k-char manuscript
+/// (3k words, 300-odd lines) is one existential predicate answered from
+/// the small side: cxml_axis_semijoins_total moves by exactly 1, and
+/// the cached repeat, which evaluates nothing, leaves it there.
+TEST_F(ServiceTest, SemijoinCounterCountsSmallSideAnswers) {
+  ASSERT_TRUE(store_.RegisterBytes("ms20k", ManuscriptBytes(20'000)).ok());
+  obs::Registry registry;
+  QueryServiceOptions options;
+  options.num_threads = 2;
+  options.registry = &registry;
+  QueryService service(&store_, options);
+  auto handle =
+      service.Prepare("//w[overlapping::line[@n='60']]", QueryKind::kXPath);
+  ASSERT_TRUE(handle.ok()) << handle.status();
+  obs::Counter* semijoins = registry.GetCounter("cxml_axis_semijoins_total");
+  ASSERT_EQ(semijoins->Value(), 0u);
+
+  QueryResponse cold = service.Submit("ms20k", *handle).get();
+  ASSERT_TRUE(cold.ok()) << cold.status;
+  EXPECT_FALSE(cold.cache_hit);
+  EXPECT_EQ(semijoins->Value(), 1u);
+
+  QueryResponse warm = service.Submit("ms20k", *handle).get();
+  ASSERT_TRUE(warm.ok()) << warm.status;
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_EQ(*warm.items, *cold.items);
+  EXPECT_EQ(semijoins->Value(), 1u);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/strings.h"
@@ -317,15 +318,16 @@ TEST(DocumentSnapshotMemo, OneIndexPerVersion) {
 // SnapshotIndex::ChildrenOfDominated); the naive engine still evaluates
 // descendant-or-self::node() and child::T literally and is the oracle.
 
-/// The cxbench manuscript: 20k chars, seed 3, built the same way.
+/// A seed-3 synthetic manuscript built the way cxbench builds its own
+/// (MakeManuscript20k: the 20k-char one).
 struct Manuscript {
   workload::SyntheticCorpus corpus;
   std::unique_ptr<goddag::Goddag> g;
 };
 
-Manuscript MakeManuscript20k() {
+Manuscript MakeManuscript(size_t content_chars) {
   workload::GeneratorParams params;
-  params.content_chars = 20'000;
+  params.content_chars = content_chars;
   params.seed = 3;
   auto corpus = workload::GenerateManuscript(params);
   EXPECT_TRUE(corpus.ok()) << corpus.status();
@@ -335,6 +337,8 @@ Manuscript MakeManuscript20k() {
   ms.g = std::make_unique<goddag::Goddag>(std::move(g).value());
   return ms;
 }
+
+Manuscript MakeManuscript20k() { return MakeManuscript(20'000); }
 
 /// A TEI document with the overlap conventions the importer turns into
 /// concurrent hierarchies: pb/lb/folio milestones firing mid-sentence, a
@@ -471,6 +475,7 @@ void ExpectFusedMatchesNaive(const goddag::Goddag& g,
     indexed_stats->filter_preds = x.filter_preds + y.filter_preds;
     indexed_stats->exists_preds = x.exists_preds + y.exists_preds;
     indexed_stats->restricted_pools = x.restricted_pools + y.restricted_pools;
+    indexed_stats->semijoins = x.semijoins + y.semijoins;
   }
 }
 
@@ -615,11 +620,12 @@ TEST(FusedDescendantChild, UnknownHierarchyErrorsOnlyOnNonEmptyInput) {
 //
 // Under kIndexed a compiled step predicate that is an attribute filter
 // or an existential step (xpath::PredicatePlan) runs without EvalExpr on
-// element and root candidates; an existential step's window comes from
-// the SnapshotIndex collector, and once an Evaluate call has spent as
-// many filter checks on the step as its pool has nodes, from a
-// restricted pool (SnapshotIndex::Subset). The naive engine takes no
-// plan and is the oracle.
+// element and root candidates. An existential step over no more
+// candidates than its own pool has members asks the SnapshotIndex
+// collector for each candidate's window; over more, it builds R, the
+// pool's members passing its filters (SnapshotIndex::Subset), and marks
+// the candidates' pool from each r in R with the inverse collector. The
+// naive engine takes no plan and is the oracle.
 
 TEST(PredicatePlans, CompilerClassifiesPredicates) {
   using Kind = xpath::PredicatePlan::Kind;
@@ -762,8 +768,8 @@ TEST(PredicatePlans, ManuscriptMatchesNaive) {
       "//line[not(@n > 10) and not(@n = '1')]",
       "//line[(@n = '1' or @n = '2') and not(@n = '2')]",
       "//page[not(not(@n = '2'))]", "//line[@n > 5][@n < 9]",
-      // Existential steps on every pool-backed axis; the following and
-      // preceding ones outgrow their budget and build restricted pools.
+      // Existential steps on every pool-backed axis; line candidates
+      // outnumber the s pool, so the s steps run from the small side.
       "//page[descendant::line[@n = '45']]",
       "//s[descendant-or-self::s[@n = '5']]",
       "//line[ancestor::page[@n = '2']]",
@@ -811,10 +817,11 @@ TEST(PredicatePlans, ManuscriptMatchesNaive) {
        "let $v := //page[@n = '2'] "
        "return {count($v/line[overlapping::s[@n > 20]][2])}"},
       &stats);
-  // The sweep ran every plan, the semi-join included.
+  // The sweep ran every plan, the semi-join from either side included.
   EXPECT_GT(stats.filter_preds, 0u);
   EXPECT_GT(stats.exists_preds, 0u);
   EXPECT_GT(stats.restricted_pools, 0u);
+  EXPECT_GT(stats.semijoins, 0u);
 }
 
 TEST(PredicatePlans, TeiImportMatchesNaive) {
@@ -891,10 +898,10 @@ TEST(PredicatePlans, UnknownHierarchyErrorsOnlyOnNonEmptyInput) {
   }
 }
 
-// The semi-join's budget: `//w[ancestor::s[@n='k']]` spends one filter
-// check per w until the checks reach the s pool's size, then builds the
-// restricted pool once per evaluation; a one-candidate query over the w
-// pool never does.
+// The semi-join's side, decided once per filter pass: `//w[axis::S[f]]`
+// has more w candidates than the S pool has members, so it builds R
+// once and marks the w pool from each r in R; a one-candidate query
+// checks its candidate.
 TEST(PredicatePlans, RestrictedPoolCounts) {
   Manuscript ms = MakeManuscript20k();
   const goddag::Goddag& g = *ms.g;
@@ -903,6 +910,7 @@ TEST(PredicatePlans, RestrictedPoolCounts) {
   const uint64_t sentences = g.ElementsByTag("s").size();
   const uint64_t lines = g.ElementsByTag("line").size();
   ASSERT_GT(words, sentences);
+  ASSERT_GT(words, lines);
 
   xpath::XPathEngine engine(g);
   engine.UseSnapshotIndex(index);
@@ -913,18 +921,42 @@ TEST(PredicatePlans, RestrictedPoolCounts) {
     ASSERT_TRUE(v.ok()) << v.status();
     EXPECT_GT(v->ToNumber(g), 0);
     EXPECT_EQ(engine.axis_stats().restricted_pools, round);
+    EXPECT_EQ(engine.axis_stats().semijoins, round);
     EXPECT_EQ(engine.axis_stats().exists_preds, round * words);
   }
-  // Every w lies in exactly one s, so the build comes after `sentences`
-  // candidates searched the whole s pool; the rest searched the
-  // one-sentence restricted pool, which tallies its own size.
+  // The `//w` scan, then one probe from the one s in R: the w pool once
+  // for the scan, the s pool once to build R, the w pool once more for
+  // the probe.
   engine.ResetAxisStats();
   ASSERT_TRUE(engine.Evaluate(**semijoin).ok());
-  EXPECT_EQ(engine.axis_stats().indexed_axes, 1 + words);
-  EXPECT_EQ(engine.axis_stats().pool_nodes,
-            words + sentences * sentences + (words - sentences));
+  EXPECT_EQ(engine.axis_stats().indexed_axes, 2u);
+  EXPECT_EQ(engine.axis_stats().pool_nodes, words + sentences + words);
   EXPECT_EQ(engine.axis_stats().filter_preds, 0u);
 
+  // The same for the overlapping axis: one line in R, one probe.
+  engine.ResetAxisStats();
+  auto overlap = engine.Evaluate("count(//w[overlapping::line[@n = '60']])");
+  ASSERT_TRUE(overlap.ok()) << overlap.status();
+  EXPECT_EQ(engine.axis_stats().indexed_axes, 2u);
+  EXPECT_EQ(engine.axis_stats().pool_nodes, words + lines + words);
+  EXPECT_LT(engine.axis_stats().pool_nodes, 10'000u);
+  EXPECT_EQ(engine.axis_stats().semijoins, 1u);
+  EXPECT_EQ(engine.axis_stats().restricted_pools, 1u);
+
+  // Without a filter R is the whole line pool: one probe per line and
+  // no restricted pool.
+  engine.ResetAxisStats();
+  ASSERT_TRUE(engine.Evaluate("count(//w[overlapping::line])").ok());
+  EXPECT_EQ(engine.axis_stats().indexed_axes, 1 + lines);
+  EXPECT_EQ(engine.axis_stats().semijoins, 1u);
+  EXPECT_EQ(engine.axis_stats().restricted_pools, 0u);
+
+  // following: one probe from the latest-starting s, however many pass.
+  engine.ResetAxisStats();
+  ASSERT_TRUE(engine.Evaluate("count(//w[following::s[@n > 3]])").ok());
+  EXPECT_EQ(engine.axis_stats().indexed_axes, 2u);
+
+  // One candidate never outnumbers the w pool.
   engine.ResetAxisStats();
   auto single = engine.Evaluate("count(//line[@n = '38'][overlapping::w[@n]])");
   ASSERT_TRUE(single.ok()) << single.status();
@@ -932,6 +964,7 @@ TEST(PredicatePlans, RestrictedPoolCounts) {
   EXPECT_EQ(engine.axis_stats().filter_preds, lines);
   EXPECT_EQ(engine.axis_stats().exists_preds, 1u);
   EXPECT_EQ(engine.axis_stats().restricted_pools, 0u);
+  EXPECT_EQ(engine.axis_stats().semijoins, 0u);
 
   // The naive oracle takes no plan.
   xpath::XPathEngine naive(g);
@@ -940,6 +973,125 @@ TEST(PredicatePlans, RestrictedPoolCounts) {
   EXPECT_EQ(naive.axis_stats().filter_preds, 0u);
   EXPECT_EQ(naive.axis_stats().exists_preds, 0u);
   EXPECT_EQ(naive.axis_stats().restricted_pools, 0u);
+  EXPECT_EQ(naive.axis_stats().semijoins, 0u);
+}
+
+/// `[axis::S]` and `[axis::S[filter]]` for every existential axis (the
+/// last one qualified by `hierarchy`) after each candidate path, each
+/// bare and with a trailing positional predicate, `[2]` or
+/// `[position() >= 3]` in turn.
+std::vector<std::string> ExistentialSweep(
+    const std::vector<std::string>& paths, const std::string& s,
+    const std::string& hierarchy, const std::string& filter) {
+  const std::string axes[] = {"ancestor",
+                              "ancestor-or-self",
+                              "descendant",
+                              "descendant-or-self",
+                              "following",
+                              "preceding",
+                              "overlapping",
+                              "overlapping-start",
+                              "overlapping-end",
+                              StrCat("overlapping(", hierarchy, ")")};
+  std::vector<std::string> queries;
+  for (const std::string& path : paths) {
+    for (const std::string& axis : axes) {
+      for (const std::string& f : {std::string(), StrCat("[", filter, "]")}) {
+        const std::string query = StrCat(path, "[", axis, "::", s, f, "]");
+        queries.push_back(query);
+        queries.push_back(StrCat(
+            query, queries.size() % 4 == 1 ? "[2]" : "[position() >= 3]"));
+      }
+    }
+  }
+  return queries;
+}
+
+/// The candidate paths of the sweep: `//*` and `/descendant::*` from the
+/// document; `//*` and a hierarchy-qualified descendant-or-self (whose
+/// context is no member of the candidates' pool) from an element with
+/// more candidates below it than S has members; and `//T` from elements
+/// with a handful of candidates, or none.
+std::vector<std::string> SweepPaths(const std::string& outer,
+                                    const std::string& other_hierarchy,
+                                    const std::string& small) {
+  return {"//*", "/descendant::*", StrCat(outer, "//*"),
+          StrCat(outer, "/descendant-or-self(", other_hierarchy, ")::*"),
+          small};
+}
+
+// The small side against the naive oracle: every existential axis, with
+// and without a filter, from the document and from element contexts,
+// with and without a trailing positional predicate; plus an empty R and
+// an R that is the whole pool. A smaller manuscript than the others
+// here keeps the naive oracle, which scans every element per candidate,
+// quick.
+TEST(PredicatePlans, SmallSideMatchesNaive) {
+  Manuscript ms = MakeManuscript(3'000);
+  const goddag::Goddag& g = *ms.g;
+  const size_t lines = g.ElementsByTag("line").size();
+  ASSERT_GT(lines, 20u);
+  std::vector<std::string> queries = ExistentialSweep(
+      SweepPaths("//page[@n = '2']", "linguistic", "//line[@n = '9']//w"),
+      "line", "physical", "@n = '9' or @n = '30'");
+  std::vector<std::string> more = ExistentialSweep(
+      {"//s[@n = '4']//*"}, "line", "physical", "@n = '9'");
+  queries.insert(queries.end(), more.begin(), more.end());
+  for (const char* query :
+       {"//*[overlapping::line[@n = '99999']]",
+        "/descendant::*[ancestor::line[@n = '99999']][2]",
+        "//*[following::line[@n = '99999']]",
+        "//*[descendant-or-self::line[@n = '99999']]",
+        "//*[overlapping::line[@n]]", "//*[following::line[@n]][2]",
+        "//*[preceding::line[@n]][position() >= 3]",
+        "/descendant::*[descendant-or-self::line[@n]]",
+        "//*[ancestor::*[@n]]", "//w[ancestor::s][2]"}) {
+    queries.push_back(query);
+  }
+  xpath::AxisStats stats;
+  ExpectFusedMatchesNaive(g, queries, {}, {}, {}, &stats);
+  EXPECT_GT(stats.semijoins, 0u);
+  EXPECT_GT(stats.restricted_pools, 0u);
+
+  // TEI: lb and pb milestones become line and page spans, and two
+  // milestones in a row make zero-width ones: lines 7 and 107 are
+  // equal-extent twins at one offset, and page 2 is zero-width at the
+  // start of page 102.
+  std::string tei = MakeTeiSample();
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{
+            "<lb n=\"7\"/>", "<lb n=\"7\"/><lb n=\"107\"/><lb n=\"207\"/>"},
+        {"<pb n=\"2\"/>", "<pb n=\"2\"/><pb n=\"102\"/>"}}) {
+    const size_t at = tei.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    tei.replace(at, from.size(), to);
+  }
+  auto imported = ingest::Import(tei, {ingest::Format::kTei});
+  ASSERT_TRUE(imported.ok()) << imported.status();
+  const goddag::Goddag& t = *imported->doc.g;
+  size_t zero_width = 0;
+  for (NodeId n : t.AllElements()) zero_width += t.char_range(n).empty();
+  EXPECT_EQ(zero_width, 3u);
+  // Fewer pages than elements below div 2, more lines.
+  queries = ExistentialSweep(
+      SweepPaths("//div[@n = '2']", "line", "//line[@n = '12']//s"), "page",
+      "page", "@n = '2' or @n = '102'");
+  more = ExistentialSweep({"//*", "/descendant::*", "//p[@n = '3']//*"},
+                          "line", "line", "@n = '12' or @n = '107'");
+  queries.insert(queries.end(), more.begin(), more.end());
+  for (const char* query :
+       {"//*[overlapping::line[@n = '99999']]",
+        "//*[following::line[@n = '99999']][2]",
+        "//*[overlapping::line[@n]]", "//*[preceding::line[@n]][2]",
+        "//*[following::page[@n]]", "//*[ancestor::page[@n = '102']]",
+        "//*[following::line[@n = '7' or @n = '107']]",
+        "//*[preceding::line[@n = '107']]"}) {
+    queries.push_back(query);
+  }
+  stats = xpath::AxisStats();
+  ExpectFusedMatchesNaive(t, queries, {}, {}, {}, &stats);
+  EXPECT_GT(stats.semijoins, 0u);
+  EXPECT_GT(stats.restricted_pools, 0u);
 }
 
 }  // namespace
