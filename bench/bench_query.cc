@@ -17,6 +17,10 @@
 //   index_build_us          — one SnapshotIndex construction
 //   descendant_*            — //line//w, indexed vs naive-scan
 //   ancestor_*              — //w/ancestor::line, indexed vs naive-scan
+//   leaf_ancestor_*         — count(/descendant::text()/ancestor::w),
+//                             indexed vs naive: every one-leaf w has the
+//                             leaf's extent, so tree ancestry decides
+//                             (the equal-extent check, once per such w)
 //   overlap_*               — //w[overlapping::line], indexed vs naive
 //   semijoin_ancestor_*     — count(//w[ancestor::s[@n='k']]), indexed
 //                             vs naive. The w candidates outnumber the
@@ -190,6 +194,7 @@ int Run(size_t content_chars) {
   AxisSeries series[] = {
       {"descendant", "count(//line//w)"},
       {"ancestor", "count(//w/ancestor::line)"},
+      {"leaf_ancestor", "count(/descendant::text()/ancestor::w)"},
       {"overlap", "count(//w[overlapping::line])"},
       {"semijoin_ancestor",
        StrFormat("count(//w[ancestor::s[@n='%zu']])", k_s)},

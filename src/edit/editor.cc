@@ -85,7 +85,7 @@ Result<NodeId> Editor::InsertImpl(const InsertOp& op, bool record) {
     record_entry.op = op;
     undo_.push_back(std::move(record_entry));
     redo_.clear();
-    delta_.Touch(node, op.hierarchy, op.tag);
+    delta_.Touch();
   }
   return node;
 }
@@ -126,7 +126,7 @@ Status Editor::RemoveImpl(NodeId element, bool record) {
     return st;
   }
   if (record) {
-    delta_.Touch(element, h, reverse.tag);
+    delta_.Touch();
     Applied record_entry;
     record_entry.kind = Applied::Kind::kRemove;
     record_entry.op = std::move(reverse);
@@ -228,7 +228,7 @@ Status Editor::Undo() {
   switch (entry.kind) {
     case Applied::Kind::kInsert: {
       CXML_RETURN_IF_ERROR(g_->RemoveElement(entry.node));
-      delta_.Touch(entry.node, entry.op.hierarchy, entry.op.tag);
+      delta_.Touch();
       break;
     }
     case Applied::Kind::kRemove: {
@@ -237,7 +237,7 @@ Status Editor::Undo() {
           g_->InsertElement(entry.op.hierarchy, entry.op.tag,
                             entry.op.attrs, entry.op.chars));
       entry.node = node;
-      delta_.Touch(node, entry.op.hierarchy, entry.op.tag);
+      delta_.Touch();
       break;
     }
     case Applied::Kind::kSetAttribute: {
@@ -273,12 +273,12 @@ Status Editor::Redo() {
           g_->InsertElement(entry.op.hierarchy, entry.op.tag,
                             entry.op.attrs, entry.op.chars));
       entry.node = node;
-      delta_.Touch(node, entry.op.hierarchy, entry.op.tag);
+      delta_.Touch();
       break;
     }
     case Applied::Kind::kRemove: {
       CXML_RETURN_IF_ERROR(g_->RemoveElement(entry.node));
-      delta_.Touch(entry.node, entry.op.hierarchy, entry.op.tag);
+      delta_.Touch();
       break;
     }
     case Applied::Kind::kSetAttribute: {

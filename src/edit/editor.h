@@ -87,7 +87,7 @@ class Editor {
   /// writes excluded (they never move index pools). DocumentStore
   /// publish hands it to the successor snapshot so the next cold query
   /// can patch the predecessor's SnapshotIndex instead of rebuilding
-  /// (see goddag::IndexDelta for what is advisory vs authoritative).
+  /// (see goddag::IndexDelta for what Patch takes from it).
   const goddag::IndexDelta& index_delta() const { return delta_; }
 
  private:

@@ -2,11 +2,6 @@
 #define CXML_GODDAG_INDEX_DELTA_H_
 
 #include <cstddef>
-#include <string>
-#include <utility>
-#include <vector>
-
-#include "goddag/goddag.h"
 
 namespace cxml::goddag {
 
@@ -15,75 +10,42 @@ namespace cxml::goddag {
 /// rides from edit::Editor through DocumentStore::Publish into the
 /// successor snapshot so SnapshotIndex::Patch can be attempted.
 ///
-/// The delta is *advisory*: Patch derives the authoritative touched
-/// set from the arena diff between the predecessor index and the new
-/// GODDAG (NodeIds survive Goddag::Clone verbatim, so the arenas
-/// correspond position-for-position). What the delta contributes is
+/// The delta names no nodes: Patch derives the touched set from the
+/// arena diff between the predecessor index and the new GODDAG
+/// (NodeIds survive Goddag::Clone verbatim, so the arenas correspond
+/// position-for-position). What the delta contributes is
 /// **provenance** — its presence asserts the new GODDAG is a clone of
 /// the snapshot the predecessor index was built over, which is exactly
 /// the precondition the arena diff needs — plus the `wide` flag that
-/// lets the editor veto patching early for bulk rewrites, and the
-/// recorded ids/keys for observability. Publishes with no delta
-/// (Register, crash recovery, opaque kSnapshot applies) take the full
-/// rebuild path by construction.
+/// lets the editor veto patching early for bulk rewrites. Publishes
+/// with no delta (Register, crash recovery, opaque kSnapshot applies)
+/// take the full rebuild path by construction.
 struct IndexDelta {
-  /// Node ids the editor touched (inserted, removed, re-inserted by
-  /// undo/redo). Capped at kWideCap; past it only `wide` is kept.
-  std::vector<NodeId> touched;
-  /// (hierarchy, tag) pool keys the touched elements dirtied.
-  std::vector<std::pair<HierarchyId, std::string>> dirty_tags;
-  /// Any leaf-layer change (boundary splits under insertion).
-  bool leaves_dirty = false;
-  /// Set when the edit is too broad to be worth patching (or past
-  /// kWideCap): Patch refuses immediately and the snapshot rebuilds.
-  bool wide = false;
-  /// Structural operations recorded (inserts + removes, not attrs).
+  /// Structural operations recorded (inserts + removes and their
+  /// undo/redo re-applications, not attribute writes).
   size_t ops = 0;
+  /// Set once `ops` passes kWideCap: the edit is too broad to be worth
+  /// patching, so Patch refuses immediately and the snapshot rebuilds.
+  bool wide = false;
 
-  /// Past this many touched ids the per-pool bookkeeping cannot beat a
-  /// full rebuild; recording stops and `wide` is set.
+  /// Past this many operations the per-pool bookkeeping cannot beat a
+  /// full rebuild.
   static constexpr size_t kWideCap = 4096;
 
-  void Touch(NodeId node, HierarchyId h, const std::string& tag) {
-    ++ops;
-    leaves_dirty = true;  // boundary leaf splits ride every insert/remove
-    if (wide) return;
-    if (touched.size() >= kWideCap) {
-      wide = true;
-      touched.clear();
-      touched.shrink_to_fit();
-      dirty_tags.clear();
-      return;
-    }
-    touched.push_back(node);
-    dirty_tags.emplace_back(h, tag);
+  void Touch() {
+    if (++ops > kWideCap) wide = true;
   }
 
   void Clear() {
-    touched.clear();
-    dirty_tags.clear();
-    leaves_dirty = false;
-    wide = false;
     ops = 0;
+    wide = false;
   }
 
   /// Folds `other` in (composing deltas across an unbuilt intermediate
   /// version). Width saturates: once either side is wide, the merge is.
   void Merge(const IndexDelta& other) {
     ops += other.ops;
-    leaves_dirty = leaves_dirty || other.leaves_dirty;
-    if (wide || other.wide ||
-        touched.size() + other.touched.size() > kWideCap) {
-      wide = true;
-      touched.clear();
-      touched.shrink_to_fit();
-      dirty_tags.clear();
-      return;
-    }
-    touched.insert(touched.end(), other.touched.begin(),
-                   other.touched.end());
-    dirty_tags.insert(dirty_tags.end(), other.dirty_tags.begin(),
-                      other.dirty_tags.end());
+    wide = wide || other.wide || ops > kWideCap;
   }
 };
 

@@ -8,28 +8,6 @@ namespace cxml::goddag {
 
 namespace {
 
-/// True when `anc` is reachable from `node` through parent links (any
-/// hierarchy for leaves). Only used to disambiguate equal extents, so
-/// it runs on tiny co-extensive groups at build time — never per query.
-bool IsTreeAncestor(const Goddag& g, NodeId anc, NodeId node) {
-  std::vector<NodeId> frontier;
-  if (g.is_leaf(node)) {
-    for (HierarchyId h = 0; h < g.num_hierarchies(); ++h) {
-      frontier.push_back(g.leaf_parent(node, h));
-    }
-  } else if (g.is_element(node)) {
-    frontier.push_back(g.parent(node));
-  }
-  while (!frontier.empty()) {
-    NodeId n = frontier.back();
-    frontier.pop_back();
-    if (n == kInvalidNode) continue;
-    if (n == anc) return true;
-    if (g.is_element(n)) frontier.push_back(g.parent(n));
-  }
-  return false;
-}
-
 /// Whether `n` is part of the document right now. Detachment leaves a
 /// node's tag/hierarchy/extent intact in the arena, so these public
 /// probes are the only signals: an element is attached iff it has a
@@ -47,91 +25,6 @@ bool Attached(const Goddag& g, NodeId n) {
 
 }  // namespace
 
-void SnapshotIndex::BuildRanks(const Goddag& g, std::vector<NodeId> order) {
-  order_ = std::move(order);
-  const size_t n = order_.size();
-
-  // ---- ranks + the stored extents the next Patch will diff against ----
-  order_begins_.resize(n);
-  order_ends_.resize(n);
-  rank_.assign(g.arena_size(), kUnranked);
-  for (size_t i = 0; i < n; ++i) {
-    rank_[order_[i]] = static_cast<uint32_t>(i);
-    Interval iv = g.char_range(order_[i]);
-    order_begins_[i] = iv.begin;
-    order_ends_[i] = iv.end;
-  }
-  num_ranked_ = n;
-}
-
-void SnapshotIndex::BuildDepthsFull(const Goddag& g) {
-  // ---- tree depths (memoized parent-chain walk; elements first so
-  // every leaf sees its parents' depths) ----
-  depth_.assign(g.arena_size(), kUnranked);
-  depth_[g.root()] = 0;
-  std::vector<NodeId> chain;
-  for (NodeId e : order_) {
-    if (!g.is_element(e)) continue;
-    chain.clear();
-    NodeId x = e;
-    while (x != kInvalidNode && depth_[x] == kUnranked) {
-      chain.push_back(x);
-      x = g.is_element(x) ? g.parent(x) : kInvalidNode;
-    }
-    uint32_t d = (x == kInvalidNode) ? 0 : depth_[x];
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      depth_[*it] = ++d;
-    }
-  }
-  for (NodeId leaf : order_) {
-    if (!g.is_leaf(leaf)) continue;
-    uint32_t d = 0;
-    for (HierarchyId h = 0; h < g.num_hierarchies(); ++h) {
-      NodeId p = g.leaf_parent(leaf, h);
-      if (p != kInvalidNode && depth_[p] != kUnranked) {
-        d = std::max(d, depth_[p] + 1);
-      }
-    }
-    depth_[leaf] = d;
-  }
-}
-
-void SnapshotIndex::BuildGlobal(const Goddag& g, std::vector<NodeId> order) {
-  BuildRanks(g, std::move(order));
-  BuildDepthsFull(g);
-
-  // ---- equal-extent dominance (the rare co-extensive pairs). Document
-  // order sorts by (begin asc, end desc) first, so every equal-extent
-  // group is one contiguous run of order_ — no grouping map needed. ----
-  const size_t n = order_.size();
-  eq_dominance_.clear();
-  for (size_t i = 0; i < n;) {
-    size_t j = i + 1;
-    while (j < n && order_begins_[j] == order_begins_[i] &&
-           order_ends_[j] == order_ends_[i]) {
-      ++j;
-    }
-    if (j - i >= 2) {
-      for (size_t a = i; a < j; ++a) {
-        for (size_t b = i; b < j; ++b) {
-          NodeId outer = order_[a];
-          NodeId inner = order_[b];
-          if (outer == inner || depth_[outer] >= depth_[inner]) continue;
-          if (IsTreeAncestor(g, outer, inner)) {
-            eq_dominance_.push_back((static_cast<uint64_t>(outer) << 32) |
-                                    inner);
-          }
-        }
-      }
-    }
-    i = j;
-  }
-  std::sort(eq_dominance_.begin(), eq_dominance_.end());
-  eq_dominance_.erase(
-      std::unique(eq_dominance_.begin(), eq_dominance_.end()),
-      eq_dominance_.end());
-}
-
 void SnapshotIndex::AdoptRanks(const Goddag& g, std::vector<NodeId> order,
                                std::vector<size_t> begins,
                                std::vector<size_t> ends) {
@@ -145,158 +38,6 @@ void SnapshotIndex::AdoptRanks(const Goddag& g, std::vector<NodeId> order,
   num_ranked_ = order_.size();
 }
 
-void SnapshotIndex::PatchDepths(const Goddag& g, const SnapshotIndex& prev,
-                                const std::vector<NodeId>& dirty,
-                                const std::vector<Interval>& merged) {
-  const size_t arena = g.arena_size();
-  depth_ = prev.depth_;
-  depth_.resize(arena, kUnranked);
-  depth_[g.root()] = 0;
-
-  // A node's depth changes only when its parent chain gained or lost an
-  // element, and every such element contains the node — so the change
-  // is confined to `merged`, the touched spans Patch derived (a removed
-  // or shifted node contributes its *previous* extent, an added one its
-  // current extent).
-
-  // Detached nodes lose their depth exactly as a fresh build would
-  // leave them unranked; recomputation below restores every node that
-  // is still (or newly) attached inside a span.
-  for (NodeId d : dirty) {
-    if (rank_[d] == kUnranked && static_cast<size_t>(d) < arena) {
-      depth_[d] = kUnranked;
-    }
-  }
-
-  auto in_span = [&merged](const Interval& iv) {
-    for (const Interval& s : merged) {
-      if (iv.begin > s.end) continue;
-      if (iv.begin < s.begin) return false;  // merged is begin-sorted
-      return iv.end <= s.end;
-    }
-    return false;
-  };
-
-  // Recompute the contained nodes: elements via the constructor's
-  // memoized chain walk (a chain leaves the spans or hits an already
-  // fresh node and reads a trusted depth), then leaves.
-  std::vector<char> fresh(arena, 0);
-  fresh[g.root()] = 1;
-  std::vector<NodeId> chain;
-  std::vector<NodeId> affected_leaves;
-  const size_t n = order_.size();
-  for (const Interval& s : merged) {
-    const size_t lo = static_cast<size_t>(
-        std::lower_bound(order_begins_.begin(), order_begins_.end(),
-                         s.begin) -
-        order_begins_.begin());
-    for (size_t i = lo; i < n && order_begins_[i] <= s.end; ++i) {
-      if (order_ends_[i] > s.end) continue;
-      NodeId node = order_[i];
-      if (g.is_leaf(node)) {
-        affected_leaves.push_back(node);
-        continue;
-      }
-      if (!g.is_element(node) || fresh[node] != 0) continue;
-      chain.clear();
-      NodeId x = node;
-      while (x != kInvalidNode && fresh[x] == 0 && in_span(g.char_range(x))) {
-        chain.push_back(x);
-        x = g.is_element(x) ? g.parent(x) : kInvalidNode;
-      }
-      uint32_t d = (x == kInvalidNode) ? 0 : depth_[x];
-      for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-        depth_[*it] = ++d;
-        fresh[*it] = 1;
-      }
-    }
-  }
-  for (NodeId leaf : affected_leaves) {
-    uint32_t d = 0;
-    for (HierarchyId h = 0; h < g.num_hierarchies(); ++h) {
-      NodeId p = g.leaf_parent(leaf, h);
-      if (p != kInvalidNode && depth_[p] != kUnranked) {
-        d = std::max(d, depth_[p] + 1);
-      }
-    }
-    depth_[leaf] = d;
-  }
-}
-
-void SnapshotIndex::PatchEqDominance(const Goddag& g,
-                                     const SnapshotIndex& prev,
-                                     const std::vector<char>& carried,
-                                     const std::vector<NodeId>& added) {
-  // A pair between two carried nodes survives the edit verbatim: their
-  // extents are unchanged by definition of "carried", and tree
-  // ancestorship between surviving nodes is edit-invariant —
-  // InsertElement splices the new element into existing parent chains
-  // and RemoveElement contracts them, so no path between two surviving
-  // nodes appears or disappears. Both sides are sorted vectors, so the
-  // splice is a filtered copy plus one merge.
-  eq_dominance_.clear();
-  eq_dominance_.reserve(prev.eq_dominance_.size());
-  const size_t prev_arena = carried.size();
-  for (uint64_t key : prev.eq_dominance_) {
-    const auto outer = static_cast<NodeId>(key >> 32);
-    const auto inner = static_cast<NodeId>(key & 0xffffffffu);
-    if (static_cast<size_t>(outer) < prev_arena && carried[outer] != 0 &&
-        static_cast<size_t>(inner) < prev_arena && carried[inner] != 0) {
-      eq_dominance_.push_back(key);
-    }
-  }
-  // New pairs can only involve an added node, and pairs live inside
-  // equal-extent runs of the document order — rescan just the runs an
-  // added node joined with the constructor's exact nested loops
-  // (re-derived carried pairs fall to the final dedup).
-  std::vector<uint64_t> fresh_pairs;
-  std::vector<size_t> rescanned;
-  const size_t n = order_.size();
-  for (NodeId a : added) {
-    const uint32_t r = rank_[a];
-    size_t lo = r;
-    while (lo > 0 && order_begins_[lo - 1] == order_begins_[r] &&
-           order_ends_[lo - 1] == order_ends_[r]) {
-      --lo;
-    }
-    size_t hi = r + 1;
-    while (hi < n && order_begins_[hi] == order_begins_[r] &&
-           order_ends_[hi] == order_ends_[r]) {
-      ++hi;
-    }
-    if (hi - lo < 2) continue;
-    if (std::find(rescanned.begin(), rescanned.end(), lo) !=
-        rescanned.end()) {
-      continue;
-    }
-    rescanned.push_back(lo);
-    for (size_t x = lo; x < hi; ++x) {
-      for (size_t y = lo; y < hi; ++y) {
-        NodeId outer = order_[x];
-        NodeId inner = order_[y];
-        if (outer == inner || depth_[outer] >= depth_[inner]) continue;
-        if (IsTreeAncestor(g, outer, inner)) {
-          fresh_pairs.push_back((static_cast<uint64_t>(outer) << 32) |
-                                inner);
-        }
-      }
-    }
-  }
-  if (!fresh_pairs.empty()) {
-    std::sort(fresh_pairs.begin(), fresh_pairs.end());
-    const size_t carried_n = eq_dominance_.size();
-    eq_dominance_.insert(eq_dominance_.end(), fresh_pairs.begin(),
-                         fresh_pairs.end());
-    std::inplace_merge(eq_dominance_.begin(),
-                       eq_dominance_.begin() +
-                           static_cast<ptrdiff_t>(carried_n),
-                       eq_dominance_.end());
-    eq_dominance_.erase(
-        std::unique(eq_dominance_.begin(), eq_dominance_.end()),
-        eq_dominance_.end());
-  }
-}
-
 SnapshotIndex::SnapshotIndex(const Goddag& g) {
   g_ = &g;
   // ---- global document order: root + attached elements + leaves ----
@@ -308,7 +49,14 @@ SnapshotIndex::SnapshotIndex(const Goddag& g) {
   order.insert(order.end(), g.leaves().begin(), g.leaves().end());
   std::sort(order.begin(), order.end(),
             [&g](NodeId a, NodeId b) { return g.Before(a, b); });
-  BuildGlobal(g, std::move(order));
+  std::vector<size_t> begins(order.size());
+  std::vector<size_t> ends(order.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    Interval iv = g.char_range(order[i]);
+    begins[i] = iv.begin;
+    ends[i] = iv.end;
+  }
+  AdoptRanks(g, std::move(order), std::move(begins), std::move(ends));
 
   // ---- (hierarchy, tag) pools, filled in document order ----
   auto freeze = [&g](Pool pool) {
@@ -446,42 +194,28 @@ std::shared_ptr<const SnapshotIndex> SnapshotIndex::Patch(
     }
   }
 
-  // ---- the touched character spans. Every dropped node's previous
-  // extent and every added node's current extent is one of these, so
-  // any array sorted by extent (the global order, every pool) changes
-  // only inside the index window covering [spans.front().begin,
-  // spans.back().end] — everything before and after is carried
-  // verbatim and bulk-copied. PatchDepths reuses the same spans as the
-  // bound on where tree depths can change. ----
+  // ---- the touched character window: every dropped node's previous
+  // extent and every added node's current extent lies inside
+  // [win_lo_char, win_hi_char], so any array sorted by extent (the
+  // global order, every pool) changes only among the entries that begin
+  // there — everything before and after is carried verbatim and
+  // bulk-copied. ----
   std::sort(added.begin(), added.end(),
             [&g](NodeId a, NodeId b) { return g.Before(a, b); });
-  std::vector<Interval> spans;
-  {
-    std::vector<Interval> raw;
-    raw.reserve(dirty_nodes.size() + added.size());
-    for (NodeId n : dirty_nodes) {
-      if (static_cast<size_t>(n) < prev_arena &&
-          prev.rank_[n] != kUnranked) {
-        const uint32_t r = prev.rank_[n];
-        raw.emplace_back(prev.order_begins_[r], prev.order_ends_[r]);
-      }
-    }
-    for (NodeId n : added) raw.push_back(g.char_range(n));
-    std::sort(raw.begin(), raw.end(),
-              [](const Interval& a, const Interval& b) {
-                return a.begin != b.begin ? a.begin < b.begin
-                                          : a.end < b.end;
-              });
-    for (const Interval& s : raw) {
-      if (!spans.empty() && s.begin <= spans.back().end) {
-        spans.back().end = std::max(spans.back().end, s.end);
-      } else {
-        spans.push_back(s);
-      }
+  size_t win_lo_char = static_cast<size_t>(-1);
+  size_t win_hi_char = 0;
+  auto widen = [&](size_t begin, size_t end) {
+    win_lo_char = std::min(win_lo_char, begin);
+    win_hi_char = std::max(win_hi_char, end);
+  };
+  for (NodeId n : dirty_nodes) {
+    if (static_cast<size_t>(n) < prev_arena) {
+      const uint32_t r = prev.rank_[n];
+      widen(prev.order_begins_[r], prev.order_ends_[r]);
     }
   }
-  const size_t win_lo_char = spans.empty() ? 0 : spans.front().begin;
-  const size_t win_hi_char = spans.empty() ? 0 : spans.back().end;
+  for (NodeId n : added) widen(g.char_range(n).begin, g.char_range(n).end);
+  if (win_lo_char > win_hi_char) win_lo_char = win_hi_char = 0;
 
   // ---- the new document order: bulk-copy the carried prefix and
   // suffix straight from prev's arrays (extents included — carried
@@ -577,8 +311,6 @@ std::shared_ptr<const SnapshotIndex> SnapshotIndex::Patch(
       }
     }
   }
-  idx->PatchDepths(g, prev, dirty_nodes, spans);
-  idx->PatchEqDominance(g, prev, carried, added);
 
   // ---- pools: splice every dirty key from its predecessor pool and
   // alias every untouched one (extent arrays, prefix-max-end and
@@ -872,6 +604,27 @@ bool SnapshotIndex::Dominates(NodeId outer, NodeId inner) const {
   if (!o.Contains(i)) return false;
   if (o == i) return EqDominates(outer, inner);
   return true;
+}
+
+bool SnapshotIndex::EqDominates(NodeId outer, NodeId inner) const {
+  // Children tile their parent's extent, so extents only grow up a
+  // parent chain: an ancestor with inner's extent is reached through
+  // parents that all have that extent, and the walk stops at the first
+  // wider one (or at the root, which has no parent).
+  const Interval span = g_->char_range(inner);
+  auto reaches = [&](NodeId p) {
+    for (; p != kInvalidNode && g_->char_range(p) == span;
+         p = g_->is_element(p) ? g_->parent(p) : kInvalidNode) {
+      if (p == outer) return true;
+    }
+    return false;
+  };
+  if (g_->is_element(inner)) return reaches(g_->parent(inner));
+  if (!g_->is_leaf(inner)) return false;
+  for (HierarchyId h = 0; h < g_->num_hierarchies(); ++h) {
+    if (reaches(g_->leaf_parent(inner, h))) return true;
+  }
+  return false;
 }
 
 namespace {

@@ -1,7 +1,6 @@
 #ifndef CXML_GODDAG_SNAPSHOT_INDEX_H_
 #define CXML_GODDAG_SNAPSHOT_INDEX_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -39,12 +38,11 @@ namespace cxml::goddag {
 ///    match instead of filtering all of them afterwards.
 ///  * **Document-order ranks** — every attached node's position in the
 ///    global document order, making `Before` one integer compare.
-///  * **Depths and equal-extent dominance** — per-node tree depth and a
-///    precomputed relation of the (rare) equal-extent node pairs where
-///    one side is a tree ancestor of the other, making `Dominates` O(1)
-///    with the same equal-extent disambiguation as the evaluator's
-///    naive `Dominates` (strict extent containment, or equal extents
-///    and tree ancestorship).
+///
+/// Dominance is extent containment; tree ancestry only breaks ties
+/// between equal extents, which `Dominates` settles when asked by
+/// walking the inner node's co-extensive parents, so the index stores
+/// nothing for it.
 ///
 /// Pools are held by `shared_ptr` so successive snapshot versions can
 /// share them persistently: `Patch` builds the next version's index by
@@ -150,7 +148,7 @@ class SnapshotIndex {
   /// instead of the whole pool.
   static Pool Subset(const Pool& pool, const std::vector<char>& keep);
 
-  // ------------------------------------------------------ O(1) relations
+  // ----------------------------------------------------- node relations
   /// Document-order position of an attached node (root, element, leaf);
   /// kUnranked for detached nodes.
   static constexpr uint32_t kUnranked = static_cast<uint32_t>(-1);
@@ -158,13 +156,12 @@ class SnapshotIndex {
   /// Document-order comparison via ranks; matches Goddag::Before for
   /// attached nodes.
   bool Before(NodeId a, NodeId b) const { return rank_[a] < rank_[b]; }
-  /// Tree depth within the node's own hierarchy (root = 0, elements =
-  /// 1 + parent depth, leaves = 1 + max parent depth over hierarchies).
-  uint32_t depth(NodeId node) const { return depth_[node]; }
   /// Extent containment with equal-extent disambiguation — the same
-  /// relation as the evaluator's naive Dominates, in O(1): `outer`
-  /// dominates `inner` when inner's extent is strictly inside outer's,
-  /// or extents are equal and `outer` is a tree ancestor of `inner`.
+  /// relation as the evaluator's naive Dominates: `outer` dominates
+  /// `inner` when inner's extent is strictly inside outer's, or extents
+  /// are equal and `outer` is a tree ancestor of `inner`. Equal extents
+  /// cost a walk up inner's parents while they keep its extent, usually
+  /// one or two nodes.
   bool Dominates(NodeId outer, NodeId inner) const;
 
   // -------------------------------------------------- axis primitives
@@ -228,32 +225,11 @@ class SnapshotIndex {
   /// For Patch: members are filled field by field.
   SnapshotIndex() = default;
 
-  /// Installs the global per-node state from an already doc-order
-  /// sorted `order`: ranks, depths, equal-extent dominance, and the
-  /// stored order/extent arrays Patch diffs against next time.
-  void BuildGlobal(const Goddag& g, std::vector<NodeId> order);
-  /// Ranks + the stored order/extent arrays, computing extents from
-  /// the arena (constructor path).
-  void BuildRanks(const Goddag& g, std::vector<NodeId> order);
-  /// Ranks from pre-assembled order/extent arrays (patch path — the
-  /// carried stretches were bulk-copied from the predecessor).
+  /// Installs the document order, its extents (what the next Patch
+  /// diffs against) and the ranks. Patch assembles the arrays from the
+  /// predecessor's carried stretches plus the window.
   void AdoptRanks(const Goddag& g, std::vector<NodeId> order,
                   std::vector<size_t> begins, std::vector<size_t> ends);
-  /// Full tree-depth recompute (constructor path).
-  void BuildDepthsFull(const Goddag& g);
-  /// Patch-path depths: copies the predecessor's depth array and
-  /// recomputes only nodes contained in the touched spans — a node's
-  /// depth can change only when its parent chain gained or lost an
-  /// element, which confines the change to that element's extent.
-  void PatchDepths(const Goddag& g, const SnapshotIndex& prev,
-                   const std::vector<NodeId>& dirty,
-                   const std::vector<Interval>& merged);
-  /// Patch-path replacement for the equal-extent dominance scan: pairs
-  /// between two carried nodes survive the edit verbatim, so only the
-  /// equal-extent runs an added node joined are rescanned.
-  void PatchEqDominance(const Goddag& g, const SnapshotIndex& prev,
-                        const std::vector<char>& carried,
-                        const std::vector<NodeId>& added);
 
   static void FinishPool(const Goddag& g, Pool* pool);
   /// The one containment scan behind Dominated/Contained First/Last:
@@ -264,17 +240,13 @@ class SnapshotIndex {
   /// positional pushdown can never diverge from the full collectors.
   NodeId ScanContainment(const Pool& pool, NodeId ctx, bool from_back,
                          bool dominated) const;
-  bool EqDominates(NodeId outer, NodeId inner) const {
-    return std::binary_search(
-        eq_dominance_.begin(), eq_dominance_.end(),
-        (static_cast<uint64_t>(outer) << 32) | inner);
-  }
+  /// Whether `outer`, whose extent equals `inner`'s, is a tree ancestor
+  /// of `inner` (through any hierarchy's parent, for a leaf).
+  bool EqDominates(NodeId outer, NodeId inner) const;
 
   const Goddag* g_ = nullptr;
   /// Arena-indexed document-order ranks (kUnranked for detached nodes).
   std::vector<uint32_t> rank_;
-  /// Arena-indexed tree depths.
-  std::vector<uint32_t> depth_;
   size_t num_ranked_ = 0;
   /// The global document order and its extents *as of this build* —
   /// what Patch diffs the successor GODDAG against, so the predecessor
@@ -286,12 +258,6 @@ class SnapshotIndex {
   /// Pool objects may be shared with neighbouring versions' indexes.
   std::vector<TagPools> layers_;
   PoolPtr leaves_;
-  /// Packed (outer << 32 | inner) pairs of equal-extent nodes where
-  /// outer is a tree ancestor of inner, kept sorted for binary-search
-  /// lookups. Equal-extent groups are tiny relative to the document
-  /// (co-extensive markup), and a sorted vector makes Patch's
-  /// filter-and-merge splice a pair of linear passes.
-  std::vector<uint64_t> eq_dominance_;
 };
 
 }  // namespace cxml::goddag

@@ -114,13 +114,6 @@ struct StepPlan {
   /// full axis window first (descendant/child steps only).
   enum class Positional : uint8_t { kNone, kFirst, kLast };
   Positional positional = Positional::kNone;
-  /// The axis consults (hierarchy, tag) pools on a SnapshotIndex
-  /// (descendant, ancestor, following, preceding, overlapping family).
-  bool uses_pools = false;
-  /// False for steps the index cannot accelerate (child/parent/
-  /// sibling/self/attribute walks) — the seam future per-step strategy
-  /// choice hangs off.
-  bool index_friendly = false;
   /// Set on a bare `descendant-or-self::node()` step (no hierarchy
   /// qualifier, no predicates) whose next step is `child::T` with T a
   /// name or `*` — the `//T` abbreviation. In a GODDAG that pair

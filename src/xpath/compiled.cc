@@ -192,8 +192,6 @@ void AnalyzePath(LocationPath* path, const Analysis& a) {
     Step& step = path->steps[i];
     step.plan.fuse_with_child =
         i + 1 < path->steps.size() && FusesWithChild(step, path->steps[i + 1]);
-    step.plan.uses_pools = AxisUsesPools(step.axis);
-    step.plan.index_friendly = step.plan.uses_pools;
     // Positional pushdown is defined for the forward containment steps
     // only: descendant selects from a pool window in document order,
     // child from the (small) children list. [1]/[last()] elsewhere

@@ -218,14 +218,8 @@ TEST(CompiledQuery, AnalysisRecordsPlansAndReferences) {
   // descendant(linguistic)::w[1].
   ASSERT_EQ(expr.path.steps.size(), 3u);
   const xpath::Step& dos = expr.path.steps[0];
-  EXPECT_TRUE(dos.plan.uses_pools);
-  EXPECT_TRUE(dos.plan.index_friendly);
   EXPECT_EQ(dos.plan.positional, xpath::StepPlan::Positional::kNone);
-  const xpath::Step& child = expr.path.steps[1];
-  EXPECT_FALSE(child.plan.uses_pools);
-  EXPECT_FALSE(child.plan.index_friendly);
   const xpath::Step& desc = expr.path.steps[2];
-  EXPECT_TRUE(desc.plan.uses_pools);
   EXPECT_EQ(desc.plan.positional, xpath::StepPlan::Positional::kFirst);
 
   auto last = xpath::Compile("//w[last()]");

@@ -136,41 +136,47 @@ TEST_P(SnapshotIndexPropertyTest, IndexedAxesMatchNaiveScans) {
   ExpectStrategiesAgree(*g_);
 }
 
-// P-IDX2: the O(1) relations agree with their definitions on random
-// node pairs — rank order vs Goddag::Before, Dominates vs the naive
-// containment + tree-ancestor disambiguation.
+/// True when `anc` is reachable from `node` through parent links (any
+/// hierarchy for leaves), searched all the way to the root.
+bool NaiveTreeAncestor(const goddag::Goddag& g, NodeId anc, NodeId node) {
+  std::vector<NodeId> frontier;
+  if (g.is_leaf(node)) {
+    for (cmh::HierarchyId h = 0; h < g.num_hierarchies(); ++h) {
+      frontier.push_back(g.leaf_parent(node, h));
+    }
+  } else if (g.is_element(node)) {
+    frontier.push_back(g.parent(node));
+  }
+  while (!frontier.empty()) {
+    NodeId n = frontier.back();
+    frontier.pop_back();
+    if (n == goddag::kInvalidNode) continue;
+    if (n == anc) return true;
+    if (g.is_element(n)) frontier.push_back(g.parent(n));
+  }
+  return false;
+}
+
+/// Dominance by definition: extent containment, with tree ancestry
+/// deciding between equal extents.
+bool NaiveDominates(const goddag::Goddag& g, NodeId outer, NodeId inner) {
+  if (outer == inner) return false;
+  Interval o = g.char_range(outer);
+  Interval i = g.char_range(inner);
+  if (!o.Contains(i)) return false;
+  if (o == i) return NaiveTreeAncestor(g, outer, inner);
+  return true;
+}
+
+// P-IDX2: the relations agree with their definitions on random node
+// pairs — rank order vs Goddag::Before, Dominates vs the naive
+// containment + tree-ancestor disambiguation. Random pairs almost never
+// have equal extents; EqualExtentDominance checks those.
 TEST_P(SnapshotIndexPropertyTest, RelationsMatchBruteForce) {
   SnapshotIndex index(*g_);
   std::vector<NodeId> nodes = g_->AllElements();
   nodes.push_back(g_->root());
   nodes.insert(nodes.end(), g_->leaves().begin(), g_->leaves().end());
-
-  auto naive_tree_ancestor = [&](NodeId anc, NodeId node) {
-    std::vector<NodeId> frontier;
-    if (g_->is_leaf(node)) {
-      for (cmh::HierarchyId h = 0; h < g_->num_hierarchies(); ++h) {
-        frontier.push_back(g_->leaf_parent(node, h));
-      }
-    } else if (g_->is_element(node)) {
-      frontier.push_back(g_->parent(node));
-    }
-    while (!frontier.empty()) {
-      NodeId n = frontier.back();
-      frontier.pop_back();
-      if (n == goddag::kInvalidNode) continue;
-      if (n == anc) return true;
-      if (g_->is_element(n)) frontier.push_back(g_->parent(n));
-    }
-    return false;
-  };
-  auto naive_dominates = [&](NodeId outer, NodeId inner) {
-    if (outer == inner) return false;
-    Interval o = g_->char_range(outer);
-    Interval i = g_->char_range(inner);
-    if (!o.Contains(i)) return false;
-    if (o == i) return naive_tree_ancestor(outer, inner);
-    return true;
-  };
 
   std::mt19937_64 rng(GetParam().seed * 7919);
   std::uniform_int_distribution<size_t> pick(0, nodes.size() - 1);
@@ -178,7 +184,7 @@ TEST_P(SnapshotIndexPropertyTest, RelationsMatchBruteForce) {
     NodeId a = nodes[pick(rng)];
     NodeId b = nodes[pick(rng)];
     EXPECT_EQ(index.Before(a, b), g_->Before(a, b)) << a << " vs " << b;
-    EXPECT_EQ(index.Dominates(a, b), naive_dominates(a, b))
+    EXPECT_EQ(index.Dominates(a, b), NaiveDominates(*g_, a, b))
         << a << " vs " << b;
   }
   EXPECT_EQ(index.num_ranked(), nodes.size());
@@ -318,17 +324,17 @@ TEST(DocumentSnapshotMemo, OneIndexPerVersion) {
 // SnapshotIndex::ChildrenOfDominated); the naive engine still evaluates
 // descendant-or-self::node() and child::T literally and is the oracle.
 
-/// A seed-3 synthetic manuscript built the way cxbench builds its own
-/// (MakeManuscript20k: the 20k-char one).
+/// A synthetic manuscript (seed 3 unless given) built the way cxbench
+/// builds its own (MakeManuscript20k: the 20k-char one).
 struct Manuscript {
   workload::SyntheticCorpus corpus;
   std::unique_ptr<goddag::Goddag> g;
 };
 
-Manuscript MakeManuscript(size_t content_chars) {
+Manuscript MakeManuscript(size_t content_chars, uint64_t seed = 3) {
   workload::GeneratorParams params;
   params.content_chars = content_chars;
-  params.seed = 3;
+  params.seed = seed;
   auto corpus = workload::GenerateManuscript(params);
   EXPECT_TRUE(corpus.ok()) << corpus.status();
   Manuscript ms{std::move(corpus).value(), nullptr};
@@ -405,6 +411,23 @@ std::string MakeTeiSample() {
   }
   out += "</standOff></TEI>";
   return out;
+}
+
+/// MakeTeiSample with back-to-back lb and pb milestones, which the
+/// importer turns into zero-width spans: lines 7 and 107 are
+/// equal-extent twins at one offset, and page 2 is zero-width at the
+/// start of page 102.
+std::string MakeTeiSampleWithTwins() {
+  std::string tei = MakeTeiSample();
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{
+            "<lb n=\"7\"/>", "<lb n=\"7\"/><lb n=\"107\"/><lb n=\"207\"/>"},
+        {"<pb n=\"2\"/>", "<pb n=\"2\"/><pb n=\"102\"/>"}}) {
+    const size_t at = tei.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) tei.replace(at, from.size(), to);
+  }
+  return tei;
 }
 
 /// The context nodes of the relative sweep: the root, the first and a
@@ -1054,19 +1077,9 @@ TEST(PredicatePlans, SmallSideMatchesNaive) {
   EXPECT_GT(stats.restricted_pools, 0u);
 
   // TEI: lb and pb milestones become line and page spans, and two
-  // milestones in a row make zero-width ones: lines 7 and 107 are
-  // equal-extent twins at one offset, and page 2 is zero-width at the
-  // start of page 102.
-  std::string tei = MakeTeiSample();
-  for (const auto& [from, to] :
-       {std::pair<std::string, std::string>{
-            "<lb n=\"7\"/>", "<lb n=\"7\"/><lb n=\"107\"/><lb n=\"207\"/>"},
-        {"<pb n=\"2\"/>", "<pb n=\"2\"/><pb n=\"102\"/>"}}) {
-    const size_t at = tei.find(from);
-    ASSERT_NE(at, std::string::npos) << from;
-    tei.replace(at, from.size(), to);
-  }
-  auto imported = ingest::Import(tei, {ingest::Format::kTei});
+  // milestones in a row make zero-width ones.
+  auto imported =
+      ingest::Import(MakeTeiSampleWithTwins(), {ingest::Format::kTei});
   ASSERT_TRUE(imported.ok()) << imported.status();
   const goddag::Goddag& t = *imported->doc.g;
   size_t zero_width = 0;
@@ -1092,6 +1105,124 @@ TEST(PredicatePlans, SmallSideMatchesNaive) {
   ExpectFusedMatchesNaive(t, queries, {}, {}, {}, &stats);
   EXPECT_GT(stats.semijoins, 0u);
   EXPECT_GT(stats.restricted_pools, 0u);
+}
+
+// ------------------------------------------------ equal-extent dominance
+
+/// Tallies of the ordered pairs inside equal-extent runs.
+struct EqualExtentPairs {
+  size_t checked = 0;
+  /// Pairs where the outer node is a tree ancestor of the inner one.
+  size_t dominating = 0;
+  /// Dominating pairs whose inner node is a leaf.
+  size_t leaf_inner = 0;
+  /// Dominating pairs whose outer node is the root.
+  size_t root_outer = 0;
+};
+
+/// Checks `index.Dominates` against NaiveDominates for every ordered
+/// pair inside every equal-extent run of the document order: the pairs
+/// where tree ancestry, not containment, decides.
+EqualExtentPairs ExpectEqualExtentDominanceMatchesNaive(
+    const goddag::Goddag& g, const SnapshotIndex& index) {
+  std::vector<NodeId> order = g.AllElements();
+  order.push_back(g.root());
+  order.insert(order.end(), g.leaves().begin(), g.leaves().end());
+  g.SortDocumentOrder(&order);
+  EqualExtentPairs pairs;
+  for (size_t i = 0; i < order.size();) {
+    const Interval span = g.char_range(order[i]);
+    size_t j = i + 1;
+    while (j < order.size() && g.char_range(order[j]) == span) ++j;
+    for (size_t a = i; a < j; ++a) {
+      for (size_t b = i; b < j; ++b) {
+        if (a == b) continue;
+        const NodeId outer = order[a];
+        const NodeId inner = order[b];
+        const bool naive = NaiveDominates(g, outer, inner);
+        EXPECT_EQ(index.Dominates(outer, inner), naive)
+            << outer << " over " << inner << " at [" << span.begin << ","
+            << span.end << ")";
+        ++pairs.checked;
+        if (!naive) continue;
+        ++pairs.dominating;
+        pairs.leaf_inner += g.is_leaf(inner);
+        pairs.root_outer += g.is_root(outer);
+      }
+    }
+    i = j;
+  }
+  return pairs;
+}
+
+// The seed-1 20k manuscript: every one-leaf w is co-extensive with its
+// leaf.
+TEST(EqualExtentDominance, ManuscriptMatchesNaive) {
+  Manuscript ms = MakeManuscript(20'000, /*seed=*/1);
+  EqualExtentPairs pairs =
+      ExpectEqualExtentDominanceMatchesNaive(*ms.g, SnapshotIndex(*ms.g));
+  EXPECT_GT(pairs.leaf_inner, 0u);
+  EXPECT_GT(pairs.checked, pairs.dominating);
+}
+
+// Zero-width lb/pb twins, and the root spanning the content.
+TEST(EqualExtentDominance, TeiTwinsMatchNaive) {
+  auto imported =
+      ingest::Import(MakeTeiSampleWithTwins(), {ingest::Format::kTei});
+  ASSERT_TRUE(imported.ok()) << imported.status();
+  const goddag::Goddag& t = *imported->doc.g;
+  EqualExtentPairs pairs =
+      ExpectEqualExtentDominanceMatchesNaive(t, SnapshotIndex(t));
+  EXPECT_GT(pairs.root_outer, 0u);
+  EXPECT_GT(pairs.checked, pairs.dominating);
+}
+
+// Inserts that make co-extensive chains, and a remove that cuts one,
+// on a clone whose index is patched from its source's.
+TEST(EqualExtentDominance, PatchedIndexMatchesNaive) {
+  Manuscript ms = MakeManuscript(20'000, /*seed=*/1);
+  const goddag::Goddag& g = *ms.g;
+  const SnapshotIndex prev(g);
+  const EqualExtentPairs before =
+      ExpectEqualExtentDominanceMatchesNaive(g, prev);
+
+  goddag::Goddag clone = g.Clone(ms.corpus.cmh.get());
+  const goddag::HierarchyId linguistic =
+      ms.corpus.cmh->FindIdByName("linguistic");
+  const goddag::HierarchyId ann0 = ms.corpus.cmh->FindIdByName("ann0");
+  const goddag::HierarchyId ann1 = ms.corpus.cmh->FindIdByName("ann1");
+  std::vector<NodeId> one_leaf_words;
+  for (NodeId w : clone.ElementsByTag("w")) {
+    if (clone.leaf_range(w).length() == 1) one_leaf_words.push_back(w);
+  }
+  ASSERT_GT(one_leaf_words.size(), 3u);
+  const NodeId word = one_leaf_words[one_leaf_words.size() / 2];
+  const Interval at = clone.char_range(word);
+  // A second w over the word nests inside it (two new dominating pairs:
+  // word over it, it over the leaf); an a0 over the same extent sits in
+  // another hierarchy (one more: a0 over the leaf).
+  auto inner_w = clone.InsertElement(linguistic, "w", {}, at);
+  ASSERT_TRUE(inner_w.ok()) << inner_w.status();
+  ASSERT_TRUE(clone.InsertElement(ann0, "a0", {}, at).ok());
+  // Two zero-width a1 at one offset: co-extensive siblings.
+  const size_t mid = clone.char_range(one_leaf_words[1]).begin;
+  ASSERT_TRUE(clone.InsertElement(ann1, "a1", {}, Interval(mid, mid)).ok());
+  ASSERT_TRUE(clone.InsertElement(ann1, "a1", {}, Interval(mid, mid)).ok());
+  // A w inside another one-leaf word, then that word removed: the new
+  // w takes over its pair with the leaf.
+  const NodeId cut = one_leaf_words.back();
+  ASSERT_TRUE(clone.InsertElement(linguistic, "w", {}, clone.char_range(cut))
+                  .ok());
+  ASSERT_TRUE(clone.RemoveElement(cut).ok());
+  ASSERT_TRUE(clone.Validate().ok()) << clone.Validate();
+
+  auto patched = SnapshotIndex::Patch(prev, clone, goddag::IndexDelta());
+  ASSERT_NE(patched, nullptr);
+  const EqualExtentPairs after =
+      ExpectEqualExtentDominanceMatchesNaive(clone, *patched);
+  EXPECT_TRUE(patched->Dominates(word, *inner_w));
+  EXPECT_FALSE(patched->Dominates(*inner_w, word));
+  EXPECT_EQ(after.dominating, before.dominating + 3);
 }
 
 }  // namespace
